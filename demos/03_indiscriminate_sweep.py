@@ -47,7 +47,7 @@ print(f"universe: {len(dataset.series)} tickers, test window {test.n_days()} day
 # Full sweep: one attacked simulation per (day, omega) cell, day-major order.
 sweep = epsim.sweep_indiscriminate(
     dataset, test_start, predictors, strategy, costs,
-    ticker="BLU", omegas=[30, 40, 50], workers=1,
+    ticker="BLU", omegas=[30, 40, 50],
 )
 print(f"cells simulated: {len(sweep.outcomes)} "
       f"({test.n_days()} days x 3 magnitude windows), "

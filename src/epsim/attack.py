@@ -7,6 +7,14 @@ the perturbed value; every later window spanning day t sees the clean close
 again. Portfolio marking and trade execution always use clean market prices,
 so any divergence from the baseline is caused solely by that one forecast.
 
+That locality is what makes a cell cheap. :class:`AttackContext` computes,
+once per run, each ticker's scaled features, clean forecasts and executed
+signals, and the baseline run with its portfolio state before each day. A
+cell then recomputes the one forecast the perturbation reaches, regenerates
+the attacked ticker's signals, and returns the baseline unchanged when those
+signals match it, or otherwise resumes the baseline from the first day whose
+executed signal differs.
+
 Magnitude modes:
 
 * ``StdDevMode(omega)``   - clean close + 2 * std of the trailing omega closes
@@ -19,8 +27,7 @@ Magnitude modes:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +40,15 @@ from .predictor import (
     predict_test_series,
 )
 from .strategy import StrategyConfig
-from .trade_engine import CostModel, SimulationResult, run_simulation
+from .trade_engine import (
+    CostModel,
+    SignalRun,
+    SimulationResult,
+    executed_signals,
+    resume_signals,
+    run_simulation,  # noqa: F401  (looked up here by perfbench/tracing.py)
+    ticker_signals,
+)
 
 
 @dataclass(frozen=True)
@@ -172,11 +187,15 @@ def perturbed_prediction_entry(
     full_series: StockSeries,
     test_start: int,
     ep: EpSpec,
+    scaled: np.ndarray | None = None,
 ) -> tuple[int, float, float, float] | None:
     """Recompute the single forecast whose window ends on the attacked day.
 
     Returns (entry_day, perturbed_entry, perturbed_close, clean_close), or
     None when the attacked day is the last one (nothing downstream sees it).
+    ``scaled`` is ``predictor.scale(full_series.bars)`` when the caller
+    already has it. The forecast equals ``predict_window`` over the window
+    with the attacked bar's close replaced.
     """
     w = predictor.config.window
     a = test_start + ep.day
@@ -188,9 +207,13 @@ def perturbed_prediction_entry(
         raise AttackSetupError(
             f"{full_series.ticker}: no {w}-day model window ends at index {a}"
         )
-    bars = list(full_series.bars[a - w + 1 : a + 1])
-    bars[-1] = replace(bars[-1], close=perturbed_close)
-    entry = predictor.predict_window(bars)
+    if scaled is None:
+        scaled = predictor.scale(full_series.bars)
+    window = scaled[a - w + 1 : a + 1].copy()
+    for j, f in enumerate(predictor.config.features):
+        if f == "close":
+            window[-1, j] = predictor.feature_scalers[f].transform(perturbed_close)
+    entry = predictor.forecast(window.reshape(-1))
     return ep.day + 1, entry, perturbed_close, clean_close
 
 
@@ -220,64 +243,106 @@ def _cr_ratio(cr_attacked: float, cr_baseline: float) -> float:
     return cr_attacked / cr_baseline
 
 
-def _attack_outcome(
-    dataset: Dataset,
-    test_start: int,
-    predictors: dict[str, RidgePredictor],
-    strategy_config: StrategyConfig,
-    cost_model: CostModel,
-    ep: EpSpec,
-    clean_predictions: dict[str, PredictionSeries],
-    baseline: SimulationResult,
-) -> tuple[SimulationResult, AttackOutcome]:
-    if ep.ticker not in predictors:
-        raise AttackSetupError(f"no predictor for attacked ticker {ep.ticker!r}")
-    test = dataset.slice(test_start)
-    n = test.n_days()
-    if not 0 <= ep.day < n:
-        raise AttackSetupError(
-            f"attacked day {ep.day} outside the {n}-day test window"
+class AttackContext:
+    """What every attack cell of one run shares, computed once.
+
+    Holds each ticker's min-max-scaled features (full series), clean test
+    forecasts, their RMSE and the executed baseline signals, and the
+    baseline run with the portfolio state before each of its days.
+    """
+
+    def __init__(
+        self,
+        dataset: Dataset,
+        test_start: int,
+        predictors: dict[str, RidgePredictor],
+        strategy_config: StrategyConfig,
+        cost_model: CostModel,
+    ):
+        self.dataset = dataset
+        self.test_start = test_start
+        self.predictors = predictors
+        self.strategy_config = strategy_config
+        self.cost_model = cost_model
+        self.test = dataset.slice(test_start)
+        self.scaled = {
+            tk: predictors[tk].scale(dataset.series[tk].bars) for tk in sorted(predictors)
+        }
+        self.predictions = {
+            tk: predict_test_series(
+                predictors[tk], dataset.series[tk], test_start, self.scaled[tk]
+            )
+            for tk in sorted(predictors)
+        }
+        signals = executed_signals(self.test, self.predictions, strategy_config)
+        self.baseline_run: SignalRun = resume_signals(self.test, signals, cost_model)
+        self.baseline = self.baseline_run.result
+        self.rmse_clean = {
+            tk: evaluate_rmse(preds, self.test.series[tk], sorted(preds.entries))
+            for tk, preds in self.predictions.items()
+        }
+
+    def outcome(self, ep: EpSpec) -> tuple[SimulationResult, AttackOutcome]:
+        """The attacked run and its impact record for one perturbation."""
+        if ep.ticker not in self.predictors:
+            raise AttackSetupError(f"no predictor for attacked ticker {ep.ticker!r}")
+        n = self.test.n_days()
+        if not 0 <= ep.day < n:
+            raise AttackSetupError(
+                f"attacked day {ep.day} outside the {n}-day test window"
+            )
+
+        full_series = self.dataset.series[ep.ticker]
+        test_series = self.test.series[ep.ticker]
+        clean = self.predictions[ep.ticker]
+        swap = perturbed_prediction_entry(
+            self.predictors[ep.ticker],
+            full_series,
+            self.test_start,
+            ep,
+            self.scaled[ep.ticker],
+        )
+        run = self.baseline_run
+        if swap is None:
+            perturbed_close = apply_ep(full_series, ep, at=self.test_start + ep.day)
+            clean_close = full_series.bars[self.test_start + ep.day].close
+            attacked_predictions = clean
+        else:
+            entry_day, entry, perturbed_close, clean_close = swap
+            attacked_predictions = clean.with_entry(entry_day, entry)
+            signals = dict(run.signals)
+            signals[ep.ticker] = ticker_signals(
+                test_series, attacked_predictions, self.strategy_config, n
+            )
+            run = resume_signals(self.test, signals, self.cost_model, run)
+        attacked = run.result
+
+        rmse_clean = self.rmse_clean[ep.ticker]
+        rmse_attacked = (
+            rmse_clean
+            if attacked_predictions is clean
+            else evaluate_rmse(attacked_predictions, test_series, sorted(clean.entries))
         )
 
-    full_series = dataset.series[ep.ticker]
-    swap = perturbed_prediction_entry(
-        predictors[ep.ticker], full_series, test_start, ep
-    )
-    attacked_predictions = dict(clean_predictions)
-    if swap is None:
-        perturbed_close = apply_ep(full_series, ep, at=test_start + ep.day)
-        clean_close = full_series.bars[test_start + ep.day].close
-    else:
-        entry_day, entry, perturbed_close, clean_close = swap
-        attacked_predictions[ep.ticker] = clean_predictions[ep.ticker].with_entry(
-            entry_day, entry
+        baseline = self.baseline
+        cr_base = baseline.final_cumulative_return()
+        cr_att = attacked.final_cumulative_return()
+        outcome = AttackOutcome(
+            ep=ep,
+            perturbed_value=perturbed_close,
+            clean_value=clean_close,
+            rmse_clean=rmse_clean,
+            rmse_attacked=rmse_attacked,
+            sharpe_baseline=baseline.sharpe_ratio,
+            sharpe_attacked=attacked.sharpe_ratio,
+            cr_baseline=cr_base,
+            cr_attacked=cr_att,
+            cr_ratio=_cr_ratio(cr_att, cr_base),
+            first_divergence_day=(
+                None if attacked is baseline else _first_divergence(baseline, attacked)
+            ),
         )
-
-    attacked = run_simulation(test, attacked_predictions, strategy_config, cost_model)
-
-    eval_days = sorted(clean_predictions[ep.ticker].entries)
-    test_series = test.series[ep.ticker]
-    rmse_clean = evaluate_rmse(clean_predictions[ep.ticker], test_series, eval_days)
-    rmse_attacked = evaluate_rmse(
-        attacked_predictions[ep.ticker], test_series, eval_days
-    )
-
-    cr_base = baseline.final_cumulative_return()
-    cr_att = attacked.final_cumulative_return()
-    outcome = AttackOutcome(
-        ep=ep,
-        perturbed_value=perturbed_close,
-        clean_value=clean_close,
-        rmse_clean=rmse_clean,
-        rmse_attacked=rmse_attacked,
-        sharpe_baseline=baseline.sharpe_ratio,
-        sharpe_attacked=attacked.sharpe_ratio,
-        cr_baseline=cr_base,
-        cr_attacked=cr_att,
-        cr_ratio=_cr_ratio(cr_att, cr_base),
-        first_divergence_day=_first_divergence(baseline, attacked),
-    )
-    return attacked, outcome
+        return attacked, outcome
 
 
 def clean_run(
@@ -288,13 +353,8 @@ def clean_run(
     cost_model: CostModel,
 ) -> tuple[dict[str, PredictionSeries], SimulationResult]:
     """Baseline forecasts and simulation over the test window."""
-    predictions = {
-        tk: predict_test_series(predictors[tk], dataset.series[tk], test_start)
-        for tk in sorted(predictors)
-    }
-    test = dataset.slice(test_start)
-    baseline = run_simulation(test, predictions, strategy_config, cost_model)
-    return predictions, baseline
+    context = AttackContext(dataset, test_start, predictors, strategy_config, cost_model)
+    return context.predictions, context.baseline
 
 
 def run_attacked_simulation(
@@ -306,19 +366,8 @@ def run_attacked_simulation(
     ep: EpSpec,
 ) -> tuple[SimulationResult, AttackOutcome]:
     """One attacked run plus its impact record against a fresh baseline."""
-    clean_predictions, baseline = clean_run(
-        dataset, test_start, predictors, strategy_config, cost_model
-    )
-    return _attack_outcome(
-        dataset,
-        test_start,
-        predictors,
-        strategy_config,
-        cost_model,
-        ep,
-        clean_predictions,
-        baseline,
-    )
+    context = AttackContext(dataset, test_start, predictors, strategy_config, cost_model)
+    return context.outcome(ep)
 
 
 def sweep_indiscriminate(
@@ -330,50 +379,32 @@ def sweep_indiscriminate(
     ticker: str,
     omegas,
     ddof: int = 1,
-    workers: int = 1,
+    days=None,
 ) -> SweepResult:
-    """Attack every feasible test day once per omega (day-major, omega-minor).
+    """Attack each test day once per omega (day-major, omega-minor).
 
-    Infeasible cells (not enough history for the sigma window) are recorded
-    and skipped. Results are emitted in deterministic cell order regardless
-    of worker scheduling; each cell owns its own simulation state.
+    ``days`` lists the test days to attack, in order; every test day when
+    None. Infeasible cells (not enough history for the sigma window) are
+    recorded and skipped.
     """
     omegas = list(omegas)
     if not omegas:
         raise AttackSetupError("need at least one omega")
-    clean_predictions, baseline = clean_run(
-        dataset, test_start, predictors, strategy_config, cost_model
+    context = AttackContext(dataset, test_start, predictors, strategy_config, cost_model)
+    if days is None:
+        days = range(context.test.n_days())
+    outcomes: list[AttackOutcome] = []
+    errors: list[CellError] = []
+    for day in days:
+        for omega in omegas:
+            ep = EpSpec(ticker=ticker, day=day, mode=StdDevMode(omega=omega, ddof=ddof))
+            try:
+                outcomes.append(context.outcome(ep)[1])
+            except AttackSetupError as exc:
+                errors.append(CellError(day=day, label=f"omega={omega}", message=str(exc)))
+    return SweepResult(
+        outcomes=tuple(outcomes), baseline=context.baseline, errors=tuple(errors)
     )
-    n = dataset.slice(test_start).n_days()
-    cells = [(day, omega) for day in range(n) for omega in omegas]
-
-    def run_cell(cell):
-        day, omega = cell
-        ep = EpSpec(ticker=ticker, day=day, mode=StdDevMode(omega=omega, ddof=ddof))
-        try:
-            _, outcome = _attack_outcome(
-                dataset,
-                test_start,
-                predictors,
-                strategy_config,
-                cost_model,
-                ep,
-                clean_predictions,
-                baseline,
-            )
-            return outcome
-        except AttackSetupError as exc:
-            return CellError(day=day, label=f"omega={omega}", message=str(exc))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
-
-    outcomes = tuple(r for r in results if isinstance(r, AttackOutcome))
-    errors = tuple(r for r in results if isinstance(r, CellError))
-    return SweepResult(outcomes=outcomes, baseline=baseline, errors=errors)
 
 
 def run_targeted(
@@ -396,27 +427,14 @@ def run_targeted(
         raise AttackSetupError(
             f"scenario must be conceal or overestimate, got {scenario!r}"
         )
-    clean_predictions, baseline = clean_run(
-        dataset, test_start, predictors, strategy_config, cost_model
-    )
+    context = AttackContext(dataset, test_start, predictors, strategy_config, cost_model)
     outcomes: list[AttackOutcome] = []
     errors: list[CellError] = []
     for day in days:
-        ep = EpSpec(ticker=ticker, day=day, mode=mode)
         try:
-            _, outcome = _attack_outcome(
-                dataset,
-                test_start,
-                predictors,
-                strategy_config,
-                cost_model,
-                ep,
-                clean_predictions,
-                baseline,
-            )
-            outcomes.append(outcome)
+            outcomes.append(context.outcome(EpSpec(ticker=ticker, day=day, mode=mode))[1])
         except AttackSetupError as exc:
             errors.append(CellError(day=day, label=scenario, message=str(exc)))
     return TargetedResult(
-        outcomes=tuple(outcomes), baseline=baseline, errors=tuple(errors)
+        outcomes=tuple(outcomes), baseline=context.baseline, errors=tuple(errors)
     )

@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     atk.add_argument(
         "--mode", choices=("stddev", "conceal", "overestimate"), help="override attack mode"
     )
-    atk.add_argument("--workers", type=int, default=1, help="sweep worker budget")
 
     rep = sub.add_parser("report", help="summarize result files")
     rep.add_argument("files", nargs="+", help="result.json / *_summary.json / *_cells.csv")
@@ -87,9 +86,7 @@ def main(argv=None) -> int:
             config = dataclasses.replace(
                 config, attack=pipeline.AttackConfig.from_dict(overrides)
             )
-            paths = pipeline.cmd_attack(
-                config, _out_dir(args, config), args.submode, workers=args.workers
-            )
+            paths = pipeline.cmd_attack(config, _out_dir(args, config), args.submode)
             for name in sorted(paths):
                 print(f"{name}: {paths[name]}")
             return 0

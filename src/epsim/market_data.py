@@ -55,6 +55,16 @@ class Bar:
         return getattr(self, name)
 
 
+def feature_matrix(bars, features: tuple[str, ...]) -> np.ndarray:
+    """Rows are the given bars, columns follow the requested feature order."""
+    columns = [FEATURE_NAMES.index(f) for f in features]
+    every = np.array(
+        [(b.open, b.high, b.low, b.close, b.volume) for b in bars],
+        dtype=np.float64,
+    ).reshape(-1, len(FEATURE_NAMES))
+    return every[:, columns]
+
+
 def validate_bar(bar: Bar) -> None:
     """Raise ValidationError (naming the date) if the bar is inconsistent."""
     if not (bar.open > 0 and bar.high > 0 and bar.low > 0 and bar.close > 0):
@@ -97,10 +107,7 @@ class StockSeries:
 
     def feature_matrix(self, features: tuple[str, ...]) -> np.ndarray:
         """Rows are days, columns follow the requested feature order."""
-        return np.array(
-            [[b.feature(f) for f in features] for b in self.bars],
-            dtype=np.float64,
-        )
+        return feature_matrix(self.bars, features)
 
     def restrict(self, dates: set[dt.date]) -> "StockSeries":
         return StockSeries(

@@ -82,6 +82,11 @@ class AttackConfig:
         days = d.get("days", "all")
         if days != "all" and not isinstance(days, list):
             raise ConfigurationError('attack.days must be "all" or a list')
+        for entry in days if days != "all" else ():
+            if isinstance(entry, bool) or not isinstance(entry, (int, str)):
+                raise ConfigurationError(
+                    f"attack.days: {entry!r} is neither a day index nor an ISO date"
+                )
         if mode == "custom" and d.get("value") is None:
             raise ConfigurationError("attack.value is required for custom mode")
         return cls(
@@ -132,6 +137,13 @@ class RunConfig:
         "attack",
         "output_dir",
     )
+
+    def __post_init__(self):
+        if self.attack is not None and self.attack.ticker not in self.tickers:
+            raise ConfigurationError(
+                f"attack.ticker {self.attack.ticker!r} is not one of the "
+                f"tickers {list(self.tickers)}"
+            )
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: str = ".") -> "RunConfig":
@@ -597,6 +609,10 @@ def _attack_days(attack: AttackConfig, dataset: Dataset, test_start: int) -> lis
     days: list[int] = []
     for entry in attack.days:
         if isinstance(entry, int):
+            if not 0 <= entry < n:
+                raise ConfigurationError(
+                    f"attack.days: day {entry} outside the {n}-day test window"
+                )
             days.append(entry)
         else:
             try:
@@ -613,7 +629,7 @@ def _attack_days(attack: AttackConfig, dataset: Dataset, test_start: int) -> lis
     return days
 
 
-def cmd_attack(config: RunConfig, out_dir, submode: str, workers: int = 1) -> dict:
+def cmd_attack(config: RunConfig, out_dir, submode: str) -> dict:
     if config.attack is None:
         raise ConfigurationError("config has no attack block")
     if config.predictor_kind != "baseline":
@@ -622,13 +638,22 @@ def cmd_attack(config: RunConfig, out_dir, submode: str, workers: int = 1) -> di
             "needed to recompute the perturbed forecast)"
         )
     atk = config.attack
+    if submode not in ("sweep", "targeted"):
+        raise ConfigurationError(
+            f"attack submode must be sweep or targeted, got {submode!r}"
+        )
+    if submode == "sweep" and atk.mode != "stddev":
+        raise ConfigurationError("sweep requires attack.mode = stddev")
+    if submode == "targeted" and atk.mode not in ("conceal", "overestimate"):
+        raise ConfigurationError(
+            "targeted requires attack.mode = conceal or overestimate"
+        )
     dataset, test_start = load_dataset(config)
+    days = _attack_days(atk, dataset, test_start)
     train = dataset.slice(0, test_start)
     predictors = fit_baseline(train, config.predictor)
 
     if submode == "sweep":
-        if atk.mode != "stddev":
-            raise ConfigurationError("sweep requires attack.mode = stddev")
         result = attack_mod.sweep_indiscriminate(
             dataset,
             test_start,
@@ -638,37 +663,22 @@ def cmd_attack(config: RunConfig, out_dir, submode: str, workers: int = 1) -> di
             ticker=atk.ticker,
             omegas=atk.omegas,
             ddof=atk.ddof,
-            workers=workers,
+            days=sorted(set(days)),
         )
-        if atk.days != "all":
-            wanted = set(_attack_days(atk, dataset, test_start))
-            result = attack_mod.SweepResult(
-                outcomes=tuple(o for o in result.outcomes if o.ep.day in wanted),
-                baseline=result.baseline,
-                errors=tuple(e for e in result.errors if e.day in wanted),
-            )
         return write_sweep_files(result, out_dir)
 
-    if submode == "targeted":
-        if atk.mode not in ("conceal", "overestimate"):
-            raise ConfigurationError(
-                "targeted requires attack.mode = conceal or overestimate"
-            )
-        days = _attack_days(atk, dataset, test_start)
-        result = attack_mod.run_targeted(
-            dataset,
-            test_start,
-            predictors,
-            config.strategy,
-            config.costs,
-            ticker=atk.ticker,
-            days=days,
-            scenario=atk.mode,
-            drop_fraction=atk.drop_fraction,
-        )
-        return write_targeted_files(result, atk.mode, out_dir)
-
-    raise ConfigurationError(f"attack submode must be sweep or targeted, got {submode!r}")
+    result = attack_mod.run_targeted(
+        dataset,
+        test_start,
+        predictors,
+        config.strategy,
+        config.costs,
+        ticker=atk.ticker,
+        days=days,
+        scenario=atk.mode,
+        drop_fraction=atk.drop_fraction,
+    )
+    return write_targeted_files(result, atk.mode, out_dir)
 
 
 # ---------------------------------------------------------------------------

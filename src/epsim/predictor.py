@@ -27,7 +27,7 @@ from .errors import (
     PredictionImportError,
     WindowError,
 )
-from .market_data import FEATURE_NAMES, Dataset, StockSeries
+from .market_data import FEATURE_NAMES, Dataset, StockSeries, feature_matrix
 
 DEFAULT_FEATURES = ("open", "high", "low", "close", "volume")
 
@@ -112,15 +112,19 @@ class RidgePredictor:
         self.feature_scalers = dict(feature_scalers)
         self.target_scaler = target_scaler
 
-    def _window_vector(self, bars) -> np.ndarray:
-        cfg = self.config
-        x = np.empty(cfg.window * len(cfg.features), dtype=np.float64)
-        k = 0
-        for bar in bars:
-            for f in cfg.features:
-                x[k] = self.feature_scalers[f].transform(bar.feature(f))
-                k += 1
-        return x
+    def scale(self, bars) -> np.ndarray:
+        """Min-max-scaled features of ``bars``: one row per bar, columns in
+        ``config.features`` order."""
+        return _scale(
+            feature_matrix(bars, self.config.features),
+            self.feature_scalers,
+            self.config.features,
+        )
+
+    def forecast(self, window_row: np.ndarray) -> float:
+        """The close following a window, given as its scaled rows flattened
+        bar by bar (``scale(bars).reshape(-1)``)."""
+        return self.target_scaler.inverse(float(window_row @ self.coef))
 
     def predict_window(self, bars) -> float:
         """Forecast the close following the given window of bars.
@@ -132,8 +136,13 @@ class RidgePredictor:
                 f"{self.ticker}: expected {self.config.window} bars, "
                 f"got {len(bars)}"
             )
-        y_scaled = float(self._window_vector(bars) @ self.coef)
-        return self.target_scaler.inverse(y_scaled)
+        return self.forecast(self.scale(bars).reshape(-1))
+
+
+def _scale(raw: np.ndarray, scalers: dict, features) -> np.ndarray:
+    return np.column_stack(
+        [scalers[f].transform(raw[:, j]) for j, f in enumerate(features)]
+    )
 
 
 def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
@@ -151,9 +160,7 @@ def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
     }
     target_scaler = AffineScaler.fit(series.closes())
 
-    scaled = np.column_stack(
-        [scalers[f].transform(raw[:, j]) for j, f in enumerate(config.features)]
-    )
+    scaled = _scale(raw, scalers, config.features)
     y_scaled = target_scaler.transform(series.closes())
 
     n_samples = n - w
@@ -198,20 +205,25 @@ def predict_next(predictor: RidgePredictor, series: StockSeries, t: int) -> floa
 
 
 def predict_test_series(
-    predictor: RidgePredictor, full_series: StockSeries, test_start: int
+    predictor: RidgePredictor,
+    full_series: StockSeries,
+    test_start: int,
+    scaled: np.ndarray | None = None,
 ) -> PredictionSeries:
     """Forecasts for every test day, keyed by test-relative day index.
 
     The window for test day t ends at absolute day test_start+t-1, reaching
-    back into the train partition for early test days.
+    back into the train partition for early test days. ``scaled`` is
+    ``predictor.scale(full_series.bars)`` when the caller already has it;
+    each forecast is the same dot product ``predict_window`` takes.
     """
     w = predictor.config.window
-    entries = {}
-    for a in range(test_start, len(full_series.bars)):
-        if a - 1 >= w - 1:
-            entries[a - test_start] = predictor.predict_window(
-                full_series.bars[a - w : a]
-            )
+    if scaled is None:
+        scaled = predictor.scale(full_series.bars)
+    entries = {
+        a - test_start: predictor.forecast(scaled[a - w : a].reshape(-1))
+        for a in range(max(test_start, w), len(full_series.bars))
+    }
     return PredictionSeries(ticker=full_series.ticker, entries=entries)
 
 
@@ -282,14 +294,8 @@ def fit_report(
     preds = predict_test_series(predictor, full_series, test_start)
     if not preds.entries:
         raise EvaluationError(f"{predictor.ticker}: empty test partition")
-    rmse = evaluate_rmse(
-        PredictionSeries(
-            predictor.ticker,
-            {t + test_start: v for t, v in preds.entries.items()},
-        ),
-        full_series,
-        sorted(t + test_start for t in preds.entries),
-    )
+    test_series = StockSeries(full_series.ticker, full_series.bars[test_start:])
+    rmse = evaluate_rmse(preds, test_series, sorted(preds.entries))
     return FitReport(
         ticker=predictor.ticker,
         rmse_test=rmse,

@@ -11,8 +11,10 @@ Accounting rules:
 * tickers execute in lexicographic order so capital contention resolves
   deterministically.
 
-A single run is strictly sequential; independent runs share no mutable state
-and can be executed in parallel.
+A single run is strictly sequential. Because a day's trades depend only on
+the portfolio state before it and that day's signals, a run whose signals
+match an earlier run's up to some day can resume from that run's state on
+that day instead of replaying the shared prefix (:func:`resume_signals`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, MetricError, SimulationSetupError, ZeroVolatilityWarning
-from .market_data import Dataset
+from .market_data import Dataset, StockSeries
 from .predictor import PredictionSeries
 from .strategy import Signal, StrategyConfig, generate_signals, shift_signals
 
@@ -96,7 +98,6 @@ class PortfolioState:
         self.holdings: dict[str, int] = {}
         self.day = 0
         self.marks: dict[str, float] = {}
-        self.value_history: list[float] = []
 
     def total_value(self) -> float:
         return self.cash + sum(
@@ -239,6 +240,26 @@ def sharpe_ratio(daily_returns, cost_model: CostModel) -> float:
     return float(np.mean(excess)) / std * annualizer
 
 
+@dataclass(frozen=True)
+class DayStart:
+    """Portfolio state before a day's trades, and the ledger length then."""
+
+    cash: float
+    holdings: dict[str, int]
+    prev_value: float
+    n_trades: int
+
+
+@dataclass(frozen=True)
+class SignalRun:
+    """A finished run: the signals it executed, its result, and the state
+    before each of its days (what a later run resumes from)."""
+
+    signals: dict[str, list[Signal]]
+    result: SimulationResult
+    day_starts: tuple[DayStart, ...]
+
+
 def run_signals(
     test: Dataset,
     signals: dict[str, list[Signal]],
@@ -249,6 +270,34 @@ def run_signals(
     This is the scripted-signal entry point; :func:`run_simulation` layers
     strategy generation and the anti-lookahead shift on top of it.
     """
+    return resume_signals(test, signals, cost_model).result
+
+
+def _first_change(base: dict, signals: dict, tickers, n: int) -> int:
+    """First day on which any ticker's executed signal differs (n if none)."""
+    first = n
+    for tk in tickers:
+        old, new = base[tk], signals[tk]
+        if old is not new:
+            first = next((t for t in range(first) if old[t] != new[t]), first)
+    return first
+
+
+def resume_signals(
+    test: Dataset,
+    signals: dict[str, list[Signal]],
+    cost_model: CostModel,
+    base: SignalRun | None = None,
+) -> SignalRun:
+    """Execute pre-shifted signals, resuming ``base`` where they first differ.
+
+    Up to the first day on which some ticker's signal differs from
+    ``base.signals``, both runs trade identically, so that prefix (state,
+    ledger, returns) is taken from ``base`` and the day loop starts there;
+    when no day differs, ``base`` itself is returned. Without ``base`` the
+    loop starts from the initial capital on day 0. Either way the result is
+    bit-identical to executing ``signals`` from day 0.
+    """
     n = test.n_days()
     tickers = test.tickers()
     for tk in tickers:
@@ -258,13 +307,31 @@ def run_signals(
             raise SimulationSetupError(
                 f"{tk}: {len(signals[tk])} signals for a {n}-day calendar"
             )
-    closes = {tk: test.series[tk].closes() for tk in tickers}
 
-    state = PortfolioState(cash=cost_model.initial_capital)
-    ledger: list[TradeRecord] = []
-    daily: list[float] = []
-    prev_value = cost_model.initial_capital
-    for t in range(n):
+    if base is None:
+        start = 0
+        capital = cost_model.initial_capital
+        resume = DayStart(cash=capital, holdings={}, prev_value=capital, n_trades=0)
+        ledger: list[TradeRecord] = []
+        daily: list[float] = []
+        day_starts: list[DayStart] = []
+    else:
+        start = _first_change(base.signals, signals, tickers, n)
+        if start == n:
+            return base
+        resume = base.day_starts[start]
+        ledger = list(base.result.trade_ledger[: resume.n_trades])
+        daily = list(base.result.daily_returns[:start])
+        day_starts = list(base.day_starts[:start])
+    state = PortfolioState(cash=resume.cash)
+    state.holdings = dict(resume.holdings)
+    prev_value = resume.prev_value
+
+    closes = {tk: test.series[tk].closes() for tk in tickers}
+    for t in range(start, n):
+        day_starts.append(
+            DayStart(state.cash, dict(state.holdings), prev_value, len(ledger))
+        )
         state.day = t
         state.marks = {tk: float(closes[tk][t]) for tk in tickers}
         for tk in tickers:
@@ -272,17 +339,51 @@ def run_signals(
             if record is not None:
                 ledger.append(record)
         value = state.total_value()
-        state.value_history.append(value)
         daily.append(value / prev_value - 1.0)
         prev_value = value
 
-    return SimulationResult(
+    result = SimulationResult(
         daily_returns=tuple(daily),
         cumulative_returns=tuple(cumulative_returns(daily)) if daily else (),
         sharpe_ratio=sharpe_ratio(daily, cost_model) if len(daily) >= 2 else 0.0,
         trade_ledger=tuple(ledger),
-        final_value=state.value_history[-1] if daily else cost_model.initial_capital,
+        final_value=prev_value,
     )
+    return SignalRun(signals=signals, result=result, day_starts=tuple(day_starts))
+
+
+def ticker_signals(
+    prices: StockSeries,
+    predictions: PredictionSeries,
+    strategy_config: StrategyConfig,
+    n: int,
+) -> list[Signal]:
+    """One ticker's executed signals over an n-day test calendar: generated
+    from its forecasts, then shifted one day."""
+    bad = [d for d in predictions.entries if not 0 <= d < n]
+    if bad:
+        raise SimulationSetupError(
+            f"{prices.ticker}: prediction days {sorted(bad)[:5]} outside the "
+            f"{n}-day test calendar"
+        )
+    return shift_signals(generate_signals(prices, predictions, strategy_config, n))
+
+
+def executed_signals(
+    test: Dataset,
+    predictions: dict[str, PredictionSeries],
+    strategy_config: StrategyConfig,
+) -> dict[str, list[Signal]]:
+    """Every ticker's executed signals (:func:`ticker_signals`)."""
+    n = test.n_days()
+    if n == 0:
+        raise SimulationSetupError("empty test calendar")
+    signals: dict[str, list[Signal]] = {}
+    for tk in test.tickers():
+        if tk not in predictions:
+            raise SimulationSetupError(f"no predictions for {tk}")
+        signals[tk] = ticker_signals(test.series[tk], predictions[tk], strategy_config, n)
+    return signals
 
 
 def run_simulation(
@@ -295,20 +396,6 @@ def run_simulation(
 
     Deterministic: identical inputs yield bit-identical results.
     """
-    n = test.n_days()
-    if n == 0:
-        raise SimulationSetupError("empty test calendar")
-    shifted: dict[str, list[Signal]] = {}
-    for tk in test.tickers():
-        if tk not in predictions:
-            raise SimulationSetupError(f"no predictions for {tk}")
-        series = predictions[tk]
-        bad = [d for d in series.entries if not 0 <= d < n]
-        if bad:
-            raise SimulationSetupError(
-                f"{tk}: prediction days {sorted(bad)[:5]} outside the "
-                f"{n}-day test calendar"
-            )
-        raw = generate_signals(test.series[tk], series, strategy_config, n)
-        shifted[tk] = shift_signals(raw)
-    return run_signals(test, shifted, cost_model)
+    return run_signals(
+        test, executed_signals(test, predictions, strategy_config), cost_model
+    )

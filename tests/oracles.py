@@ -1,12 +1,16 @@
 """Independent brute-force oracles, pure Python on purpose.
 
 These re-derive expected values with plain loops and ``math`` so the numpy
-code paths under test are checked against a second implementation.
+code paths under test are checked against a second implementation. The
+attack oracle at the end instead recomputes a whole cell the plain way, from
+the library's per-window and per-run functions, as the reference for the
+incremental attack engine.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 
 def sample_std(values, ddof: int = 1) -> float:
@@ -142,3 +146,91 @@ def accounting_oracle(closes_by_ticker: dict, signals_by_ticker: dict, cost) -> 
                 trades.append((t, tk, "sell", shares))
         values.append(cash + sum(holdings[k] * closes_t[k] for k in tickers))
     return {"values": values, "trades": trades, "cash": cash, "holdings": holdings}
+
+
+def attack_oracle(dataset, test_start, predictors, strategy_config, cost_model, ep):
+    """One attack cell by full rerun: (baseline, attacked, outcome).
+
+    Every clean forecast comes from ``predict_window`` over its own window of
+    bars, the attacked forecast from the window whose last bar carries the
+    perturbed close, and both runs simulate every ticker from day 0.
+    """
+    from epsim.attack import AttackOutcome, apply_ep
+    from epsim.errors import AttackSetupError
+    from epsim.predictor import PredictionSeries, evaluate_rmse
+    from epsim.trade_engine import run_simulation
+
+    test = dataset.slice(test_start)
+    n = test.n_days()
+    if ep.ticker not in predictors:
+        raise AttackSetupError(f"no predictor for {ep.ticker}")
+    if not 0 <= ep.day < n:
+        raise AttackSetupError(f"day {ep.day} outside the test window")
+
+    clean = {}
+    for tk in sorted(predictors):
+        predictor = predictors[tk]
+        w = predictor.config.window
+        bars = dataset.series[tk].bars
+        clean[tk] = PredictionSeries(
+            tk,
+            {
+                a - test_start: predictor.predict_window(bars[a - w : a])
+                for a in range(test_start, len(bars))
+                if a >= w
+            },
+        )
+    baseline = run_simulation(test, clean, strategy_config, cost_model)
+
+    full = dataset.series[ep.ticker]
+    a = test_start + ep.day
+    perturbed = apply_ep(full, ep, at=a)
+    attacked_predictions = dict(clean)
+    if a + 1 < len(full.bars):
+        predictor = predictors[ep.ticker]
+        w = predictor.config.window
+        if a < w - 1:
+            raise AttackSetupError(f"no window ends at index {a}")
+        window = list(full.bars[a - w + 1 : a + 1])
+        window[-1] = replace(window[-1], close=perturbed)
+        attacked_predictions[ep.ticker] = clean[ep.ticker].with_entry(
+            ep.day + 1, predictor.predict_window(window)
+        )
+    attacked = run_simulation(test, attacked_predictions, strategy_config, cost_model)
+
+    def trades_on(result, t):
+        return [trade for trade in result.trade_ledger if trade.day == t]
+
+    first_divergence = next(
+        (
+            t
+            for t in range(n)
+            if trades_on(baseline, t) != trades_on(attacked, t)
+            or baseline.daily_returns[t] != attacked.daily_returns[t]
+        ),
+        None,
+    )
+    cr_base = baseline.final_cumulative_return()
+    cr_att = attacked.final_cumulative_return()
+    if cr_att == cr_base:
+        cr_ratio = 1.0
+    elif cr_base == 0.0:
+        cr_ratio = math.nan
+    else:
+        cr_ratio = cr_att / cr_base
+    days = sorted(clean[ep.ticker].entries)
+    series = test.series[ep.ticker]
+    outcome = AttackOutcome(
+        ep=ep,
+        perturbed_value=perturbed,
+        clean_value=full.bars[a].close,
+        rmse_clean=evaluate_rmse(clean[ep.ticker], series, days),
+        rmse_attacked=evaluate_rmse(attacked_predictions[ep.ticker], series, days),
+        sharpe_baseline=baseline.sharpe_ratio,
+        sharpe_attacked=attacked.sharpe_ratio,
+        cr_baseline=cr_base,
+        cr_attacked=cr_att,
+        cr_ratio=cr_ratio,
+        first_divergence_day=first_divergence,
+    )
+    return baseline, attacked, outcome

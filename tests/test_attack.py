@@ -249,19 +249,6 @@ class TestSweep:
         assert infeasible_days == [0, 1, 2]
         assert all(o.ep.day >= 3 for o in result.outcomes)
 
-    def test_workers_do_not_change_results(self, rng):
-        dataset, test_start, predictors = make_world(rng, n=100)
-        seq = sweep_indiscriminate(
-            dataset, test_start, predictors, STRAT, COSTS,
-            ticker="AAA", omegas=[5, 10], workers=1,
-        )
-        par = sweep_indiscriminate(
-            dataset, test_start, predictors, STRAT, COSTS,
-            ticker="AAA", omegas=[5, 10], workers=4,
-        )
-        assert seq.outcomes == par.outcomes
-        assert seq.errors == par.errors
-
     def test_empty_omegas_rejected(self, rng):
         dataset, test_start, predictors = make_world(rng, n=60)
         with pytest.raises(AttackSetupError):

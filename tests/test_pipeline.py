@@ -237,6 +237,33 @@ class TestCommands:
         with pytest.raises(ConfigurationError, match="baseline"):
             cmd_attack(cfg, tmp_path / "out", "sweep")
 
+    def test_sweep_days_compute_only_those_cells(self, tmp_path, rng, monkeypatch):
+        from epsim import attack
+
+        attack_block = {"ticker": "AAA", "mode": "stddev", "omegas": [5, 10]}
+        path = write_universe(
+            tmp_path, rng, n=150, attack={**attack_block, "days": "all"}
+        )
+        full = read_schema_csv(
+            cmd_attack(RunConfig.from_file(path), tmp_path / "all", "sweep")["cells"],
+            "epsim/attack-cells/v1",
+        )
+        raw = json.loads(path.read_text())
+        raw["attack"]["days"] = [7, 3]
+        path.write_text(json.dumps(raw))
+        computed = []
+        original = attack.perturbed_prediction_entry
+
+        def counting(predictor, series, test_start, ep, scaled=None):
+            computed.append((ep.day, ep.mode.omega))
+            return original(predictor, series, test_start, ep, scaled)
+
+        monkeypatch.setattr(attack, "perturbed_prediction_entry", counting)
+        cells = cmd_attack(RunConfig.from_file(path), tmp_path / "some", "sweep")
+        rows = read_schema_csv(cells["cells"], "epsim/attack-cells/v1")
+        assert computed == [(3, 5), (3, 10), (7, 5), (7, 10)]
+        assert rows == [r for r in full if int(r["day"]) in (3, 7)]
+
     def test_sweep_mismatched_mode_rejected(self, tmp_path, rng):
         path = write_universe(
             tmp_path, rng, n=100,
@@ -357,8 +384,6 @@ class TestCli:
                 "BBB",
                 "--omega",
                 "5",
-                "--workers",
-                "2",
             ]
         )
         assert code == 0
@@ -372,6 +397,36 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error [config]")
+
+    @pytest.mark.parametrize(
+        "attack, argv",
+        [
+            ({"ticker": "ZZZ", "mode": "stddev", "days": "all"}, []),
+            ({"ticker": "AAA", "mode": "stddev", "days": "all"}, ["--ticker", "ZZZ"]),
+            ({"ticker": "AAA", "mode": "stddev", "days": [3, True]}, []),
+            ({"ticker": "AAA", "mode": "stddev", "days": [3, 30]}, []),
+            ({"ticker": "AAA", "mode": "conceal", "days": [-1]}, ["--mode", "conceal"]),
+        ],
+        ids=["ticker", "ticker-flag", "bool-day", "day-past-window", "negative-day"],
+    )
+    def test_bad_attack_target_fails_before_compute(
+        self, tmp_path, rng, capsys, monkeypatch, attack, argv
+    ):
+        from epsim import pipeline
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted despite a bad attack target")
+
+        monkeypatch.setattr(pipeline, "fit_baseline", no_fit)
+        cfg_path = write_universe(tmp_path, rng, n=150, attack=attack)
+        submode = "targeted" if attack["mode"] == "conceal" else "sweep"
+        out = tmp_path / "out"
+        code = main(
+            ["attack", submode, "--config", str(cfg_path), "--out", str(out), *argv]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [config]: ")
+        assert not out.exists()
 
     def test_cli_missing_config_file_is_clean_error(self, tmp_path, capsys):
         code = main(["backtest", "--config", str(tmp_path / "absent.json")])
