@@ -8,12 +8,15 @@ again. Portfolio marking and trade execution always use clean market prices,
 so any divergence from the baseline is caused solely by that one forecast.
 
 That locality is what makes a cell cheap. :class:`AttackContext` computes,
-once per run, each ticker's scaled features, clean forecasts and executed
-signals, and the baseline run with its portfolio state before each day. A
-cell then recomputes the one forecast the perturbation reaches, regenerates
-the attacked ticker's signals, and returns the baseline unchanged when those
-signals match it, or otherwise resumes the baseline from the first day whose
-executed signal differs.
+once per run, each ticker's scaled features, clean forecasts, forecast
+errors and unshifted signals, and the baseline run with its portfolio state
+before each day. A cell then recomputes the one forecast the perturbation
+reaches and regenerates only the attacked ticker's signal days that forecast
+can move (:func:`epsim.strategy.reach`). When they match the baseline's, the
+cell returns the baseline unchanged; otherwise it resumes the baseline from
+the first day whose executed signal differs and rejoins it once the
+portfolio is back in the baseline's exact state
+(:func:`epsim.trade_engine.resume_signals`).
 
 Magnitude modes:
 
@@ -26,6 +29,7 @@ Magnitude modes:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -36,18 +40,19 @@ from .market_data import Dataset, StockSeries
 from .predictor import (
     PredictionSeries,
     RidgePredictor,
-    evaluate_rmse,
+    evaluate_rmse,  # noqa: F401  (looked up here by perfbench/tracing.py)
     predict_test_series,
+    prediction_errors,
+    rmse,
 )
-from .strategy import StrategyConfig
+from .strategy import StrategyConfig, generate_signals, reach, shift_signals
 from .trade_engine import (
     CostModel,
     SignalRun,
     SimulationResult,
-    executed_signals,
     resume_signals,
     run_simulation,  # noqa: F401  (looked up here by perfbench/tracing.py)
-    ticker_signals,
+    strategy_signals,
 )
 
 
@@ -217,20 +222,13 @@ def perturbed_prediction_entry(
     return ep.day + 1, entry, perturbed_close, clean_close
 
 
-def _trades_by_day(result: SimulationResult) -> dict[int, list]:
-    grouped: dict[int, list] = {}
-    for trade in result.trade_ledger:
-        grouped.setdefault(trade.day, []).append(trade)
-    return grouped
-
-
-def _first_divergence(base: SimulationResult, attacked: SimulationResult) -> int | None:
-    base_trades = _trades_by_day(base)
-    attacked_trades = _trades_by_day(attacked)
-    for t in range(len(base.daily_returns)):
-        if base_trades.get(t, []) != attacked_trades.get(t, []):
+def _first_divergence(base: SignalRun, attacked: SignalRun) -> int | None:
+    """First day whose trades or return differ. Only the days ``attacked``
+    executed itself can: the rest were copied from ``base``."""
+    for t in range(attacked.start, attacked.stop):
+        if attacked.trades_on(t) != base.trades_on(t):
             return t
-        if base.daily_returns[t] != attacked.daily_returns[t]:
+        if attacked.result.daily_returns[t] != base.result.daily_returns[t]:
             return t
     return None
 
@@ -247,8 +245,9 @@ class AttackContext:
     """What every attack cell of one run shares, computed once.
 
     Holds each ticker's min-max-scaled features (full series), clean test
-    forecasts, their RMSE and the executed baseline signals, and the
-    baseline run with the portfolio state before each of its days.
+    forecasts, their error vector and RMSE and the unshifted baseline
+    signals, and the baseline run with the portfolio state before each of
+    its days.
     """
 
     def __init__(
@@ -274,13 +273,19 @@ class AttackContext:
             )
             for tk in sorted(predictors)
         }
-        signals = executed_signals(self.test, self.predictions, strategy_config)
-        self.baseline_run: SignalRun = resume_signals(self.test, signals, cost_model)
+        self.raw_signals = strategy_signals(self.test, self.predictions, strategy_config)
+        self.baseline_run: SignalRun = resume_signals(
+            self.test,
+            {tk: shift_signals(raw) for tk, raw in self.raw_signals.items()},
+            cost_model,
+        )
         self.baseline = self.baseline_run.result
-        self.rmse_clean = {
-            tk: evaluate_rmse(preds, self.test.series[tk], sorted(preds.entries))
-            for tk, preds in self.predictions.items()
-        }
+        # per ticker: the forecast days in order and their errors vs the close
+        self.errors = {}
+        for tk, preds in self.predictions.items():
+            days = sorted(preds.entries)
+            self.errors[tk] = (days, prediction_errors(preds, self.test.series[tk], days))
+        self.rmse_clean = {tk: rmse(errs) for tk, (_, errs) in self.errors.items()}
 
     def outcome(self, ep: EpSpec) -> tuple[SimulationResult, AttackOutcome]:
         """The attacked run and its impact record for one perturbation."""
@@ -303,26 +308,34 @@ class AttackContext:
             self.scaled[ep.ticker],
         )
         run = self.baseline_run
+        rmse_clean = rmse_attacked = self.rmse_clean[ep.ticker]
         if swap is None:
             perturbed_close = apply_ep(full_series, ep, at=self.test_start + ep.day)
             clean_close = full_series.bars[self.test_start + ep.day].close
-            attacked_predictions = clean
         else:
             entry_day, entry, perturbed_close, clean_close = swap
-            attacked_predictions = clean.with_entry(entry_day, entry)
-            signals = dict(run.signals)
-            signals[ep.ticker] = ticker_signals(
-                test_series, attacked_predictions, self.strategy_config, n
+            days = reach(self.strategy_config, entry_day, n)
+            raw = self.raw_signals[ep.ticker]
+            patch = generate_signals(
+                test_series,
+                clean.with_entry(entry_day, entry),
+                self.strategy_config,
+                n,
+                days,
             )
-            run = resume_signals(self.test, signals, self.cost_model, run)
+            if patch != raw[days.start : days.stop]:
+                signals = dict(run.signals)
+                signals[ep.ticker] = shift_signals(
+                    raw[: days.start] + patch + raw[days.stop :]
+                )
+                run = resume_signals(self.test, signals, self.cost_model, run)
+            forecast_days, errs = self.errors[ep.ticker]
+            errs = errs.copy()
+            errs[bisect.bisect_left(forecast_days, entry_day)] = (
+                entry - test_series.bars[entry_day].close
+            )
+            rmse_attacked = rmse(errs)
         attacked = run.result
-
-        rmse_clean = self.rmse_clean[ep.ticker]
-        rmse_attacked = (
-            rmse_clean
-            if attacked_predictions is clean
-            else evaluate_rmse(attacked_predictions, test_series, sorted(clean.entries))
-        )
 
         baseline = self.baseline
         cr_base = baseline.final_cumulative_return()
@@ -339,7 +352,9 @@ class AttackContext:
             cr_attacked=cr_att,
             cr_ratio=_cr_ratio(cr_att, cr_base),
             first_divergence_day=(
-                None if attacked is baseline else _first_divergence(baseline, attacked)
+                None
+                if run is self.baseline_run
+                else _first_divergence(self.baseline_run, run)
             ),
         )
         return attacked, outcome

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attack as attack_mod
-from .errors import ConfigurationError, ReportError
+from .errors import AttackSetupError, ConfigurationError, ReportError
 from .market_data import Dataset, SplitSpec, align_calendar, load_csv, split
 from .predictor import (
     FitReport,
@@ -665,6 +665,7 @@ def cmd_attack(config: RunConfig, out_dir, submode: str) -> dict:
             ddof=atk.ddof,
             days=sorted(set(days)),
         )
+        _require_outcomes(result)
         return write_sweep_files(result, out_dir)
 
     result = attack_mod.run_targeted(
@@ -678,7 +679,19 @@ def cmd_attack(config: RunConfig, out_dir, submode: str) -> dict:
         scenario=atk.mode,
         drop_fraction=atk.drop_fraction,
     )
+    _require_outcomes(result)
     return write_targeted_files(result, atk.mode, out_dir)
+
+
+def _require_outcomes(result) -> None:
+    """An attack in which no cell produced an outcome has nothing to report."""
+    if result.outcomes:
+        return
+    detail = f"{len(result.errors)} cell errors"
+    if result.errors:
+        e = result.errors[0]
+        detail += f"; first: day {e.day} {e.label}: {e.message}"
+    raise AttackSetupError(f"no attack cell produced an outcome ({detail})")
 
 
 # ---------------------------------------------------------------------------

@@ -230,8 +230,9 @@ def predict_test_series(
 def import_predictions(path, calendar, ticker: str) -> PredictionSeries:
     """Load externally generated forecasts (CSV header ``Date,Prediction``).
 
-    Every date must belong to the calendar; duplicates are rejected.
-    Entries are keyed by the date's index in the calendar.
+    Every date must belong to the calendar; duplicates and non-finite
+    values (``nan``, ``inf``) are rejected, naming the line. Entries are
+    keyed by the date's index in the calendar.
     """
     cal_index = {d: i for i, d in enumerate(calendar)}
     entries: dict[int, float] = {}
@@ -256,6 +257,11 @@ def import_predictions(path, calendar, ticker: str) -> PredictionSeries:
                 raise PredictionImportError(
                     f"{path}: line {line_no}: {exc}"
                 ) from exc
+            if not math.isfinite(value):
+                raise PredictionImportError(
+                    f"{path}: line {line_no}: non-finite prediction "
+                    f"{raw[p_idx].strip()!r}"
+                )
             if date not in cal_index:
                 raise PredictionImportError(
                     f"{path}: date {date.isoformat()} outside the calendar"
@@ -271,8 +277,10 @@ def import_predictions(path, calendar, ticker: str) -> PredictionSeries:
     return PredictionSeries(ticker=ticker, entries=entries)
 
 
-def evaluate_rmse(predictions: PredictionSeries, actual: StockSeries, day_range) -> float:
-    """sqrt(mean((pred_t - close_t)^2)) over the given day indices."""
+def prediction_errors(
+    predictions: PredictionSeries, actual: StockSeries, day_range
+) -> np.ndarray:
+    """pred_t - close_t for each of the given day indices, in order."""
     days = list(day_range)
     if not days:
         raise EvaluationError("empty evaluation range")
@@ -284,7 +292,17 @@ def evaluate_rmse(predictions: PredictionSeries, actual: StockSeries, day_range)
         if not 0 <= t < len(closes):
             raise EvaluationError(f"day {t} outside the series")
         errs[i] = predictions.entries[t] - closes[t]
-    return float(math.sqrt(float(np.mean(errs * errs))))
+    return errs
+
+
+def rmse(errors: np.ndarray) -> float:
+    """sqrt(mean(e^2)) of a vector of prediction errors."""
+    return float(math.sqrt(float(np.mean(errors * errors))))
+
+
+def evaluate_rmse(predictions: PredictionSeries, actual: StockSeries, day_range) -> float:
+    """sqrt(mean((pred_t - close_t)^2)) over the given day indices."""
+    return rmse(prediction_errors(predictions, actual, day_range))
 
 
 def fit_report(

@@ -11,6 +11,11 @@ Signal timing: the signal for day t may use prediction entries up to day t
 t-1. :func:`shift_signals` then delays execution by one further day, so the
 executed decision never touches data from its own trading day.
 
+Reach: every rule above reads a bounded stretch of forecasts, so a change to
+one forecast entry can move only a few signal days (:func:`reach`), and
+:func:`generate_signals` can regenerate just those days (``days``) with the
+same per-day arithmetic a full pass uses.
+
 All functions here are pure over immutable inputs.
 """
 
@@ -81,30 +86,40 @@ def _prediction_mean(entries: dict[int, float], end: int, length: int):
     return total / length
 
 
+def _short_above_long(entries: dict[int, float], t: int, config: StrategyConfig):
+    """Whether day t's short mean exceeds its long mean (None if either is
+    undefined)."""
+    short = _prediction_mean(entries, t, config.ma_short)
+    long = _prediction_mean(entries, t, config.ma_long)
+    if short is None or long is None:
+        return None
+    return short > long
+
+
 def ma_crossover_signals(
     predictions: PredictionSeries,
     config: StrategyConfig,
     n_days: int | None = None,
+    days: range | None = None,
 ) -> list[Signal]:
     """Buy when the short mean of predictions crosses above the long mean.
 
     Edge-triggered: a signal fires only on the day the (short > long)
     comparison flips, with exact ties counting as "not above", so buys and
     sells always alternate. Days where either mean is undefined are Hold.
+    With ``days``, the edge state is seeded from day ``days.start - 1``.
     """
     n = _n_days(predictions, n_days)
+    days = range(n) if days is None else days
     entries = predictions.entries
-    signals = [Signal.HOLD] * n
-    prev_above = None
-    for t in range(n):
-        short = _prediction_mean(entries, t, config.ma_short)
-        long = _prediction_mean(entries, t, config.ma_long)
-        if short is None or long is None:
-            prev_above = None
-            continue
-        above = short > long
-        if prev_above is not None and above != prev_above:
-            signals[t] = Signal.BUY if above else Signal.SELL
+    signals = [Signal.HOLD] * len(days)
+    prev_above = (
+        _short_above_long(entries, days.start - 1, config) if days.start > 0 else None
+    )
+    for i, t in enumerate(days):
+        above = _short_above_long(entries, t, config)
+        if above is not None and prev_above is not None and above != prev_above:
+            signals[i] = Signal.BUY if above else Signal.SELL
         prev_above = above
     return signals
 
@@ -114,6 +129,7 @@ def roc_signals(
     predictions: PredictionSeries,
     config: StrategyConfig,
     n_days: int | None = None,
+    days: range | None = None,
 ) -> list[Signal]:
     """Threshold the rate of change of the day's decision value.
 
@@ -123,9 +139,10 @@ def roc_signals(
     threshold is Sell, anything else (including boundary values) is Hold.
     """
     n = _n_days(predictions, n_days)
+    days = range(n) if days is None else days
     closes = prices.closes()
-    signals = [Signal.HOLD] * n
-    for t in range(n):
+    signals = [Signal.HOLD] * len(days)
+    for i, t in enumerate(days):
         ref_day = t - config.roc_lookback
         if ref_day < 0 or ref_day >= len(closes):
             continue
@@ -139,9 +156,9 @@ def roc_signals(
             value = closes[t]
         roc = (value - closes[ref_day]) / closes[ref_day] * 100.0
         if roc > config.roc_buy_threshold:
-            signals[t] = Signal.BUY
+            signals[i] = Signal.BUY
         elif roc < config.roc_sell_threshold:
-            signals[t] = Signal.SELL
+            signals[i] = Signal.SELL
     return signals
 
 
@@ -150,6 +167,7 @@ def bollinger_signals(
     predictions: PredictionSeries,
     config: StrategyConfig,
     n_days: int | None = None,
+    days: range | None = None,
 ) -> list[Signal]:
     """Buy/sell when the day's forecast exits the trailing close band.
 
@@ -158,10 +176,11 @@ def bollinger_signals(
     Band edges are non-strict: a forecast exactly on an edge is Hold.
     """
     n = _n_days(predictions, n_days)
+    days = range(n) if days is None else days
     closes = prices.closes()
-    signals = [Signal.HOLD] * n
+    signals = [Signal.HOLD] * len(days)
     p = config.bb_period
-    for t in range(n):
+    for i, t in enumerate(days):
         if t - p < 0 or t > len(closes):
             continue
         value = predictions.entries.get(t)
@@ -172,9 +191,9 @@ def bollinger_signals(
         var = float(((window - mean) ** 2).sum()) / (p - 1)
         half = config.bb_width * math.sqrt(var)
         if value > mean + half:
-            signals[t] = Signal.BUY
+            signals[i] = Signal.BUY
         elif value < mean - half:
-            signals[t] = Signal.SELL
+            signals[i] = Signal.SELL
     return signals
 
 
@@ -190,10 +209,39 @@ def generate_signals(
     predictions: PredictionSeries,
     config: StrategyConfig,
     n_days: int | None = None,
+    days: range | None = None,
 ) -> list[Signal]:
-    """Dispatch to the configured strategy (unshifted signals)."""
+    """Dispatch to the configured strategy (unshifted signals).
+
+    ``days``, a step-1 range within the n-day calendar, restricts the output
+    to those days: the result equals ``generate_signals(...)[days.start :
+    days.stop]``, computed with the same per-day arithmetic.
+    """
     if config.kind == "ma_crossover":
-        return ma_crossover_signals(predictions, config, n_days)
+        return ma_crossover_signals(predictions, config, n_days, days)
     if config.kind == "rate_of_change":
-        return roc_signals(prices, predictions, config, n_days)
-    return bollinger_signals(prices, predictions, config, n_days)
+        return roc_signals(prices, predictions, config, n_days, days)
+    return bollinger_signals(prices, predictions, config, n_days, days)
+
+
+def reach(config: StrategyConfig, entry_day: int, n: int) -> range:
+    """The unshifted signal days, within an n-day calendar, that a change to
+    forecast entry ``entry_day`` can move.
+
+    The entry must exist both before and after the change (only its value
+    moves). MA crossover: the entry is in the long mean (and the shorter
+    short mean) on days entry_day .. entry_day + ma_long - 1, and each of
+    those days' comparison also sets the next day's edge, so [entry_day,
+    entry_day + ma_long]. Bollinger
+    bands and ROC on forecasts read only the day's own forecast:
+    [entry_day]. ROC on closes reads no forecast: no day. Every signal day
+    outside the range equals its value before the change.
+    """
+    if config.kind == "ma_crossover":
+        last = entry_day + config.ma_long
+    elif config.kind == "rate_of_change" and not config.roc_use_predictions:
+        return range(0)
+    else:
+        last = entry_day
+    stop = min(last + 1, n)
+    return range(min(entry_day, stop), stop)

@@ -14,7 +14,9 @@ Accounting rules:
 A single run is strictly sequential. Because a day's trades depend only on
 the portfolio state before it and that day's signals, a run whose signals
 match an earlier run's up to some day can resume from that run's state on
-that day instead of replaying the shared prefix (:func:`resume_signals`).
+that day instead of replaying the shared prefix, and once its signals match
+again and its state equals the earlier run's on some day, the rest of the
+earlier run is its rest too (:func:`resume_signals`).
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, MetricError, SimulationSetupError, ZeroVolatilityWarning
-from .market_data import Dataset, StockSeries
+from .market_data import Dataset
 from .predictor import PredictionSeries
 from .strategy import Signal, StrategyConfig, generate_signals, shift_signals
 
@@ -249,15 +251,48 @@ class DayStart:
     prev_value: float
     n_trades: int
 
+    def matches(self, cash: float, holdings: dict[str, int], prev_value: float) -> bool:
+        """Whether a portfolio is exactly this state, so that running the
+        same signals from it gives the same trades and returns bit for bit.
+
+        Holdings are compared as ordered item lists, zero-share keys
+        included: :meth:`PortfolioState.total_value` sums in dict order and
+        a zero-share key fixes where that ticker sits once bought again, so
+        holdings equal as unordered dicts can still value differently.
+        """
+        return (
+            cash == self.cash
+            and prev_value == self.prev_value
+            and list(holdings.items()) == list(self.holdings.items())
+        )
+
 
 @dataclass(frozen=True)
 class SignalRun:
-    """A finished run: the signals it executed, its result, and the state
-    before each of its days (what a later run resumes from)."""
+    """A finished run: the signals it executed, its result, the state before
+    each of its days (what a later run resumes from) and each day's marks.
+
+    The run executed days [start, stop) itself; the days before ``start``
+    were copied from the run it resumed, and from ``stop`` on it rejoined
+    that run, whose ledger tail and returns it shares.
+    """
 
     signals: dict[str, list[Signal]]
     result: SimulationResult
     day_starts: tuple[DayStart, ...]
+    marks: tuple[dict[str, float], ...]
+    start: int
+    stop: int
+
+    def trades_on(self, day: int) -> tuple[TradeRecord, ...]:
+        """The day's trades, located through ``day_starts``."""
+        ledger = self.result.trade_ledger
+        end = (
+            self.day_starts[day + 1].n_trades
+            if day + 1 < len(self.day_starts)
+            else len(ledger)
+        )
+        return ledger[self.day_starts[day].n_trades : end]
 
 
 def run_signals(
@@ -273,14 +308,17 @@ def run_signals(
     return resume_signals(test, signals, cost_model).result
 
 
-def _first_change(base: dict, signals: dict, tickers, n: int) -> int:
-    """First day on which any ticker's executed signal differs (n if none)."""
-    first = n
+def _changed_span(base: dict, signals: dict, tickers, n: int) -> tuple[int, int]:
+    """First and last day on which any ticker's executed signal differs
+    ((n, -1) if none)."""
+    first, last = n, -1
     for tk in tickers:
         old, new = base[tk], signals[tk]
         if old is not new:
-            first = next((t for t in range(first) if old[t] != new[t]), first)
-    return first
+            changed = [t for t in range(n) if old[t] != new[t]]
+            if changed:
+                first, last = min(first, changed[0]), max(last, changed[-1])
+    return first, last
 
 
 def resume_signals(
@@ -289,14 +327,21 @@ def resume_signals(
     cost_model: CostModel,
     base: SignalRun | None = None,
 ) -> SignalRun:
-    """Execute pre-shifted signals, resuming ``base`` where they first differ.
+    """Execute pre-shifted signals, reusing ``base`` wherever they agree.
 
     Up to the first day on which some ticker's signal differs from
     ``base.signals``, both runs trade identically, so that prefix (state,
     ledger, returns) is taken from ``base`` and the day loop starts there;
-    when no day differs, ``base`` itself is returned. Without ``base`` the
-    loop starts from the initial capital on day 0. Either way the result is
-    bit-identical to executing ``signals`` from day 0.
+    when no day differs, ``base`` itself is returned. Past the last differing
+    day, the loop stops at the first day t whose portfolio state
+    :meth:`DayStart.matches` ``base.day_starts[t]``: from an identical state
+    the same signals trade identically, so ``base``'s ledger tail, daily
+    returns and day starts (each ``n_trades`` shifted by the difference in
+    ledger length) are spliced in. Without ``base`` the loop runs from the
+    initial capital on day 0 to the end. Either way the result is
+    bit-identical to executing ``signals`` from day 0. Day marks (the
+    closes) are computed once per run from day 0 and reused by every run
+    resumed from it.
     """
     n = test.n_days()
     tickers = test.tickers()
@@ -309,17 +354,20 @@ def resume_signals(
             )
 
     if base is None:
-        start = 0
+        start, last = 0, n
         capital = cost_model.initial_capital
         resume = DayStart(cash=capital, holdings={}, prev_value=capital, n_trades=0)
+        closes = {tk: test.series[tk].closes() for tk in tickers}
+        marks = tuple({tk: float(closes[tk][t]) for tk in tickers} for t in range(n))
         ledger: list[TradeRecord] = []
         daily: list[float] = []
         day_starts: list[DayStart] = []
     else:
-        start = _first_change(base.signals, signals, tickers, n)
+        start, last = _changed_span(base.signals, signals, tickers, n)
         if start == n:
             return base
         resume = base.day_starts[start]
+        marks = base.marks
         ledger = list(base.result.trade_ledger[: resume.n_trades])
         daily = list(base.result.daily_returns[:start])
         day_starts = list(base.day_starts[:start])
@@ -327,13 +375,25 @@ def resume_signals(
     state.holdings = dict(resume.holdings)
     prev_value = resume.prev_value
 
-    closes = {tk: test.series[tk].closes() for tk in tickers}
+    stop = n
     for t in range(start, n):
+        if t > last and base.day_starts[t].matches(state.cash, state.holdings, prev_value):
+            stop = t
+            joined = base.day_starts[t]
+            offset = len(ledger) - joined.n_trades
+            ledger.extend(base.result.trade_ledger[joined.n_trades :])
+            daily.extend(base.result.daily_returns[t:])
+            day_starts.extend(
+                ds if offset == 0 else replace(ds, n_trades=ds.n_trades + offset)
+                for ds in base.day_starts[t:]
+            )
+            prev_value = base.result.final_value
+            break
         day_starts.append(
             DayStart(state.cash, dict(state.holdings), prev_value, len(ledger))
         )
         state.day = t
-        state.marks = {tk: float(closes[tk][t]) for tk in tickers}
+        state.marks = marks[t]
         for tk in tickers:
             record = execute_signal(state, tk, signals[tk][t], state.marks[tk], cost_model)
             if record is not None:
@@ -349,32 +409,23 @@ def resume_signals(
         trade_ledger=tuple(ledger),
         final_value=prev_value,
     )
-    return SignalRun(signals=signals, result=result, day_starts=tuple(day_starts))
+    return SignalRun(
+        signals=signals,
+        result=result,
+        day_starts=tuple(day_starts),
+        marks=marks,
+        start=start,
+        stop=stop,
+    )
 
 
-def ticker_signals(
-    prices: StockSeries,
-    predictions: PredictionSeries,
-    strategy_config: StrategyConfig,
-    n: int,
-) -> list[Signal]:
-    """One ticker's executed signals over an n-day test calendar: generated
-    from its forecasts, then shifted one day."""
-    bad = [d for d in predictions.entries if not 0 <= d < n]
-    if bad:
-        raise SimulationSetupError(
-            f"{prices.ticker}: prediction days {sorted(bad)[:5]} outside the "
-            f"{n}-day test calendar"
-        )
-    return shift_signals(generate_signals(prices, predictions, strategy_config, n))
-
-
-def executed_signals(
+def strategy_signals(
     test: Dataset,
     predictions: dict[str, PredictionSeries],
     strategy_config: StrategyConfig,
 ) -> dict[str, list[Signal]]:
-    """Every ticker's executed signals (:func:`ticker_signals`)."""
+    """Every ticker's unshifted signals over the test calendar, generated
+    from its forecasts, which must all fall inside the calendar."""
     n = test.n_days()
     if n == 0:
         raise SimulationSetupError("empty test calendar")
@@ -382,7 +433,13 @@ def executed_signals(
     for tk in test.tickers():
         if tk not in predictions:
             raise SimulationSetupError(f"no predictions for {tk}")
-        signals[tk] = ticker_signals(test.series[tk], predictions[tk], strategy_config, n)
+        bad = [d for d in predictions[tk].entries if not 0 <= d < n]
+        if bad:
+            raise SimulationSetupError(
+                f"{tk}: prediction days {sorted(bad)[:5]} outside the "
+                f"{n}-day test calendar"
+            )
+        signals[tk] = generate_signals(test.series[tk], predictions[tk], strategy_config, n)
     return signals
 
 
@@ -396,6 +453,5 @@ def run_simulation(
 
     Deterministic: identical inputs yield bit-identical results.
     """
-    return run_signals(
-        test, executed_signals(test, predictions, strategy_config), cost_model
-    )
+    raw = strategy_signals(test, predictions, strategy_config)
+    return run_signals(test, {tk: shift_signals(s) for tk, s in raw.items()}, cost_model)

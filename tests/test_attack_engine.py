@@ -30,9 +30,9 @@ from epsim.errors import AttackSetupError
 from epsim.market_data import Dataset
 from epsim.predictor import PredictorConfig, fit_baseline
 from epsim.strategy import STRATEGY_KINDS, Signal, StrategyConfig
-from epsim.trade_engine import CostModel, resume_signals, run_signals
+from epsim.trade_engine import CostModel, DayStart, resume_signals, run_signals
 
-from conftest import make_world, random_series
+from conftest import dataset_from_closes, make_world, random_series
 from oracles import attack_oracle
 
 pytestmark = pytest.mark.filterwarnings(
@@ -265,3 +265,67 @@ class TestResume:
         assert resumed.day_starts == fresh.day_starts
         if edited == signals:
             assert resumed is base
+
+    # Flat prices and no costs: a buy and a sell of the same shares leave
+    # cash exactly where it was, so runs whose ledgers differ in length can
+    # reach the same portfolio state and rejoin.
+    FREE = CostModel(commission_per_share=0.0, slippage_per_share=0.0, position_fraction=0.5)
+
+    def flat_run(self, trades):
+        """Signals for tickers A (close 10) and B (close 20) over 14 days,
+        with the given {(ticker, day): signal}."""
+        test = dataset_from_closes({"A": [10.0] * 14, "B": [20.0] * 14})
+        signals = {tk: [Signal.HOLD] * 14 for tk in "AB"}
+        for (tk, day), signal in trades.items():
+            signals[tk][day] = signal
+        return test, signals
+
+    @pytest.mark.parametrize(
+        "base_trades, edited_trades",
+        [
+            # the edit adds a round trip in A: the ledger grows by two
+            ({("A", 1): Signal.BUY, ("A", 2): Signal.SELL},
+             {("A", 1): Signal.BUY, ("A", 2): Signal.SELL,
+              ("A", 4): Signal.BUY, ("A", 5): Signal.SELL}),
+            # the edit drops a round trip in A: the ledger shrinks by two
+            ({("A", 1): Signal.BUY, ("A", 2): Signal.SELL,
+              ("A", 4): Signal.BUY, ("A", 5): Signal.SELL},
+             {("A", 1): Signal.BUY, ("A", 2): Signal.SELL}),
+        ],
+        ids=["longer-ledger", "shorter-ledger"],
+    )
+    def test_rejoin_with_a_different_ledger_length(self, base_trades, edited_trades):
+        later = {("B", 8): Signal.BUY, ("A", 9): Signal.BUY, ("B", 11): Signal.SELL}
+        test, signals = self.flat_run({**base_trades, **later})
+        _, edited = self.flat_run({**edited_trades, **later})
+        base = resume_signals(test, signals, self.FREE)
+        resumed = resume_signals(test, edited, self.FREE, base)
+        fresh = resume_signals(test, edited, self.FREE)
+        assert (resumed.start, resumed.stop) == (4, 6)
+        assert len(resumed.result.trade_ledger) != len(base.result.trade_ledger)
+        assert resumed.result.serialize() == fresh.result.serialize()
+        assert resumed.day_starts == fresh.day_starts
+        assert resumed.result.trade_ledger[-3:] == base.result.trade_ledger[-3:]
+
+    def test_no_rejoin_while_holdings_differ_by_a_zero_share_key(self):
+        test, signals = self.flat_run(
+            {("A", 1): Signal.BUY, ("A", 2): Signal.SELL, ("B", 8): Signal.BUY}
+        )
+        _, edited = self.flat_run({("B", 8): Signal.BUY})
+        base = resume_signals(test, signals, self.FREE)
+        resumed = resume_signals(test, edited, self.FREE, base)
+        fresh = resume_signals(test, edited, self.FREE)
+        assert resumed.stop == 14  # {"A": 0} never matches {}
+        assert resumed.result.serialize() == fresh.result.serialize()
+        assert resumed.day_starts == fresh.day_starts
+
+    def test_state_match_compares_holdings_in_order_with_zero_keys(self):
+        start = DayStart(cash=5.0, holdings={"A": 1, "B": 2}, prev_value=9.0, n_trades=3)
+        assert start.matches(5.0, {"A": 1, "B": 2}, 9.0)
+        assert not start.matches(5.0, {"B": 2, "A": 1}, 9.0)
+        assert not start.matches(5.0, {"A": 1, "B": 2, "C": 0}, 9.0)
+        assert not start.matches(5.0, {"A": 1}, 9.0)
+        assert not start.matches(5.5, {"A": 1, "B": 2}, 9.0)
+        assert not start.matches(5.0, {"A": 1, "B": 2}, 9.5)
+        with_zero = DayStart(cash=5.0, holdings={"A": 0, "B": 2}, prev_value=9.0, n_trades=0)
+        assert not with_zero.matches(5.0, {"B": 2}, 9.0)

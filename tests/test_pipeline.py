@@ -428,6 +428,52 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error [config]: ")
         assert not out.exists()
 
+    def test_cli_backtest_rejects_non_finite_imported_forecast(self, tmp_path, rng, capsys):
+        path = write_universe(tmp_path, rng, n=100, tickers=("AAA",))
+        test_days = trading_dates(100)[80:]
+        rows = [f"{d.isoformat()},{100 + i}" for i, d in enumerate(test_days)]
+        rows[5] = f"{test_days[5].isoformat()},inf"
+        (tmp_path / "preds.csv").write_text("Date,Prediction\n" + "\n".join(rows) + "\n")
+        raw = json.loads(path.read_text())
+        raw["predictor"] = {"kind": "import", "files": {"AAA": "preds.csv"}}
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        code = main(["backtest", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [predictor]: ")
+        assert "line 7: non-finite prediction 'inf'" in err
+        assert not out.exists()
+
+    def test_cli_attack_with_no_outcome_fails(self, tmp_path, rng, capsys):
+        cfg_path = write_universe(
+            tmp_path, rng, n=150, attack={"ticker": "AAA", "mode": "stddev", "days": "all"}
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["attack", "sweep", "--config", str(cfg_path), "--out", str(out),
+             "--omega", "100000"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [attack]: no attack cell produced an outcome (30 cell errors")
+        assert not (out / "sweep_cells.csv").exists()
+        assert not (out / "sweep_summary.json").exists()
+
+    def test_cli_attack_with_some_cell_errors_succeeds(self, tmp_path, rng, capsys):
+        cfg_path = write_universe(
+            tmp_path, rng, n=150, attack={"ticker": "AAA", "mode": "stddev", "days": "all"}
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["attack", "sweep", "--config", str(cfg_path), "--out", str(out),
+             "--omega", "5", "--omega", "125"]
+        )
+        assert code == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["n_errors"] == 4  # omega=125 needs 125 closes: days 0-3 lack them
+        assert summary["n_outcomes"] == 2 * 30 - 4
+
     def test_cli_missing_config_file_is_clean_error(self, tmp_path, capsys):
         code = main(["backtest", "--config", str(tmp_path / "absent.json")])
         assert code == 1

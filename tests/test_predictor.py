@@ -193,6 +193,14 @@ class TestImportPredictions:
         with pytest.raises(PredictionImportError, match="duplicate"):
             import_predictions(path, calendar, "T")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_names_the_line(self, tmp_path, value):
+        calendar = trading_dates(3)
+        path = tmp_path / "p.csv"
+        self.write(path, [f"{calendar[0].isoformat()},100", f"{calendar[1].isoformat()},{value}"])
+        with pytest.raises(PredictionImportError, match=f"line 3: non-finite prediction '{value}'"):
+            import_predictions(path, calendar, "T")
+
     def test_partial_coverage_is_allowed(self, tmp_path):
         calendar = trading_dates(10)
         path = tmp_path / "p.csv"

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from epsim.errors import ConfigurationError
 from epsim.predictor import PredictionSeries
 from epsim.strategy import (
+    STRATEGY_KINDS,
     Signal,
     StrategyConfig,
     bollinger_signals,
     generate_signals,
     ma_crossover_signals,
+    reach,
     roc_signals,
     shift_signals,
 )
@@ -241,3 +243,67 @@ class TestConfigValidation:
             StrategyConfig(bb_period=1)
         with pytest.raises(ConfigurationError):
             StrategyConfig(bb_width=0.0)
+
+
+@st.composite
+def signal_worlds(draw):
+    """(series, forecasts, config, n): a random close path, forecasts near it
+    with a few days missing, and a random configuration of any strategy."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = random_series(rng, "T", n, vol=draw(st.sampled_from([0.5, 2.0])))
+    noise = rng.normal(0.0, 0.02, size=n)
+    missing = draw(st.sets(st.integers(0, n - 1), max_size=4))
+    entries = {
+        t: float(b.close * (1.0 + noise[t]))
+        for t, b in enumerate(series.bars)
+        if t not in missing
+    }
+    config = StrategyConfig(
+        kind=draw(st.sampled_from(STRATEGY_KINDS)),
+        ma_short=draw(st.integers(1, 4)),
+        ma_long=draw(st.integers(5, 12)),
+        roc_lookback=draw(st.integers(1, 6)),
+        roc_buy_threshold=0.5,
+        roc_sell_threshold=-0.5,
+        bb_period=draw(st.integers(2, 8)),
+        bb_width=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        roc_use_predictions=draw(st.booleans()),
+    )
+    return series, PredictionSeries("T", entries), config, n
+
+
+class TestReach:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_days_equal_full_generation_on_that_range(self, data):
+        series, predictions, config, n = data.draw(signal_worlds())
+        start = data.draw(st.integers(0, n))
+        stop = data.draw(st.integers(start, n))
+        full = generate_signals(series, predictions, config, n)
+        part = generate_signals(series, predictions, config, n, days=range(start, stop))
+        assert part == full[start:stop]
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_changed_entry_moves_signals_only_inside_reach(self, data):
+        series, predictions, config, n = data.draw(signal_worlds())
+        if not predictions.entries:
+            return
+        day = data.draw(st.sampled_from(sorted(predictions.entries)))
+        factor = data.draw(st.sampled_from([0.5, 0.97, 0.999, 1.001, 1.03, 2.0]))
+        changed = predictions.with_entry(day, predictions.entries[day] * factor)
+        before = generate_signals(series, predictions, config, n)
+        after = generate_signals(series, changed, config, n)
+        moved = {t for t in range(n) if before[t] != after[t]}
+        assert moved <= set(reach(config, day, n))
+
+    def test_reach_per_strategy(self):
+        ma = StrategyConfig(ma_short=2, ma_long=5)
+        assert reach(ma, 10, 40) == range(10, 16)
+        assert reach(ma, 37, 40) == range(37, 40)
+        for kind in ("rate_of_change", "bollinger_bands"):
+            assert reach(StrategyConfig(kind=kind), 10, 40) == range(10, 11)
+        on_closes = StrategyConfig(kind="rate_of_change", roc_use_predictions=False)
+        assert len(reach(on_closes, 10, 40)) == 0
+        assert len(reach(ma, 40, 40)) == 0
