@@ -10,13 +10,12 @@ measures the system-wide impact against the untouched baseline.
 
 from .attack import (
     AttackOutcome,
+    AttackResult,
     ConcealMode,
     CustomMode,
     EpSpec,
     OverestimateMode,
     StdDevMode,
-    SweepResult,
-    TargetedResult,
     apply_ep,
     clean_run,
     run_attacked_simulation,
@@ -74,6 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackConfig",
     "AttackOutcome",
+    "AttackResult",
     "Bar",
     "ConcealMode",
     "CostModel",
@@ -94,8 +94,6 @@ __all__ = [
     "StdDevMode",
     "StockSeries",
     "StrategyConfig",
-    "SweepResult",
-    "TargetedResult",
     "TradeRecord",
     "ZeroVolatilityWarning",
     "align_calendar",

@@ -133,17 +133,24 @@ class CellError:
 
 
 @dataclass(frozen=True)
-class SweepResult:
+class AttackResult:
+    """Every cell of one attack run and the one baseline they are measured
+    against. ``kind`` is ``"sweep"``, ``"conceal"`` or ``"overestimate"``."""
+
+    kind: str
     outcomes: tuple[AttackOutcome, ...]
     baseline: SimulationResult
     errors: tuple[CellError, ...]
 
 
-@dataclass(frozen=True)
-class TargetedResult:
-    outcomes: tuple[AttackOutcome, ...]
-    baseline: SimulationResult
-    errors: tuple[CellError, ...]
+_MODE_NAMES = {ConcealMode: "conceal", OverestimateMode: "overestimate", CustomMode: "custom"}
+
+
+def mode_label(mode: EpMode) -> str:
+    """A mode's name in cell errors and in the ``omega_or_mode`` column."""
+    if isinstance(mode, StdDevMode):
+        return f"omega={mode.omega}"
+    return _MODE_NAMES[type(mode)]
 
 
 def apply_ep(series: StockSeries, ep: EpSpec, at: int | None = None) -> float:
@@ -385,6 +392,22 @@ def run_attacked_simulation(
     return context.outcome(ep)
 
 
+def _run_cells(context: AttackContext, kind: str, ticker: str, days, modes) -> AttackResult:
+    """Attack ``ticker`` on each day with each mode (day-major, mode-minor).
+
+    A cell that cannot be crafted is recorded as a :class:`CellError` and
+    skipped."""
+    outcomes: list[AttackOutcome] = []
+    errors: list[CellError] = []
+    for day in days:
+        for mode in modes:
+            try:
+                outcomes.append(context.outcome(EpSpec(ticker, day, mode))[1])
+            except AttackSetupError as exc:
+                errors.append(CellError(day=day, label=mode_label(mode), message=str(exc)))
+    return AttackResult(kind, tuple(outcomes), context.baseline, tuple(errors))
+
+
 def sweep_indiscriminate(
     dataset: Dataset,
     test_start: int,
@@ -395,31 +418,20 @@ def sweep_indiscriminate(
     omegas,
     ddof: int = 1,
     days=None,
-) -> SweepResult:
+) -> AttackResult:
     """Attack each test day once per omega (day-major, omega-minor).
 
     ``days`` lists the test days to attack, in order; every test day when
     None. Infeasible cells (not enough history for the sigma window) are
     recorded and skipped.
     """
-    omegas = list(omegas)
-    if not omegas:
+    modes = [StdDevMode(omega=omega, ddof=ddof) for omega in omegas]
+    if not modes:
         raise AttackSetupError("need at least one omega")
     context = AttackContext(dataset, test_start, predictors, strategy_config, cost_model)
     if days is None:
         days = range(context.test.n_days())
-    outcomes: list[AttackOutcome] = []
-    errors: list[CellError] = []
-    for day in days:
-        for omega in omegas:
-            ep = EpSpec(ticker=ticker, day=day, mode=StdDevMode(omega=omega, ddof=ddof))
-            try:
-                outcomes.append(context.outcome(ep)[1])
-            except AttackSetupError as exc:
-                errors.append(CellError(day=day, label=f"omega={omega}", message=str(exc)))
-    return SweepResult(
-        outcomes=tuple(outcomes), baseline=context.baseline, errors=tuple(errors)
-    )
+    return _run_cells(context, "sweep", ticker, days, modes)
 
 
 def run_targeted(
@@ -432,7 +444,7 @@ def run_targeted(
     days,
     scenario: str,
     drop_fraction: float = 0.10,
-) -> TargetedResult:
+) -> AttackResult:
     """Conceal or overestimate the close on chosen event days, one run each."""
     if scenario == "conceal":
         mode: EpMode = ConcealMode()
@@ -443,13 +455,4 @@ def run_targeted(
             f"scenario must be conceal or overestimate, got {scenario!r}"
         )
     context = AttackContext(dataset, test_start, predictors, strategy_config, cost_model)
-    outcomes: list[AttackOutcome] = []
-    errors: list[CellError] = []
-    for day in days:
-        try:
-            outcomes.append(context.outcome(EpSpec(ticker=ticker, day=day, mode=mode))[1])
-        except AttackSetupError as exc:
-            errors.append(CellError(day=day, label=scenario, message=str(exc)))
-    return TargetedResult(
-        outcomes=tuple(outcomes), baseline=context.baseline, errors=tuple(errors)
-    )
+    return _run_cells(context, scenario, ticker, days, [mode])

@@ -72,9 +72,7 @@ def main(argv=None) -> int:
                 raise pipeline.ConfigurationError(
                     "config has no attack block and no --ticker override"
                 )
-            overrides = {}
-            if attack is not None:
-                overrides = attack.to_dict()
+            overrides = {} if attack is None else attack.to_dict()
             if args.ticker:
                 overrides["ticker"] = args.ticker
             if args.omega:
@@ -82,7 +80,6 @@ def main(argv=None) -> int:
             if args.mode:
                 overrides["mode"] = args.mode
             overrides.setdefault("mode", "stddev")
-            overrides.setdefault("days", "all")
             config = dataclasses.replace(
                 config, attack=pipeline.AttackConfig.from_dict(overrides)
             )

@@ -13,8 +13,10 @@ repeated runs of the same configuration are byte-identical.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -51,12 +53,57 @@ CELL_COLUMNS = (
     "rmse_clean",
     "rmse_attacked",
 )
+IMPACT_METRICS = ("delta_sharpe", "cr_ratio")
 
 
 def _reject_unknown(section: str, given: dict, known) -> None:
     unknown = sorted(set(given) - set(known))
     if unknown:
         raise ConfigurationError(f"{section}: unrecognized keys {unknown}")
+
+
+def _object(section: str, given) -> dict:
+    if not isinstance(given, dict):
+        raise ConfigurationError(f"{section} must be an object, got {given!r}")
+    return given
+
+
+def _check_value(where: str, value, default) -> None:
+    """Reject ``value`` unless it has the type of ``default``: a bool must be
+    a bool, an int an int (not a bool), a float any number and a str a str.
+    A tuple default asks for a list of values of its first item's type."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{where} must be a list, got {value!r}")
+        for item in value:
+            _check_value(where, item, default[0])
+        return
+    kinds = (int, float) if type(default) is float else type(default)
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
+        raise ConfigurationError(
+            f"{where} must be of type {type(default).__name__}, got {value!r}"
+        )
+
+
+def _section(section: str, cls, given) -> dict:
+    """``given`` checked against the fields of the dataclass ``cls``: no
+    unknown key, and each value of its field's default type. Fields without
+    a default, or with a None default, are left to the caller."""
+    _object(section, given)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    _reject_unknown(section, given, defaults)
+    for key, value in given.items():
+        if isinstance(defaults[key], (bool, int, float, str, tuple)):
+            _check_value(f"{section}.{key}", value, defaults[key])
+    return given
+
+
+def _plain(section) -> dict:
+    """A config dataclass as its JSON section, tuples as lists."""
+    return {
+        k: list(v) if isinstance(v, tuple) else v
+        for k, v in dataclasses.asdict(section).items()
+    }
 
 
 @dataclass(frozen=True)
@@ -69,16 +116,15 @@ class AttackConfig:
     drop_fraction: float = 0.10
     value: float | None = None
 
-    _KEYS = ("ticker", "mode", "days", "omegas", "ddof", "drop_fraction", "value")
-
     @classmethod
     def from_dict(cls, d: dict) -> "AttackConfig":
-        _reject_unknown("attack", d, cls._KEYS)
+        _section("attack", cls, d)
         mode = d.get("mode")
         if mode not in ("stddev", "conceal", "overestimate", "custom"):
             raise ConfigurationError(f"attack.mode: unknown mode {mode!r}")
         if "ticker" not in d:
             raise ConfigurationError("attack.ticker is required")
+        _check_value("attack.ticker", d["ticker"], "")
         days = d.get("days", "all")
         if days != "all" and not isinstance(days, list):
             raise ConfigurationError('attack.days must be "all" or a list')
@@ -87,29 +133,26 @@ class AttackConfig:
                 raise ConfigurationError(
                     f"attack.days: {entry!r} is neither a day index nor an ISO date"
                 )
-        if mode == "custom" and d.get("value") is None:
+        value = d.get("value")
+        if value is not None:
+            _check_value("attack.value", value, 0.0)
+        elif mode == "custom":
             raise ConfigurationError("attack.value is required for custom mode")
-        return cls(
-            ticker=d["ticker"],
-            mode=mode,
-            days=days,
-            omegas=tuple(d.get("omegas", (30, 40, 50))),
-            ddof=int(d.get("ddof", 1)),
-            drop_fraction=float(d.get("drop_fraction", 0.10)),
-            value=d.get("value"),
-        )
+        cfg = cls(**{**d, "days": days, "omegas": tuple(d.get("omegas", cls.omegas))})
+        if not cfg.omegas:
+            raise ConfigurationError("attack.omegas must name at least one window")
+        try:
+            for omega in cfg.omegas:
+                attack_mod.StdDevMode(omega=omega, ddof=cfg.ddof)
+            attack_mod.OverestimateMode(drop_fraction=cfg.drop_fraction)
+        except AttackSetupError as exc:
+            raise ConfigurationError(f"attack: {exc}") from exc
+        return cfg
 
     def to_dict(self) -> dict:
-        out = {
-            "ticker": self.ticker,
-            "mode": self.mode,
-            "days": self.days,
-            "omegas": list(self.omegas),
-            "ddof": self.ddof,
-            "drop_fraction": self.drop_fraction,
-        }
-        if self.value is not None:
-            out["value"] = self.value
+        out = _plain(self)
+        if self.value is None:
+            del out["value"]
         return out
 
 
@@ -147,37 +190,35 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: str = ".") -> "RunConfig":
-        _reject_unknown("config", d, cls._KEYS)
-        if not d.get("tickers"):
+        _reject_unknown("config", _object("config", d), cls._KEYS)
+        tickers = d.get("tickers")
+        if not tickers:
             raise ConfigurationError("tickers must be a nonempty list")
+        _check_value("tickers", tickers, ("",))
         if "data_dir" not in d:
             raise ConfigurationError("data_dir is required")
+        _check_value("data_dir", d["data_dir"], "")
+        output_dir = d.get("output_dir", "out")
+        _check_value("output_dir", output_dir, "")
 
-        split_d = dict(d.get("split", {}))
-        _reject_unknown("split", split_d, ("train_fraction", "window"))
-        split_spec = SplitSpec(
-            train_fraction=float(split_d.get("train_fraction", 0.8)),
-            window=int(split_d.get("window", 50)),
-        )
+        split_spec = SplitSpec(**_section("split", SplitSpec, d.get("split", {})))
 
-        pred_d = dict(d.get("predictor", {}))
+        pred_d = dict(_object("predictor", d.get("predictor", {})))
         kind = pred_d.pop("kind", "baseline")
         import_files: dict[str, str] = {}
         if kind == "baseline":
-            _reject_unknown(
-                "predictor", pred_d, ("window", "features", "ridge_lambda")
-            )
+            _section("predictor", PredictorConfig, pred_d)
             predictor = PredictorConfig(
-                window=int(pred_d.get("window", split_spec.window)),
-                features=tuple(
-                    pred_d.get("features", ("open", "high", "low", "close", "volume"))
-                ),
-                ridge_lambda=float(pred_d.get("ridge_lambda", 1e-3)),
+                window=pred_d.get("window", split_spec.window),
+                features=tuple(pred_d.get("features", PredictorConfig.features)),
+                ridge_lambda=float(pred_d.get("ridge_lambda", PredictorConfig.ridge_lambda)),
             )
         elif kind == "import":
             _reject_unknown("predictor", pred_d, ("files",))
-            import_files = dict(pred_d.get("files", {}))
-            missing = [tk for tk in d["tickers"] if tk not in import_files]
+            import_files = _object("predictor.files", pred_d.get("files", {}))
+            for path in import_files.values():
+                _check_value("predictor.files", path, "")
+            missing = [tk for tk in tickers if tk not in import_files]
             if missing:
                 raise ConfigurationError(
                     f"predictor.files: no prediction file for {missing}"
@@ -188,55 +229,23 @@ class RunConfig:
                 f"predictor.kind must be baseline or import, got {kind!r}"
             )
 
-        strat_d = dict(d.get("strategy", {}))
-        _reject_unknown(
-            "strategy",
-            strat_d,
-            (
-                "kind",
-                "ma_short",
-                "ma_long",
-                "roc_lookback",
-                "roc_buy_threshold",
-                "roc_sell_threshold",
-                "bb_period",
-                "bb_width",
-                "roc_use_predictions",
-            ),
-        )
-        strategy = StrategyConfig(**strat_d)
-
-        costs_d = dict(d.get("costs", {}))
-        _reject_unknown(
-            "costs",
-            costs_d,
-            (
-                "commission_per_share",
-                "slippage_per_share",
-                "position_fraction",
-                "initial_capital",
-                "risk_free_annual",
-                "trading_days_per_year",
-                "slippage_mode",
-            ),
-        )
-        costs = CostModel(**costs_d)
-
         attack_cfg = None
         if d.get("attack") is not None:
-            attack_cfg = AttackConfig.from_dict(dict(d["attack"]))
+            attack_cfg = AttackConfig.from_dict(d["attack"])
 
         cfg = cls(
             data_dir=d["data_dir"],
-            tickers=tuple(d["tickers"]),
+            tickers=tuple(tickers),
             split=split_spec,
             predictor_kind=kind,
             predictor=predictor,
-            import_files=import_files,
-            strategy=strategy,
-            costs=costs,
+            import_files=dict(import_files),
+            strategy=StrategyConfig(
+                **_section("strategy", StrategyConfig, d.get("strategy", {}))
+            ),
+            costs=CostModel(**_section("costs", CostModel, d.get("costs", {}))),
             attack=attack_cfg,
-            output_dir=d.get("output_dir", "out"),
+            output_dir=output_dir,
             base_dir=base_dir,
         )
         cfg.validate_paths()
@@ -272,41 +281,16 @@ class RunConfig:
     def to_dict(self) -> dict:
         predictor: dict = {"kind": self.predictor_kind}
         if self.predictor_kind == "baseline":
-            predictor.update(
-                window=self.predictor.window,
-                features=list(self.predictor.features),
-                ridge_lambda=self.predictor.ridge_lambda,
-            )
+            predictor.update(_plain(self.predictor))
         else:
             predictor["files"] = dict(self.import_files)
         out = {
             "data_dir": self.data_dir,
             "tickers": list(self.tickers),
-            "split": {
-                "train_fraction": self.split.train_fraction,
-                "window": self.split.window,
-            },
+            "split": _plain(self.split),
             "predictor": predictor,
-            "strategy": {
-                "kind": self.strategy.kind,
-                "ma_short": self.strategy.ma_short,
-                "ma_long": self.strategy.ma_long,
-                "roc_lookback": self.strategy.roc_lookback,
-                "roc_buy_threshold": self.strategy.roc_buy_threshold,
-                "roc_sell_threshold": self.strategy.roc_sell_threshold,
-                "bb_period": self.strategy.bb_period,
-                "bb_width": self.strategy.bb_width,
-                "roc_use_predictions": self.strategy.roc_use_predictions,
-            },
-            "costs": {
-                "commission_per_share": self.costs.commission_per_share,
-                "slippage_per_share": self.costs.slippage_per_share,
-                "position_fraction": self.costs.position_fraction,
-                "initial_capital": self.costs.initial_capital,
-                "risk_free_annual": self.costs.risk_free_annual,
-                "trading_days_per_year": self.costs.trading_days_per_year,
-                "slippage_mode": self.costs.slippage_mode,
-            },
+            "strategy": _plain(self.strategy),
+            "costs": _plain(self.costs),
             "output_dir": self.output_dir,
         }
         if self.attack is not None:
@@ -436,18 +420,6 @@ def write_result_files(
     return paths
 
 
-def _outcome_row(outcome, label: str):
-    return (
-        outcome.ep.day,
-        label,
-        _fmt(outcome.delta_sharpe),
-        _fmt(outcome.cr_ratio),
-        _fmt(outcome.first_divergence_day),
-        _fmt(outcome.rmse_clean),
-        _fmt(outcome.rmse_attacked),
-    )
-
-
 def _degradation_fractions(outcomes) -> tuple[float, float]:
     if not outcomes:
         return 0.0, 0.0
@@ -456,83 +428,49 @@ def _degradation_fractions(outcomes) -> tuple[float, float]:
     return sr / len(outcomes), cr / len(outcomes)
 
 
-def write_sweep_files(result: attack_mod.SweepResult, out_dir) -> dict[str, str]:
+def write_sweep_files(result: attack_mod.AttackResult, out_dir) -> dict[str, str]:
+    """The cells CSV and summary JSON of one attack run, sweep or targeted.
+
+    A sweep writes ``sweep_cells.csv`` and ``sweep_summary.json``; a
+    targeted run writes ``targeted_*`` files whose cells and summary also
+    carry each outcome's ``cr_change_pct``. The writer keeps the sweep's
+    name because the benchmark's tracer (``perfbench/tracing.py``) looks it
+    up under that name; renaming it waits for a change to the benchmark.
+    """
+    targeted = result.kind != "sweep"
+    prefix = "targeted" if targeted else "sweep"
     os.makedirs(out_dir, exist_ok=True)
     paths = {
-        "cells": os.path.join(out_dir, "sweep_cells.csv"),
-        "summary": os.path.join(out_dir, "sweep_summary.json"),
+        "cells": os.path.join(out_dir, f"{prefix}_cells.csv"),
+        "summary": os.path.join(out_dir, f"{prefix}_summary.json"),
     }
+    columns = CELL_COLUMNS + (("cr_change_pct",) if targeted else ())
     rows = [
-        _outcome_row(o, f"omega={o.ep.mode.omega}")
+        (o.ep.day, attack_mod.mode_label(o.ep.mode))
+        + tuple(_fmt(getattr(o, c)) for c in columns[2:])
         for o in result.outcomes
     ]
-    _write_csv(paths["cells"], CELLS_SCHEMA, CELL_COLUMNS, rows)
+    _write_csv(paths["cells"], CELLS_SCHEMA, columns, rows)
     frac_sr, frac_cr = _degradation_fractions(result.outcomes)
-    _write_json(
-        paths["summary"],
-        {
-            "schema": ATTACK_SUMMARY_SCHEMA,
-            "mode": "sweep",
-            "n_outcomes": len(result.outcomes),
-            "n_errors": len(result.errors),
-            "errors": [
-                {"day": e.day, "label": e.label, "message": e.message}
-                for e in result.errors
-            ],
-            "baseline": {
-                "sharpe_ratio": result.baseline.sharpe_ratio,
-                "cumulative_return": result.baseline.final_cumulative_return(),
-                "final_value": result.baseline.final_value,
-            },
-            "fraction_sharpe_degraded": frac_sr,
-            "fraction_cr_degraded": frac_cr,
+    summary = {
+        "schema": ATTACK_SUMMARY_SCHEMA,
+        "mode": result.kind,
+        "n_outcomes": len(result.outcomes),
+        "n_errors": len(result.errors),
+        "errors": [dataclasses.asdict(e) for e in result.errors],
+        "baseline": {
+            "sharpe_ratio": result.baseline.sharpe_ratio,
+            "cumulative_return": result.baseline.final_cumulative_return(),
+            "final_value": result.baseline.final_value,
         },
-    )
-    return paths
-
-
-def write_targeted_files(
-    result: attack_mod.TargetedResult, scenario: str, out_dir
-) -> dict[str, str]:
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "cells": os.path.join(out_dir, "targeted_cells.csv"),
-        "summary": os.path.join(out_dir, "targeted_summary.json"),
+        "fraction_sharpe_degraded": frac_sr,
+        "fraction_cr_degraded": frac_cr,
     }
-    _write_csv(
-        paths["cells"],
-        CELLS_SCHEMA,
-        CELL_COLUMNS + ("cr_change_pct",),
-        [
-            _outcome_row(o, scenario) + (_fmt(o.cr_change_pct),)
-            for o in result.outcomes
-        ],
-    )
-    frac_sr, frac_cr = _degradation_fractions(result.outcomes)
-    _write_json(
-        paths["summary"],
-        {
-            "schema": ATTACK_SUMMARY_SCHEMA,
-            "mode": scenario,
-            "n_outcomes": len(result.outcomes),
-            "n_errors": len(result.errors),
-            "errors": [
-                {"day": e.day, "label": e.label, "message": e.message}
-                for e in result.errors
-            ],
-            "baseline": {
-                "sharpe_ratio": result.baseline.sharpe_ratio,
-                "cumulative_return": result.baseline.final_cumulative_return(),
-                "final_value": result.baseline.final_value,
-            },
-            "fraction_sharpe_degraded": frac_sr,
-            "fraction_cr_degraded": frac_cr,
-            "per_day": [
-                {"day": o.ep.day, "cr_change_pct": o.cr_change_pct}
-                for o in result.outcomes
-            ],
-        },
-    )
+    if targeted:
+        summary["per_day"] = [
+            {"day": o.ep.day, "cr_change_pct": o.cr_change_pct} for o in result.outcomes
+        ]
+    _write_json(paths["summary"], summary)
     return paths
 
 
@@ -574,18 +512,8 @@ def cmd_fit(config: RunConfig, out_dir) -> list[FitReport]:
         os.path.join(out_dir, "fit_reports.json"),
         {
             "schema": FIT_SCHEMA,
-            "window": config.predictor.window,
-            "features": list(config.predictor.features),
-            "ridge_lambda": config.predictor.ridge_lambda,
-            "reports": [
-                {
-                    "ticker": r.ticker,
-                    "rmse_test": r.rmse_test,
-                    "n_train": r.n_train,
-                    "n_test": r.n_test,
-                }
-                for r in reports
-            ],
+            **_plain(config.predictor),
+            "reports": [dataclasses.asdict(r) for r in reports],
         },
     )
     return reports
@@ -638,49 +566,32 @@ def cmd_attack(config: RunConfig, out_dir, submode: str) -> dict:
             "needed to recompute the perturbed forecast)"
         )
     atk = config.attack
-    if submode not in ("sweep", "targeted"):
+    allowed = {"sweep": ("stddev",), "targeted": ("conceal", "overestimate")}
+    if submode not in allowed:
         raise ConfigurationError(
             f"attack submode must be sweep or targeted, got {submode!r}"
         )
-    if submode == "sweep" and atk.mode != "stddev":
-        raise ConfigurationError("sweep requires attack.mode = stddev")
-    if submode == "targeted" and atk.mode not in ("conceal", "overestimate"):
+    if atk.mode not in allowed[submode]:
         raise ConfigurationError(
-            "targeted requires attack.mode = conceal or overestimate"
+            f"{submode} requires attack.mode = {' or '.join(allowed[submode])}"
         )
     dataset, test_start = load_dataset(config)
     days = _attack_days(atk, dataset, test_start)
     train = dataset.slice(0, test_start)
     predictors = fit_baseline(train, config.predictor)
-
+    world = (dataset, test_start, predictors, config.strategy, config.costs)
     if submode == "sweep":
         result = attack_mod.sweep_indiscriminate(
-            dataset,
-            test_start,
-            predictors,
-            config.strategy,
-            config.costs,
-            ticker=atk.ticker,
-            omegas=atk.omegas,
-            ddof=atk.ddof,
+            *world, ticker=atk.ticker, omegas=atk.omegas, ddof=atk.ddof,
             days=sorted(set(days)),
         )
-        _require_outcomes(result)
-        return write_sweep_files(result, out_dir)
-
-    result = attack_mod.run_targeted(
-        dataset,
-        test_start,
-        predictors,
-        config.strategy,
-        config.costs,
-        ticker=atk.ticker,
-        days=days,
-        scenario=atk.mode,
-        drop_fraction=atk.drop_fraction,
-    )
+    else:
+        result = attack_mod.run_targeted(
+            *world, ticker=atk.ticker, days=days, scenario=atk.mode,
+            drop_fraction=atk.drop_fraction,
+        )
     _require_outcomes(result)
-    return write_targeted_files(result, atk.mode, out_dir)
+    return write_sweep_files(result, out_dir)
 
 
 def _require_outcomes(result) -> None:
@@ -699,18 +610,26 @@ def _require_outcomes(result) -> None:
 
 
 def quantile_table(rows: list[dict]) -> list[dict]:
-    """min/q1/median/q3/max/mean of delta_sharpe and cr_ratio per group."""
+    """min/q1/median/q3/max/mean of delta_sharpe and cr_ratio per group.
+
+    Each is taken over the group's finite values only (``cr_ratio`` is NaN
+    when the baseline cumulative return is 0); a group and metric with no
+    finite value has no row.
+    """
     if not rows:
         raise ReportError("no outcome rows to summarize")
     groups: dict[str, dict[str, list[float]]] = {}
     for row in rows:
-        g = groups.setdefault(row["omega_or_mode"], {"delta_sharpe": [], "cr_ratio": []})
-        for metric in ("delta_sharpe", "cr_ratio"):
+        g = groups.setdefault(row["omega_or_mode"], {m: [] for m in IMPACT_METRICS})
+        for metric in IMPACT_METRICS:
             g[metric].append(float(row[metric]))
     table = []
     for label in sorted(groups):
-        for metric in ("delta_sharpe", "cr_ratio"):
+        for metric in IMPACT_METRICS:
             values = np.asarray(groups[label][metric], dtype=np.float64)
+            values = values[np.isfinite(values)]
+            if not values.size:
+                continue
             q1, q2, q3 = (float(v) for v in np.quantile(values, (0.25, 0.5, 0.75)))
             table.append(
                 {
@@ -724,6 +643,8 @@ def quantile_table(rows: list[dict]) -> list[dict]:
                     "mean": float(values.mean()),
                 }
             )
+    if not table:
+        raise ReportError("no finite delta_sharpe or cr_ratio value to summarize")
     return table
 
 
@@ -782,26 +703,16 @@ def cmd_report(paths, out_dir) -> list[str]:
         _write_csv(
             out_path,
             QUANTILES_SCHEMA,
-            ("group", "metric", "min", "q1", "median", "q3", "max", "mean"),
-            [
-                (
-                    r["group"],
-                    r["metric"],
-                    _fmt(r["min"]),
-                    _fmt(r["q1"]),
-                    _fmt(r["median"]),
-                    _fmt(r["q3"]),
-                    _fmt(r["max"]),
-                    _fmt(r["mean"]),
-                )
-                for r in table
-            ],
+            tuple(table[0]),
+            [tuple(_fmt(v) for v in r.values()) for r in table],
         )
         for r in table:
-            lines.append(
-                f"{r['group']} {r['metric']}: min={r['min']:.6g} q1={r['q1']:.6g} "
-                f"median={r['median']:.6g} q3={r['q3']:.6g} max={r['max']:.6g} "
-                f"mean={r['mean']:.6g}"
-            )
+            stats = " ".join(f"{k}={v:.6g}" for k, v in list(r.items())[2:])
+            lines.append(f"{r['group']} {r['metric']}: {stats}")
+        skipped = sum(
+            not math.isfinite(float(row[m])) for row in cell_rows for m in IMPACT_METRICS
+        )
+        if skipped:
+            lines.append(f"{skipped} undefined values left out of the quantile table")
         lines.append(f"quantile table written to {out_path}")
     return lines

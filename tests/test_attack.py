@@ -256,6 +256,11 @@ class TestSweep:
                 dataset, test_start, predictors, STRAT, COSTS,
                 ticker="AAA", omegas=[],
             )
+        with pytest.raises(AttackSetupError, match="omega must be >= 2"):
+            sweep_indiscriminate(
+                dataset, test_start, predictors, STRAT, COSTS,
+                ticker="AAA", omegas=[5, 1],
+            )
 
 
 class TestTargeted:

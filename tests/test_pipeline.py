@@ -1,7 +1,16 @@
 import json
+import math
 
 import pytest
 
+from epsim.attack import (
+    AttackOutcome,
+    AttackResult,
+    CellError,
+    ConcealMode,
+    EpSpec,
+    StdDevMode,
+)
 from epsim.cli import main
 from epsim.errors import ConfigurationError, ReportError
 from epsim.market_data import save_csv
@@ -15,7 +24,9 @@ from epsim.pipeline import (
     cmd_report,
     quantile_table,
     read_schema_csv,
+    write_sweep_files,
 )
+from epsim.trade_engine import SimulationResult
 
 from conftest import random_series, trading_dates
 from oracles import quantile_oracle
@@ -274,6 +285,155 @@ class TestCommands:
             cmd_attack(cfg, tmp_path / "out", "sweep")
 
 
+BASELINE = SimulationResult(
+    daily_returns=(0.0, 0.0125, -0.004),
+    cumulative_returns=(0.0, 0.0125, 0.00845),
+    sharpe_ratio=1.75,
+    trade_ledger=(),
+    final_value=100845.0,
+)
+
+
+def hand_made_outcomes(cells) -> tuple[AttackOutcome, ...]:
+    """Three outcomes from literal floats, one per (day, mode): no impact, a
+    loss, and a NaN cr_ratio. The writer only formats the values, so they
+    need not come from one consistent run."""
+    impacts = (
+        (1.75, 0.00845, 1.0, None),
+        (0.5, -0.0031, -0.0031 / 0.00845, 3),
+        (2.125, 0.0, math.nan, 4),
+    )
+    return tuple(
+        AttackOutcome(
+            ep=EpSpec("AAA", day, mode),
+            perturbed_value=103.5,
+            clean_value=101.25,
+            rmse_clean=0.8125,
+            rmse_attacked=0.8203125,
+            sharpe_baseline=1.75,
+            sharpe_attacked=sharpe,
+            cr_baseline=0.00845,
+            cr_attacked=cr,
+            cr_ratio=ratio,
+            first_divergence_day=first,
+        )
+        for (day, mode), (sharpe, cr, ratio, first) in zip(cells, impacts)
+    )
+
+
+def cell_error(label: str) -> tuple[CellError, ...]:
+    return (CellError(0, label, "AAA: need 30 days of history ending at index 3"),)
+
+
+# The exact bytes the separate sweep and targeted writers wrote before they
+# were merged into one.
+SWEEP_CELLS = (
+    "# schema: epsim/attack-cells/v1\n"
+    "day,omega_or_mode,delta_sharpe,cr_ratio,first_divergence_day,rmse_clean,rmse_attacked\r\n"
+    "1,omega=5,0.0,1.0,,0.8125,0.8203125\r\n"
+    "1,omega=30,-1.25,-0.36686390532544383,3,0.8125,0.8203125\r\n"
+    "2,omega=5,0.375,nan,4,0.8125,0.8203125\r\n"
+)
+
+SWEEP_SUMMARY = """\
+{
+  "baseline": {
+    "cumulative_return": 0.00845,
+    "final_value": 100845.0,
+    "sharpe_ratio": 1.75
+  },
+  "errors": [
+    {
+      "day": 0,
+      "label": "omega=30",
+      "message": "AAA: need 30 days of history ending at index 3"
+    }
+  ],
+  "fraction_cr_degraded": 0.6666666666666666,
+  "fraction_sharpe_degraded": 0.3333333333333333,
+  "mode": "sweep",
+  "n_errors": 1,
+  "n_outcomes": 3,
+  "schema": "epsim/attack-summary/v1"
+}
+"""
+
+TARGETED_CELLS = (
+    "# schema: epsim/attack-cells/v1\n"
+    "day,omega_or_mode,delta_sharpe,cr_ratio,first_divergence_day,rmse_clean,rmse_attacked,cr_change_pct\r\n"
+    "1,conceal,0.0,1.0,,0.8125,0.8203125,0.0\r\n"
+    "2,conceal,-1.25,-0.36686390532544383,3,0.8125,0.8203125,-1.155\r\n"
+    "3,conceal,0.375,nan,4,0.8125,0.8203125,-0.845\r\n"
+)
+
+TARGETED_SUMMARY = """\
+{
+  "baseline": {
+    "cumulative_return": 0.00845,
+    "final_value": 100845.0,
+    "sharpe_ratio": 1.75
+  },
+  "errors": [
+    {
+      "day": 0,
+      "label": "conceal",
+      "message": "AAA: need 30 days of history ending at index 3"
+    }
+  ],
+  "fraction_cr_degraded": 0.6666666666666666,
+  "fraction_sharpe_degraded": 0.3333333333333333,
+  "mode": "conceal",
+  "n_errors": 1,
+  "n_outcomes": 3,
+  "per_day": [
+    {
+      "cr_change_pct": 0.0,
+      "day": 1
+    },
+    {
+      "cr_change_pct": -1.155,
+      "day": 2
+    },
+    {
+      "cr_change_pct": -0.845,
+      "day": 3
+    }
+  ],
+  "schema": "epsim/attack-summary/v1"
+}
+"""
+
+
+class TestAttackWriter:
+    def test_sweep_files_are_byte_exact(self, tmp_path):
+        cells = [(1, StdDevMode(5)), (1, StdDevMode(30)), (2, StdDevMode(5))]
+        result = AttackResult(
+            "sweep", hand_made_outcomes(cells), BASELINE, cell_error("omega=30")
+        )
+        paths = write_sweep_files(result, tmp_path)
+        assert paths == {
+            "cells": str(tmp_path / "sweep_cells.csv"),
+            "summary": str(tmp_path / "sweep_summary.json"),
+        }
+        assert (tmp_path / "sweep_cells.csv").read_bytes() == SWEEP_CELLS.encode()
+        assert (tmp_path / "sweep_summary.json").read_bytes() == SWEEP_SUMMARY.encode()
+
+    def test_targeted_files_are_byte_exact(self, tmp_path):
+        cells = [(1, ConcealMode()), (2, ConcealMode()), (3, ConcealMode())]
+        result = AttackResult(
+            "conceal", hand_made_outcomes(cells), BASELINE, cell_error("conceal")
+        )
+        paths = write_sweep_files(result, tmp_path)
+        assert paths == {
+            "cells": str(tmp_path / "targeted_cells.csv"),
+            "summary": str(tmp_path / "targeted_summary.json"),
+        }
+        assert (tmp_path / "targeted_cells.csv").read_bytes() == TARGETED_CELLS.encode()
+        assert (
+            tmp_path / "targeted_summary.json"
+        ).read_bytes() == TARGETED_SUMMARY.encode()
+
+
 class TestReport:
     def make_cells(self, path, rows):
         lines = ["# schema: epsim/attack-cells/v1"]
@@ -305,6 +465,35 @@ class TestReport:
             assert row["mean"] == pytest.approx(sum(data) / len(data), abs=1e-12)
         assert (tmp_path / "quantiles.csv").exists()
         assert any("quantiles.csv" in line for line in lines)
+
+    def test_non_finite_values_left_out_of_quantiles(self, tmp_path):
+        rows = [("omega=5", 0.5, "nan"), ("omega=5", -0.25, 0.75), ("omega=5", 0.0, 1.25)]
+        rows += [("omega=9", 0.125, "nan")]
+        cells = tmp_path / "cells.csv"
+        self.make_cells(cells, rows)
+        table = quantile_table(read_schema_csv(cells, "epsim/attack-cells/v1"))
+        assert [(r["group"], r["metric"]) for r in table] == [
+            ("omega=5", "delta_sharpe"),
+            ("omega=5", "cr_ratio"),
+            ("omega=9", "delta_sharpe"),
+        ]
+        ratio = table[1]
+        assert (ratio["min"], ratio["median"], ratio["max"], ratio["mean"]) == (
+            0.75, 1.0, 1.25, 1.0
+        )
+        assert all(math.isfinite(v) for r in table for v in list(r.values())[2:])
+
+        lines = cmd_report([str(cells)], tmp_path)
+        assert "2 undefined values left out of the quantile table" in lines
+        written = read_schema_csv(tmp_path / "quantiles.csv", "epsim/quantiles/v1")
+        assert len(written) == 3
+        assert "nan" not in (tmp_path / "quantiles.csv").read_text()
+
+    def test_all_values_undefined_is_error(self, tmp_path):
+        cells = tmp_path / "cells.csv"
+        self.make_cells(cells, [("omega=5", "nan", "nan")])
+        with pytest.raises(ReportError, match="finite"):
+            cmd_report([str(cells)], tmp_path)
 
     def test_single_outcome_degenerate_quantiles(self, tmp_path):
         cells = tmp_path / "cells.csv"
@@ -424,6 +613,67 @@ class TestCli:
         code = main(
             ["attack", submode, "--config", str(cfg_path), "--out", str(out), *argv]
         )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [config]: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, value, argv",
+        [
+            (("attack", "omegas"), ["a"], []),
+            (("attack", "omegas"), [30.5], []),
+            (("attack", "omegas"), 5, []),
+            (("attack", "ddof"), "x", []),
+            (("attack", "drop_fraction"), "x", []),
+            (("attack", "value"), "x", []),
+            (("attack", "ticker"), 5, []),
+            (("strategy", "ma_short"), "5", []),
+            (("strategy", "ma_short"), 5.5, []),
+            (("strategy", "roc_use_predictions"), "no", []),
+            (("costs", "initial_capital"), "x", []),
+            (("split", "window"), "x", []),
+            (("predictor", "features"), ["close", 1], []),
+            (("split",), [1], []),
+            (("costs",), None, []),
+            (("tickers",), "AAA", []),
+            (("data_dir",), 7, []),
+            (("attack", "omegas"), [], []),
+            (("attack", "omegas"), [1], []),
+            (("attack", "ddof"), 2, []),
+            (("attack", "ddof"), True, []),
+            (("attack", "drop_fraction"), 0, []),
+            (("attack", "drop_fraction"), 1.5, []),
+            (("attack", "omegas"), [30], ["--omega", "1"]),
+        ],
+        ids=[
+            "omegas-str", "omegas-float", "omegas-scalar", "ddof-str", "drop-str",
+            "value-str", "attack-ticker-int", "ma_short-str", "ma_short-float",
+            "roc-flag-str", "capital-str", "window-str", "features-int",
+            "split-list", "costs-null", "tickers-str", "data_dir-int",
+            "omegas-empty", "omega-1", "ddof-2", "ddof-bool", "drop-0", "drop-1.5",
+            "omega-flag-1",
+        ],
+    )
+    def test_bad_config_value_fails_before_compute(
+        self, tmp_path, rng, capsys, monkeypatch, path, value, argv
+    ):
+        from epsim import pipeline
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted despite a bad config value")
+
+        monkeypatch.setattr(pipeline, "fit_baseline", no_fit)
+        cfg_path = write_universe(
+            tmp_path, rng, n=150, attack={"ticker": "AAA", "mode": "stddev", "days": "all"}
+        )
+        raw = json.loads(cfg_path.read_text())
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        code = main(["attack", "sweep", "--config", str(cfg_path), "--out", str(out), *argv])
         assert code == 1
         assert capsys.readouterr().err.startswith("error [config]: ")
         assert not out.exists()
