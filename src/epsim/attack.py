@@ -445,7 +445,8 @@ def run_targeted(
     scenario: str,
     drop_fraction: float = 0.10,
 ) -> AttackResult:
-    """Conceal or overestimate the close on chosen event days, one run each."""
+    """Conceal or overestimate the close on chosen event days, one run each,
+    in the order given."""
     if scenario == "conceal":
         mode: EpMode = ConcealMode()
     elif scenario == "overestimate":

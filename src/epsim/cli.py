@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(sub.add_parser("backtest", help="run the baseline simulation"))
 
     atk = sub.add_parser("attack", help="run perturbation experiments")
-    atk.add_argument("submode", choices=("sweep", "targeted"))
+    atk.add_argument("submode", choices=sorted(set(pipeline.ATTACK_SUBMODES.values())))
     _add_config_args(atk)
     atk.add_argument("--ticker", help="override the attacked ticker")
     atk.add_argument(
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sigma window for sweep mode (repeatable)",
     )
     atk.add_argument(
-        "--mode", choices=("stddev", "conceal", "overestimate"), help="override attack mode"
+        "--mode", choices=tuple(pipeline.ATTACK_SUBMODES), help="override attack mode"
     )
 
     rep = sub.add_parser("report", help="summarize result files")
@@ -67,19 +67,12 @@ def main(argv=None) -> int:
         config = pipeline.RunConfig.from_file(args.config)
 
         if args.command == "attack":
-            attack = config.attack
-            if attack is None and args.ticker is None:
-                raise pipeline.ConfigurationError(
-                    "config has no attack block and no --ticker override"
-                )
-            overrides = {} if attack is None else attack.to_dict()
-            if args.ticker:
-                overrides["ticker"] = args.ticker
-            if args.omega:
-                overrides["omegas"] = args.omega
-            if args.mode:
-                overrides["mode"] = args.mode
-            overrides.setdefault("mode", "stddev")
+            overrides = {} if config.attack is None else dataclasses.asdict(config.attack)
+            flags = {"ticker": args.ticker, "omegas": args.omega, "mode": args.mode}
+            overrides.update({k: v for k, v in flags.items() if v})
+            modes = [m for m, s in pipeline.ATTACK_SUBMODES.items() if s == args.submode]
+            if len(modes) == 1:  # a submode with one mode needs no attack.mode
+                overrides.setdefault("mode", modes[0])
             config = dataclasses.replace(
                 config, attack=pipeline.AttackConfig.from_dict(overrides)
             )

@@ -105,10 +105,6 @@ class StockSeries:
     def closes(self) -> np.ndarray:
         return np.array([b.close for b in self.bars], dtype=np.float64)
 
-    def feature_matrix(self, features: tuple[str, ...]) -> np.ndarray:
-        """Rows are days, columns follow the requested feature order."""
-        return feature_matrix(self.bars, features)
-
     def restrict(self, dates: set[dt.date]) -> "StockSeries":
         return StockSeries(
             self.ticker, tuple(b for b in self.bars if b.date in dates)
@@ -155,30 +151,15 @@ class SplitSpec:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
 
 
-def _parse_row(row: dict[str, str], line_no: int) -> Bar:
+def _finite(raw: str, col: str, line_no: int) -> float:
+    raw = raw.strip()
     try:
-        date = dt.date.fromisoformat(row["Date"].strip())
+        value = float(raw)
     except ValueError as exc:
-        raise CsvParseError(f"line {line_no}: bad date {row['Date']!r}: {exc}") from exc
-    values = {}
-    for col in ("Open", "High", "Low", "Close", "Volume"):
-        raw = row[col].strip()
-        try:
-            values[col] = float(raw)
-        except ValueError as exc:
-            raise CsvParseError(
-                f"line {line_no}: bad {col} value {raw!r}"
-            ) from exc
-        if not math.isfinite(values[col]):
-            raise CsvParseError(f"line {line_no}: non-finite {col} value {raw!r}")
-    return Bar(
-        date=date,
-        open=values["Open"],
-        high=values["High"],
-        low=values["Low"],
-        close=values["Close"],
-        volume=values["Volume"],
-    )
+        raise CsvParseError(f"line {line_no}: bad {col} value {raw!r}") from exc
+    if not math.isfinite(value):
+        raise CsvParseError(f"line {line_no}: non-finite {col} value {raw!r}")
+    return value
 
 
 def load_csv(path, ticker: str) -> StockSeries:
@@ -199,7 +180,8 @@ def load_csv(path, ticker: str) -> StockSeries:
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise CsvParseError(f"{path}: header missing columns {missing}")
-        idx = {c: header.index(c) for c in CSV_COLUMNS}
+        i_date = header.index("Date")
+        columns = [(c, header.index(c)) for c in CSV_COLUMNS[1:]]
 
         bars = []
         for line_no, raw in enumerate(reader, start=2):
@@ -209,8 +191,13 @@ def load_csv(path, ticker: str) -> StockSeries:
                 raise CsvParseError(
                     f"line {line_no}: expected {len(header)} fields, got {len(raw)}"
                 )
-            row = {c: raw[idx[c]] for c in CSV_COLUMNS}
-            bar = _parse_row(row, line_no)
+            try:
+                date = dt.date.fromisoformat(raw[i_date].strip())
+            except ValueError as exc:
+                raise CsvParseError(
+                    f"line {line_no}: bad date {raw[i_date]!r}: {exc}"
+                ) from exc
+            bar = Bar(date, *(_finite(raw[i], c, line_no) for c, i in columns))
             validate_bar(bar)
             bars.append(bar)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attack as attack_mod
-from .errors import AttackSetupError, ConfigurationError, ReportError
+from .errors import AttackSetupError, ConfigurationError, FitError, ReportError
 from .market_data import Dataset, SplitSpec, align_calendar, load_csv, split
 from .predictor import (
     FitReport,
@@ -54,6 +54,9 @@ CELL_COLUMNS = (
     "rmse_attacked",
 )
 IMPACT_METRICS = ("delta_sharpe", "cr_ratio")
+
+# attack.mode -> the ``epsim attack`` submode that runs it
+ATTACK_SUBMODES = {"stddev": "sweep", "conceal": "targeted", "overestimate": "targeted"}
 
 
 def _reject_unknown(section: str, given: dict, known) -> None:
@@ -88,7 +91,7 @@ def _check_value(where: str, value, default) -> None:
 def _section(section: str, cls, given) -> dict:
     """``given`` checked against the fields of the dataclass ``cls``: no
     unknown key, and each value of its field's default type. Fields without
-    a default, or with a None default, are left to the caller."""
+    a default are left to the caller."""
     _object(section, given)
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     _reject_unknown(section, given, defaults)
@@ -109,19 +112,20 @@ def _plain(section) -> dict:
 @dataclass(frozen=True)
 class AttackConfig:
     ticker: str
-    mode: str  # stddev | conceal | overestimate | custom
+    mode: str  # a key of ATTACK_SUBMODES
     days: str | list  # "all" or a list of day indices / ISO dates
     omegas: tuple[int, ...] = (30, 40, 50)
     ddof: int = 1
     drop_fraction: float = 0.10
-    value: float | None = None
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttackConfig":
         _section("attack", cls, d)
         mode = d.get("mode")
-        if mode not in ("stddev", "conceal", "overestimate", "custom"):
-            raise ConfigurationError(f"attack.mode: unknown mode {mode!r}")
+        if mode not in ATTACK_SUBMODES:
+            raise ConfigurationError(
+                f"attack.mode must be one of {list(ATTACK_SUBMODES)}, got {mode!r}"
+            )
         if "ticker" not in d:
             raise ConfigurationError("attack.ticker is required")
         _check_value("attack.ticker", d["ticker"], "")
@@ -133,11 +137,6 @@ class AttackConfig:
                 raise ConfigurationError(
                     f"attack.days: {entry!r} is neither a day index nor an ISO date"
                 )
-        value = d.get("value")
-        if value is not None:
-            _check_value("attack.value", value, 0.0)
-        elif mode == "custom":
-            raise ConfigurationError("attack.value is required for custom mode")
         cfg = cls(**{**d, "days": days, "omegas": tuple(d.get("omegas", cls.omegas))})
         if not cfg.omegas:
             raise ConfigurationError("attack.omegas must name at least one window")
@@ -148,12 +147,6 @@ class AttackConfig:
         except AttackSetupError as exc:
             raise ConfigurationError(f"attack: {exc}") from exc
         return cfg
-
-    def to_dict(self) -> dict:
-        out = _plain(self)
-        if self.value is None:
-            del out["value"]
-        return out
 
 
 @dataclass(frozen=True)
@@ -208,11 +201,14 @@ class RunConfig:
         import_files: dict[str, str] = {}
         if kind == "baseline":
             _section("predictor", PredictorConfig, pred_d)
-            predictor = PredictorConfig(
-                window=pred_d.get("window", split_spec.window),
-                features=tuple(pred_d.get("features", PredictorConfig.features)),
-                ridge_lambda=float(pred_d.get("ridge_lambda", PredictorConfig.ridge_lambda)),
-            )
+            try:
+                predictor = PredictorConfig(
+                    window=pred_d.get("window", split_spec.window),
+                    features=tuple(pred_d.get("features", PredictorConfig.features)),
+                    ridge_lambda=float(pred_d.get("ridge_lambda", PredictorConfig.ridge_lambda)),
+                )
+            except FitError as exc:
+                raise ConfigurationError(f"predictor: {exc}") from exc
         elif kind == "import":
             _reject_unknown("predictor", pred_d, ("files",))
             import_files = _object("predictor.files", pred_d.get("files", {}))
@@ -294,7 +290,7 @@ class RunConfig:
             "output_dir": self.output_dir,
         }
         if self.attack is not None:
-            out["attack"] = self.attack.to_dict()
+            out["attack"] = _plain(self.attack)
         return out
 
 
@@ -529,6 +525,7 @@ def cmd_backtest(config: RunConfig, out_dir) -> SimulationResult:
 
 
 def _attack_days(attack: AttackConfig, dataset: Dataset, test_start: int) -> list[int]:
+    """The test-day indices ``attack.days`` names, each once, in increasing order."""
     n = dataset.n_days() - test_start
     if attack.days == "all":
         return list(range(n))
@@ -554,7 +551,7 @@ def _attack_days(attack: AttackConfig, dataset: Dataset, test_start: int) -> lis
                     f"attack.days: {date.isoformat()} not in the test calendar"
                 )
             days.append(cal_index[date])
-    return days
+    return sorted(set(days))
 
 
 def cmd_attack(config: RunConfig, out_dir, submode: str) -> dict:
@@ -566,14 +563,11 @@ def cmd_attack(config: RunConfig, out_dir, submode: str) -> dict:
             "needed to recompute the perturbed forecast)"
         )
     atk = config.attack
-    allowed = {"sweep": ("stddev",), "targeted": ("conceal", "overestimate")}
-    if submode not in allowed:
+    modes = [m for m, s in ATTACK_SUBMODES.items() if s == submode]
+    if atk.mode not in modes:
         raise ConfigurationError(
-            f"attack submode must be sweep or targeted, got {submode!r}"
-        )
-    if atk.mode not in allowed[submode]:
-        raise ConfigurationError(
-            f"{submode} requires attack.mode = {' or '.join(allowed[submode])}"
+            f"attack {submode} runs attack.mode {' or '.join(modes) or 'none'}, "
+            f"not {atk.mode!r}"
         )
     dataset, test_start = load_dataset(config)
     days = _attack_days(atk, dataset, test_start)
@@ -582,8 +576,7 @@ def cmd_attack(config: RunConfig, out_dir, submode: str) -> dict:
     world = (dataset, test_start, predictors, config.strategy, config.costs)
     if submode == "sweep":
         result = attack_mod.sweep_indiscriminate(
-            *world, ticker=atk.ticker, omegas=atk.omegas, ddof=atk.ddof,
-            days=sorted(set(days)),
+            *world, ticker=atk.ticker, omegas=atk.omegas, ddof=atk.ddof, days=days
         )
     else:
         result = attack_mod.run_targeted(

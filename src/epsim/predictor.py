@@ -154,7 +154,7 @@ def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
             f"got {n}"
         )
 
-    raw = series.feature_matrix(config.features)  # (n, F)
+    raw = feature_matrix(series.bars, config.features)  # (n, F)
     scalers = {
         f: AffineScaler.fit(raw[:, j]) for j, f in enumerate(config.features)
     }

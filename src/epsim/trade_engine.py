@@ -183,9 +183,6 @@ class SimulationResult:
     def final_cumulative_return(self) -> float:
         return self.cumulative_returns[-1] if self.cumulative_returns else 0.0
 
-    def trades_on(self, day: int) -> tuple[TradeRecord, ...]:
-        return tuple(t for t in self.trade_ledger if t.day == day)
-
     def to_dict(self) -> dict:
         return {
             "schema": RESULT_SCHEMA,

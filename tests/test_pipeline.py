@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -112,7 +113,7 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             AttackConfig.from_dict({"ticker": "A", "mode": "melt"})
         with pytest.raises(ConfigurationError):
-            AttackConfig.from_dict({"ticker": "A", "mode": "custom"})  # no value
+            AttackConfig.from_dict({"ticker": "A", "mode": "custom", "value": 1.0})
         with pytest.raises(ConfigurationError):
             AttackConfig.from_dict({"ticker": "A", "mode": "stddev", "days": 3})
 
@@ -215,6 +216,35 @@ class TestCommands:
         assert all(r["omega_or_mode"] == "overestimate" for r in rows)
         summary = json.loads(open(paths["summary"]).read())
         assert [d["day"] for d in summary["per_day"]] == [5, 12, 20]
+
+    @staticmethod
+    def _targeted_files(tmp_path, rng, day_lists) -> dict:
+        """The bytes ``attack targeted`` writes for each list of conceal days."""
+        path = write_universe(
+            tmp_path, rng, n=150, attack={"ticker": "AAA", "mode": "conceal"}
+        )
+        raw = json.loads(path.read_text())
+        written = {}
+        for days in day_lists:
+            raw["attack"]["days"] = days
+            path.write_text(json.dumps(raw))
+            out = tmp_path / "out" / "-".join(map(str, days))
+            paths = cmd_attack(RunConfig.from_file(path), out, "targeted")
+            written[tuple(days)] = {k: Path(p).read_bytes() for k, p in paths.items()}
+        return written
+
+    def test_targeted_repeated_day_runs_once(self, tmp_path, rng):
+        self._targeted_files(tmp_path, rng, [[5, 5]])
+        out = tmp_path / "out" / "5-5"
+        rows = read_schema_csv(out / "targeted_cells.csv", "epsim/attack-cells/v1")
+        assert [int(r["day"]) for r in rows] == [5]
+        summary = json.loads((out / "targeted_summary.json").read_text())
+        assert summary["n_outcomes"] == 1
+        assert [d["day"] for d in summary["per_day"]] == [5]
+
+    def test_targeted_days_run_in_day_order(self, tmp_path, rng):
+        written = self._targeted_files(tmp_path, rng, [[9, 5], [5, 9]])
+        assert written[(9, 5)] == written[(5, 9)]
 
     def test_attack_days_as_dates(self, tmp_path, rng):
         dates = trading_dates(150)
@@ -579,6 +609,14 @@ class TestCli:
         rows = read_schema_csv(out / "sweep_cells.csv", "epsim/attack-cells/v1")
         assert {r["omega_or_mode"] for r in rows} == {"omega=5"}
 
+    def test_cli_attack_without_attack_block_or_ticker(self, tmp_path, rng, capsys):
+        cfg_path = write_universe(tmp_path, rng, n=130)
+        out = tmp_path / "out"
+        code = main(["attack", "sweep", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [config]: attack.ticker is required")
+        assert not out.exists()
+
     def test_cli_error_reports_module_and_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"data_dir": "nope", "tickers": ["X"]}))
@@ -633,6 +671,9 @@ class TestCli:
             (("costs", "initial_capital"), "x", []),
             (("split", "window"), "x", []),
             (("predictor", "features"), ["close", 1], []),
+            (("predictor", "window"), 0, []),
+            (("predictor", "features"), [], []),
+            (("predictor", "ridge_lambda"), -1, []),
             (("split",), [1], []),
             (("costs",), None, []),
             (("tickers",), "AAA", []),
@@ -649,6 +690,7 @@ class TestCli:
             "omegas-str", "omegas-float", "omegas-scalar", "ddof-str", "drop-str",
             "value-str", "attack-ticker-int", "ma_short-str", "ma_short-float",
             "roc-flag-str", "capital-str", "window-str", "features-int",
+            "predictor-window-0", "features-empty", "ridge-negative",
             "split-list", "costs-null", "tickers-str", "data_dir-int",
             "omegas-empty", "omega-1", "ddof-2", "ddof-bool", "drop-0", "drop-1.5",
             "omega-flag-1",
@@ -674,6 +716,24 @@ class TestCli:
         cfg_path.write_text(json.dumps(raw))
         out = tmp_path / "out"
         code = main(["attack", "sweep", "--config", str(cfg_path), "--out", str(out), *argv])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [config]: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["ingest"], ["fit"], ["backtest"], ["attack", "sweep"], ["attack", "targeted"]],
+        ids=" ".join,
+    )
+    def test_custom_attack_mode_rejected_by_every_command(
+        self, tmp_path, rng, capsys, command
+    ):
+        cfg_path = write_universe(
+            tmp_path, rng, n=150,
+            attack={"ticker": "AAA", "mode": "custom", "value": 100.0, "days": "all"},
+        )
+        out = tmp_path / "out"
+        code = main([*command, "--config", str(cfg_path), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error [config]: ")
         assert not out.exists()
