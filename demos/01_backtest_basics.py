@@ -14,40 +14,42 @@ import numpy as np
 import epsim
 
 rng = np.random.default_rng(42)
-workdir = Path(tempfile.mkdtemp(prefix="epsim-demo-"))
 
 # ---------------------------------------------------------------------------
 # 1. Write three years of daily bars for a 3-stock portfolio in the
 #    ingestion format (Date,Open,High,Low,Close,Volume).
 print("== 1. synthetic broker exports ==")
 tickers = ["BLU", "GRN", "RED"]
-for i, ticker in enumerate(tickers):
-    steps = rng.normal(0.08, 1.6, 749)
-    closes = np.maximum(90.0 + 35.0 * i + np.concatenate([[0.0], steps]).cumsum(), 5.0)
-    date = dt.date(2021, 1, 4)
-    rows = []
-    for close in closes:
-        while date.weekday() >= 5:
-            date += dt.timedelta(days=1)
-        spread = abs(rng.normal(0, 0.4)) + 0.05
-        rows.append(
-            epsim.Bar(
-                date=date,
-                open=close - rng.uniform(-spread, spread) / 2,
-                high=close + spread,
-                low=min(close - spread, close),
-                close=close,
-                volume=float(rng.integers(1_000, 50_000)),
+# The exports live in a temporary directory, removed once they are loaded.
+with tempfile.TemporaryDirectory(prefix="epsim-demo-") as tmp:
+    workdir = Path(tmp)
+    for i, ticker in enumerate(tickers):
+        steps = rng.normal(0.08, 1.6, 749)
+        closes = np.maximum(90.0 + 35.0 * i + np.concatenate([[0.0], steps]).cumsum(), 5.0)
+        date = dt.date(2021, 1, 4)
+        rows = []
+        for close in closes:
+            while date.weekday() >= 5:
+                date += dt.timedelta(days=1)
+            spread = abs(rng.normal(0, 0.4)) + 0.05
+            rows.append(
+                epsim.Bar(
+                    date=date,
+                    open=close - rng.uniform(-spread, spread) / 2,
+                    high=close + spread,
+                    low=min(close - spread, close),
+                    close=close,
+                    volume=float(rng.integers(1_000, 50_000)),
+                )
             )
-        )
-        date += dt.timedelta(days=1)
-    epsim.save_csv(epsim.StockSeries(ticker, tuple(rows)), workdir / f"{ticker}.csv")
-    print(f"  wrote {ticker}.csv with {len(rows)} bars")
+            date += dt.timedelta(days=1)
+        epsim.save_csv(epsim.StockSeries(ticker, tuple(rows)), workdir / f"{ticker}.csv")
+        print(f"  wrote {ticker}.csv with {len(rows)} bars")
 
-# ---------------------------------------------------------------------------
-# 2. Load, align to the common calendar, and make the temporal 80:20 cut.
-print("\n== 2. ingest, align, split ==")
-series = [epsim.load_csv(workdir / f"{tk}.csv", tk) for tk in tickers]
+    # -------------------------------------------------------------------------
+    # 2. Load, align to the common calendar, and make the temporal 80:20 cut.
+    print("\n== 2. ingest, align, split ==")
+    series = [epsim.load_csv(workdir / f"{tk}.csv", tk) for tk in tickers]
 dataset = epsim.align_calendar(series)
 train, test = epsim.split(dataset, epsim.SplitSpec(train_fraction=0.8, window=50))
 test_start = train.n_days()
@@ -92,4 +94,3 @@ for trade in result.trade_ledger[:5]:
         f"(commission {trade.commission_paid:.3f})"
     )
 
-print(f"\nscratch files under {workdir}")

@@ -6,6 +6,9 @@ import) next-day close forecasts -> generate buy/sell/hold signals -> execute
 with costs -> measure Sharpe ratio and cumulative returns. The attack harness
 perturbs one stock's reported close on one day, re-runs the simulation, and
 measures the system-wide impact against the untouched baseline.
+
+numpy is imported inside the functions that compute with it, never at
+module level: importing epsim, and the ``ingest`` command, do not load it.
 """
 
 from .attack import (

@@ -32,8 +32,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AttackSetupError
 from .market_data import Dataset, StockSeries
@@ -54,6 +53,9 @@ from .trade_engine import (
     run_simulation,  # noqa: F401  (looked up here by perfbench/tracing.py)
     strategy_signals,
 )
+
+if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -153,12 +155,19 @@ def mode_label(mode: EpMode) -> str:
     return _MODE_NAMES[type(mode)]
 
 
-def apply_ep(series: StockSeries, ep: EpSpec, at: int | None = None) -> float:
+def apply_ep(
+    series: StockSeries,
+    ep: EpSpec,
+    at: int | None = None,
+    closes: np.ndarray | None = None,
+) -> float:
     """The perturbed close for the attacked day; only that value changes.
 
     ``at`` is the bar index within ``series``; it defaults to ``ep.day``,
     which is correct when the series' own indexing already matches the
-    test-window day numbering the EpSpec uses.
+    test-window day numbering the EpSpec uses. ``closes`` is
+    ``series.closes()`` when the caller already has it: a ``StdDevMode``
+    takes sigma over a slice of it.
     """
     t = ep.day if at is None else at
     if not 0 <= t < len(series.bars):
@@ -173,13 +182,14 @@ def apply_ep(series: StockSeries, ep: EpSpec, at: int | None = None) -> float:
                 f"{series.ticker}: need {mode.omega} days of history ending "
                 f"at index {t}"
             )
-        closes = np.array(
-            [b.close for b in series.bars[t - mode.omega + 1 : t + 1]],
-            dtype=np.float64,
-        )
-        if closes.min() == closes.max():
+        import numpy as np
+
+        if closes is None:
+            closes = series.closes()
+        trailing = closes[t - mode.omega + 1 : t + 1]
+        if trailing.min() == trailing.max():
             return clean  # constant window: sigma is exactly 0
-        sigma = float(np.std(closes, ddof=mode.ddof))
+        sigma = float(np.std(trailing, ddof=mode.ddof))
         return clean + 2.0 * sigma
     if isinstance(mode, ConcealMode):
         if t < 1:
@@ -200,18 +210,20 @@ def perturbed_prediction_entry(
     test_start: int,
     ep: EpSpec,
     scaled: np.ndarray | None = None,
+    closes: np.ndarray | None = None,
 ) -> tuple[int, float, float, float] | None:
     """Recompute the single forecast whose window ends on the attacked day.
 
     Returns (entry_day, perturbed_entry, perturbed_close, clean_close), or
     None when the attacked day is the last one (nothing downstream sees it).
-    ``scaled`` is ``predictor.scale(full_series.bars)`` when the caller
-    already has it. The forecast equals ``predict_window`` over the window
-    with the attacked bar's close replaced.
+    ``scaled`` is ``predictor.scale(full_series.bars)`` and ``closes`` is
+    ``full_series.closes()`` when the caller already has them. The forecast
+    equals ``predict_window`` over the window with the attacked bar's close
+    replaced.
     """
     w = predictor.config.window
     a = test_start + ep.day
-    perturbed_close = apply_ep(full_series, ep, at=a)
+    perturbed_close = apply_ep(full_series, ep, at=a, closes=closes)
     clean_close = full_series.bars[a].close
     if a + 1 >= len(full_series.bars):
         return None
@@ -251,8 +263,8 @@ def _cr_ratio(cr_attacked: float, cr_baseline: float) -> float:
 class AttackContext:
     """What every attack cell of one run shares, computed once.
 
-    Holds each ticker's min-max-scaled features (full series), clean test
-    forecasts, their error vector and RMSE and the unshifted baseline
+    Holds each ticker's closes and min-max-scaled features (full series),
+    clean test forecasts, their error vector and RMSE and the unshifted baseline
     signals, and the baseline run with the portfolio state before each of
     its days.
     """
@@ -271,6 +283,7 @@ class AttackContext:
         self.strategy_config = strategy_config
         self.cost_model = cost_model
         self.test = dataset.slice(test_start)
+        self.closes = {tk: dataset.series[tk].closes() for tk in sorted(predictors)}
         self.scaled = {
             tk: predictors[tk].scale(dataset.series[tk].bars) for tk in sorted(predictors)
         }
@@ -313,11 +326,14 @@ class AttackContext:
             self.test_start,
             ep,
             self.scaled[ep.ticker],
+            self.closes[ep.ticker],
         )
         run = self.baseline_run
         rmse_clean = rmse_attacked = self.rmse_clean[ep.ticker]
         if swap is None:
-            perturbed_close = apply_ep(full_series, ep, at=self.test_start + ep.day)
+            perturbed_close = apply_ep(
+                full_series, ep, at=self.test_start + ep.day, closes=self.closes[ep.ticker]
+            )
             clean_close = full_series.bars[self.test_start + ep.day].close
         else:
             entry_day, entry, perturbed_close, clean_close = swap

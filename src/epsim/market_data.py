@@ -15,8 +15,7 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     AlignmentError,
@@ -26,6 +25,9 @@ from .errors import (
     ValidationError,
     WindowError,
 )
+
+if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
+    import numpy as np
 
 FEATURE_NAMES = ("open", "high", "low", "close", "volume")
 
@@ -57,6 +59,8 @@ class Bar:
 
 def feature_matrix(bars, features: tuple[str, ...]) -> np.ndarray:
     """Rows are the given bars, columns follow the requested feature order."""
+    import numpy as np
+
     columns = [FEATURE_NAMES.index(f) for f in features]
     every = np.array(
         [(b.open, b.high, b.low, b.close, b.volume) for b in bars],
@@ -103,6 +107,8 @@ class StockSeries:
         return tuple(b.date for b in self.bars)
 
     def closes(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([b.close for b in self.bars], dtype=np.float64)
 
     def restrict(self, dates: set[dt.date]) -> "StockSeries":
@@ -162,6 +168,22 @@ def _finite(raw: str, col: str, line_no: int) -> float:
     return value
 
 
+def _diagnose_row(raw, line_no: int, n_fields: int, i_date: int, columns) -> Bar | None:
+    """Parse one row field by field: the bar, None for a blank row, or the
+    error naming the line (or, for an inconsistent bar, the date)."""
+    if not raw or all(not cell.strip() for cell in raw):
+        return None
+    if len(raw) < n_fields:
+        raise CsvParseError(f"line {line_no}: expected {n_fields} fields, got {len(raw)}")
+    try:
+        date = dt.date.fromisoformat(raw[i_date].strip())
+    except ValueError as exc:
+        raise CsvParseError(f"line {line_no}: bad date {raw[i_date]!r}: {exc}") from exc
+    bar = Bar(date, *(_finite(raw[i], c, line_no) for c, i in columns))
+    validate_bar(bar)
+    return bar
+
+
 def load_csv(path, ticker: str) -> StockSeries:
     """Load and validate one ticker's OHLCV history.
 
@@ -180,26 +202,39 @@ def load_csv(path, ticker: str) -> StockSeries:
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise CsvParseError(f"{path}: header missing columns {missing}")
+        n_fields = len(header)
         i_date = header.index("Date")
         columns = [(c, header.index(c)) for c in CSV_COLUMNS[1:]]
+        i_open, i_high, i_low, i_close, i_volume = (i for _, i in columns)
 
         bars = []
         for line_no, raw in enumerate(reader, start=2):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            if len(raw) < len(header):
-                raise CsvParseError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(raw)}"
-                )
+            # One pass for a well-formed row (float() ignores surrounding
+            # spaces); any other row is parsed again by _diagnose_row, which
+            # skips it, returns its bar or raises the error that names it.
             try:
                 date = dt.date.fromisoformat(raw[i_date].strip())
-            except ValueError as exc:
-                raise CsvParseError(
-                    f"line {line_no}: bad date {raw[i_date]!r}: {exc}"
-                ) from exc
-            bar = Bar(date, *(_finite(raw[i], c, line_no) for c, i in columns))
-            validate_bar(bar)
-            bars.append(bar)
+                o = float(raw[i_open])
+                h = float(raw[i_high])
+                lo = float(raw[i_low])
+                c = float(raw[i_close])
+                v = float(raw[i_volume])
+            except (ValueError, IndexError):
+                ok = False
+            else:
+                ok = (
+                    len(raw) >= n_fields
+                    and math.isfinite(o + h + lo + c + v)
+                    and 0.0 < lo <= o <= h
+                    and lo <= c <= h
+                    and v >= 0.0
+                )
+            if ok:
+                bars.append(Bar(date, o, h, lo, c, v))
+            else:
+                bar = _diagnose_row(raw, line_no, n_fields, i_date, columns)
+                if bar is not None:
+                    bars.append(bar)
 
     if not bars:
         raise EmptyInputError(f"{path}: no data rows")

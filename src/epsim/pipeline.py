@@ -20,8 +20,6 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import attack as attack_mod
 from .errors import AttackSetupError, ConfigurationError, FitError, ReportError
 from .market_data import Dataset, SplitSpec, align_calendar, load_csv, split
@@ -188,6 +186,9 @@ class RunConfig:
         if not tickers:
             raise ConfigurationError("tickers must be a nonempty list")
         _check_value("tickers", tickers, ("",))
+        repeated = sorted({tk for tk in tickers if tickers.count(tk) > 1})
+        if repeated:
+            raise ConfigurationError(f"tickers: each ticker once, {repeated} repeated")
         if "data_dir" not in d:
             raise ConfigurationError("data_dir is required")
         _check_value("data_dir", d["data_dir"], "")
@@ -609,6 +610,8 @@ def quantile_table(rows: list[dict]) -> list[dict]:
     when the baseline cumulative return is 0); a group and metric with no
     finite value has no row.
     """
+    import numpy as np
+
     if not rows:
         raise ReportError("no outcome rows to summarize")
     groups: dict[str, dict[str, list[float]]] = {}

@@ -18,8 +18,7 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     EvaluationError,
@@ -28,6 +27,9 @@ from .errors import (
     WindowError,
 )
 from .market_data import FEATURE_NAMES, Dataset, StockSeries, feature_matrix
+
+if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
+    import numpy as np
 
 DEFAULT_FEATURES = ("open", "high", "low", "close", "volume")
 
@@ -63,6 +65,8 @@ class AffineScaler:
         return cls(lo=float(values.min()), hi=float(values.max()))
 
     def transform(self, x):
+        import numpy as np
+
         span = self.hi - self.lo
         if span == 0.0:
             return np.zeros_like(np.asarray(x, dtype=np.float64))
@@ -105,6 +109,8 @@ class RidgePredictor:
     """Fitted linear autoregression for one ticker. Immutable and shareable."""
 
     def __init__(self, ticker, config, coef, feature_scalers, target_scaler):
+        import numpy as np
+
         self.ticker = ticker
         self.config = config
         self.coef = np.asarray(coef, dtype=np.float64)
@@ -140,12 +146,16 @@ class RidgePredictor:
 
 
 def _scale(raw: np.ndarray, scalers: dict, features) -> np.ndarray:
+    import numpy as np
+
     return np.column_stack(
         [scalers[f].transform(raw[:, j]) for j, f in enumerate(features)]
     )
 
 
 def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
+    import numpy as np
+
     n = len(series.bars)
     w = config.window
     if n < w + 1:
@@ -281,6 +291,8 @@ def prediction_errors(
     predictions: PredictionSeries, actual: StockSeries, day_range
 ) -> np.ndarray:
     """pred_t - close_t for each of the given day indices, in order."""
+    import numpy as np
+
     days = list(day_range)
     if not days:
         raise EvaluationError("empty evaluation range")
@@ -297,6 +309,8 @@ def prediction_errors(
 
 def rmse(errors: np.ndarray) -> float:
     """sqrt(mean(e^2)) of a vector of prediction errors."""
+    import numpy as np
+
     return float(math.sqrt(float(np.mean(errors * errors))))
 
 

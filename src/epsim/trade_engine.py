@@ -26,8 +26,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import ConfigurationError, MetricError, SimulationSetupError, ZeroVolatilityWarning
 from .market_data import Dataset
 from .predictor import PredictionSeries
@@ -211,6 +209,8 @@ class SimulationResult:
 
 def cumulative_returns(daily_returns) -> list[float]:
     """c_t = prod_{d<=t} (1 + r_d) - 1."""
+    import numpy as np
+
     returns = np.asarray(list(daily_returns), dtype=np.float64)
     if returns.size == 0:
         raise MetricError("cumulative_returns needs at least one return")
@@ -223,6 +223,8 @@ def sharpe_ratio(daily_returns, cost_model: CostModel) -> float:
     Zero volatility is flagged with ZeroVolatilityWarning and reported as 0
     instead of dividing by zero.
     """
+    import numpy as np
+
     returns = np.asarray(list(daily_returns), dtype=np.float64)
     if returns.size < 2:
         raise MetricError("sharpe_ratio needs at least 2 returns")

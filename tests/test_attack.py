@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsim.attack import (
     ConcealMode,
@@ -84,6 +86,31 @@ class TestApplyEp:
             apply_ep(series, EpSpec("T", 0, ConcealMode()))
         with pytest.raises(AttackSetupError):
             apply_ep(series, EpSpec("T", 9, ConcealMode()))
+
+    @given(
+        closes=st.lists(
+            st.one_of(st.floats(min_value=1.0, max_value=1e6), st.sampled_from([50.0, 77.7])),
+            min_size=2,
+            max_size=300,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stddev_over_a_closes_slice_is_bit_identical(self, closes, data):
+        # sigma over a slice of the whole series' closes (the attack context
+        # builds that array once) has the bits of sigma over a fresh array
+        # of the window's closes, at any offset, omega and ddof
+        omega = data.draw(st.integers(min_value=2, max_value=len(closes)))
+        t = data.draw(st.integers(min_value=omega - 1, max_value=len(closes) - 1))
+        ddof = data.draw(st.sampled_from([0, 1]))
+        fresh = np.array(closes[t - omega + 1 : t + 1], dtype=np.float64)
+        want = closes[t]
+        if fresh.min() != fresh.max():
+            want += 2.0 * float(np.std(fresh, ddof=ddof))
+        series = series_from_closes("T", closes)
+        ep = EpSpec("T", t, StdDevMode(omega=omega, ddof=ddof))
+        assert apply_ep(series, ep) == want
+        assert apply_ep(series, ep, closes=series.closes()) == want
 
     def test_mode_validation(self):
         with pytest.raises(AttackSetupError):

@@ -113,6 +113,102 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="duplicate"):
             load_csv(path, "T")
 
+    @pytest.mark.parametrize(
+        "row, error, message",
+        [
+            ("2020-01-03,x,12,9,11,1000", CsvParseError, "line 5: bad Open value 'x'"),
+            ("2020-01-03,10,x,9,11,1000", CsvParseError, "line 5: bad High value 'x'"),
+            ("2020-01-03,10,12,x,11,1000", CsvParseError, "line 5: bad Low value 'x'"),
+            ("2020-01-03,10,12,9, x ,1000", CsvParseError, "line 5: bad Close value 'x'"),
+            ("2020-01-03,10,12,9,11,", CsvParseError, "line 5: bad Volume value ''"),
+            (
+                "2020-01-03,10,12,9, nan ,1000",
+                CsvParseError,
+                "line 5: non-finite Close value 'nan'",
+            ),
+            ("2020-01-03,10,inf,9,11,1000", CsvParseError, "line 5: non-finite High value 'inf'"),
+            (
+                "2020-01-03,10,12,9,11,-inf",
+                CsvParseError,
+                "line 5: non-finite Volume value '-inf'",
+            ),
+            ("2020-01-03,10,12,9,11", CsvParseError, "line 5: expected 6 fields, got 5"),
+            (
+                "01/03/2020,10,12,9,11,1000",
+                CsvParseError,
+                "line 5: bad date '01/03/2020': Invalid isoformat string: '01/03/2020'",
+            ),
+            # the first fault in the order length, date, Open .. Volume is named
+            ("2020-01-03,x,12,9,y,1000", CsvParseError, "line 5: bad Open value 'x'"),
+            (
+                "nope,x,12,9,11,1000",
+                CsvParseError,
+                "line 5: bad date 'nope': Invalid isoformat string: 'nope'",
+            ),
+            ("nope,x", CsvParseError, "line 5: expected 6 fields, got 2"),
+            ("2020-01-03,0,12,9,11,1000", ValidationError, "non-positive price on 2020-01-03"),
+            ("2020-01-03,10,12,9,11,-1", ValidationError, "negative volume on 2020-01-03"),
+            (
+                "2020-01-03,10,14,13,11,1000",
+                ValidationError,
+                "low 13.0 above open/close on 2020-01-03",
+            ),
+            (
+                "2020-01-03,10,12,10,9.5,1000",
+                ValidationError,
+                "low 10.0 above open/close on 2020-01-03",
+            ),
+            (
+                "2020-01-03,10,10.5,9,11,1000",
+                ValidationError,
+                "high 10.5 below open/close on 2020-01-03",
+            ),
+            (
+                "2020-01-03,12,11.5,9,11,1000",
+                ValidationError,
+                "high 11.5 below open/close on 2020-01-03",
+            ),
+        ],
+    )
+    def test_rejected_row_message(self, tmp_path, row, error, message):
+        # the blank and whitespace-only rows are skipped but still counted
+        path = tmp_path / "t.csv"
+        write_lines(path, [HEADER, "2020-01-02,10,12,9,11,1000", "", " , ,", row])
+        with pytest.raises(error) as excinfo:
+            load_csv(path, "T")
+        assert str(excinfo.value) == message
+
+    def test_row_shorter_than_header_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(
+            path,
+            ["Date,Open,High,Low,Close,Volume,Adj Close", "2020-01-02,10,12,9,11,1000"],
+        )
+        with pytest.raises(CsvParseError) as excinfo:
+            load_csv(path, "T")
+        assert str(excinfo.value) == "line 2: expected 7 fields, got 6"
+
+    def test_padded_values_and_extra_columns_accepted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(
+            path,
+            [
+                " Volume ,Adj Close,Close,Date,Note,Low,High,Open",
+                " 1000 , 98 , 11 , 2020-01-02 ,x, 9 , 12 , 10 ",
+                "",
+                "   ",
+                ",,,,,,,",
+                "0,99,11.5,2020-01-03,, 11.5,11.5,11.5",
+                "1e308,1,1.5e308,2020-01-06,,1e308,1.7e308,1.5e308",
+            ],
+        )
+        series = load_csv(path, "T")
+        assert series.bars == (
+            Bar(dt.date(2020, 1, 2), 10.0, 12.0, 9.0, 11.0, 1000.0),
+            Bar(dt.date(2020, 1, 3), 11.5, 11.5, 11.5, 11.5, 0.0),
+            Bar(dt.date(2020, 1, 6), 1.5e308, 1.7e308, 1e308, 1.5e308, 1e308),
+        )
+
     def test_round_trip_is_field_exact(self, tmp_path, rng):
         closes = 50.0 + np.cumsum(rng.normal(0, 1.7, size=60))
         original = series_from_closes("RT", np.maximum(closes, 1.0))

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import epsim
 from epsim.attack import (
     AttackOutcome,
     AttackResult,
@@ -37,6 +41,15 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 TICKERS = ("AAA", "BBB", "CCC")
+
+
+def _python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this epsim."""
+    src = os.path.dirname(os.path.dirname(epsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
+    )
 
 
 def write_universe(tmp_path, rng, n=200, tickers=TICKERS, attack=None, **extra):
@@ -295,9 +308,9 @@ class TestCommands:
         computed = []
         original = attack.perturbed_prediction_entry
 
-        def counting(predictor, series, test_start, ep, scaled=None):
+        def counting(predictor, series, test_start, ep, *cached):
             computed.append((ep.day, ep.mode.omega))
-            return original(predictor, series, test_start, ep, scaled)
+            return original(predictor, series, test_start, ep, *cached)
 
         monkeypatch.setattr(attack, "perturbed_prediction_entry", counting)
         cells = cmd_attack(RunConfig.from_file(path), tmp_path / "some", "sweep")
@@ -783,6 +796,39 @@ class TestCli:
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["n_errors"] == 4  # omega=125 needs 125 closes: days 0-3 lack them
         assert summary["n_outcomes"] == 2 * 30 - 4
+
+    def test_cli_duplicate_tickers_rejected(self, tmp_path, rng, capsys):
+        cfg_path = write_universe(tmp_path, rng, n=100, tickers=("AAA", "BBB"))
+        raw = json.loads(cfg_path.read_text())
+        raw["tickers"] = ["AAA", "AAA", "BBB"]
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        code = main(["ingest", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error [config]: tickers: each ticker once, ['AAA'] repeated\n"
+        )
+        assert not out.exists()
+
+    def test_ingest_runs_without_numpy(self, tmp_path, rng):
+        # numpy is imported only by the commands that compute with it: with
+        # the import made to fail, ``python -m epsim.cli ingest`` still works
+        cfg_path = write_universe(tmp_path, rng, n=120)
+        assert main(["ingest", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
+        script = (
+            "import runpy, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "runpy.run_module('epsim.cli', run_name='__main__')\n"
+        )
+        proc = _python(script, "ingest", "--config", str(cfg_path), "--out", str(tmp_path / "b"))
+        assert proc.returncode == 0, proc.stderr
+        report = "ingest_report.json"
+        assert (tmp_path / "b" / report).read_bytes() == (tmp_path / "a" / report).read_bytes()
+
+    def test_import_epsim_leaves_numpy_unloaded(self):
+        proc = _python("import sys, epsim, epsim.cli; print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_cli_missing_config_file_is_clean_error(self, tmp_path, capsys):
         code = main(["backtest", "--config", str(tmp_path / "absent.json")])
