@@ -53,10 +53,11 @@ print(f"  attacked day        : test day {DAY}")
 print(f"  clean close         : {clean_close:9.3f}")
 print(f"  reported close      : {reported:9.3f}  (+{reported - clean_close:.3f})")
 
-attacked_result, outcome = epsim.run_attacked_simulation(
-    dataset, test_start, predictors, strategy, costs, ep
-)
-predictions, baseline = epsim.clean_run(dataset, test_start, predictors, strategy, costs)
+# One attack context computes the clean forecasts and the baseline run once;
+# every perturbation below is measured against it.
+context = epsim.AttackContext(dataset, test_start, predictors, strategy, costs)
+attacked_result, outcome = context.outcome(ep)
+predictions, baseline = context.predictions, context.baseline
 
 # ---------------------------------------------------------------------------
 # Model-level view: the error metric barely moves, because only the forecast
@@ -65,10 +66,9 @@ predictions, baseline = epsim.clean_run(dataset, test_start, predictors, strateg
 print("\n== model-level impact ==")
 print(f"  forecast stream RMSE, clean    : {outcome.rmse_clean:.4f}")
 print(f"  forecast stream RMSE, attacked : {outcome.rmse_attacked:.4f}")
-swap = epsim.attack.perturbed_prediction_entry(
-    predictors["BLU"], dataset.series["BLU"], test_start, ep
+entry_day, poisoned_forecast, _, _ = epsim.attack.perturbed_prediction_entry(
+    predictors["BLU"], dataset.series["BLU"], test_start, ep, context.scaled["BLU"]
 )
-entry_day, poisoned_forecast, _, _ = swap
 print(
     f"  forecast for day {entry_day}: "
     f"{predictions['BLU'].entries[entry_day]:.3f} -> {poisoned_forecast:.3f} "
@@ -103,10 +103,7 @@ else:
 # any executed decision. Hunt one such zero-impact day for contrast.
 print("\n== a zero-impact day for contrast ==")
 for day in range(40, test.n_days() - 1):
-    _, o = epsim.run_attacked_simulation(
-        dataset, test_start, predictors, strategy, costs,
-        EpSpec("BLU", day, StdDevMode(omega=50)),
-    )
+    _, o = context.outcome(EpSpec("BLU", day, StdDevMode(omega=50)))
     if o.first_divergence_day is None:
         print(f"  test day {day}: the forecast stream changed "
               f"(RMSE {o.rmse_clean:.4f} -> {o.rmse_attacked:.4f}) "

@@ -12,6 +12,7 @@ module level: importing epsim, and the ``ingest`` command, do not load it.
 """
 
 from .attack import (
+    AttackContext,
     AttackOutcome,
     AttackResult,
     ConcealMode,
@@ -21,7 +22,6 @@ from .attack import (
     StdDevMode,
     apply_ep,
     clean_run,
-    run_attacked_simulation,
     run_targeted,
     sweep_indiscriminate,
 )
@@ -35,7 +35,6 @@ from .market_data import (
     load_csv,
     save_csv,
     split,
-    window,
 )
 from .pipeline import AttackConfig, RunConfig
 from .predictor import (
@@ -47,7 +46,6 @@ from .predictor import (
     fit_baseline,
     fit_report,
     import_predictions,
-    predict_next,
     predict_test_series,
 )
 from .strategy import (
@@ -75,6 +73,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackConfig",
+    "AttackContext",
     "AttackOutcome",
     "AttackResult",
     "Bar",
@@ -112,10 +111,8 @@ __all__ = [
     "import_predictions",
     "load_csv",
     "ma_crossover_signals",
-    "predict_next",
     "predict_test_series",
     "roc_signals",
-    "run_attacked_simulation",
     "run_signals",
     "run_simulation",
     "run_targeted",
@@ -124,5 +121,4 @@ __all__ = [
     "shift_signals",
     "split",
     "sweep_indiscriminate",
-    "window",
 ]

@@ -155,50 +155,40 @@ def mode_label(mode: EpMode) -> str:
     return _MODE_NAMES[type(mode)]
 
 
-def apply_ep(
-    series: StockSeries,
-    ep: EpSpec,
-    at: int | None = None,
-    closes: np.ndarray | None = None,
-) -> float:
+def apply_ep(series: StockSeries, ep: EpSpec, at: int) -> float:
     """The perturbed close for the attacked day; only that value changes.
 
-    ``at`` is the bar index within ``series``; it defaults to ``ep.day``,
-    which is correct when the series' own indexing already matches the
-    test-window day numbering the EpSpec uses. ``closes`` is
-    ``series.closes()`` when the caller already has it: a ``StdDevMode``
-    takes sigma over a slice of it.
+    ``at`` is the attacked bar's index within ``series``; ``ep.day`` counts
+    test days, so the two differ by the test window's start when ``series``
+    is the full history.
     """
-    t = ep.day if at is None else at
-    if not 0 <= t < len(series.bars):
+    if not 0 <= at < len(series.bars):
         raise AttackSetupError(
-            f"{series.ticker}: day index {t} outside the series"
+            f"{series.ticker}: day index {at} outside the series"
         )
-    clean = series.bars[t].close
+    clean = series.bars[at].close
     mode = ep.mode
     if isinstance(mode, StdDevMode):
-        if t < mode.omega - 1:
+        if at < mode.omega - 1:
             raise AttackSetupError(
                 f"{series.ticker}: need {mode.omega} days of history ending "
-                f"at index {t}"
+                f"at index {at}"
             )
         import numpy as np
 
-        if closes is None:
-            closes = series.closes()
-        trailing = closes[t - mode.omega + 1 : t + 1]
+        trailing = series.closes()[at - mode.omega + 1 : at + 1]
         if trailing.min() == trailing.max():
             return clean  # constant window: sigma is exactly 0
         sigma = float(np.std(trailing, ddof=mode.ddof))
         return clean + 2.0 * sigma
     if isinstance(mode, ConcealMode):
-        if t < 1:
-            raise AttackSetupError(f"{series.ticker}: no previous day before index {t}")
-        return series.bars[t - 1].close
+        if at < 1:
+            raise AttackSetupError(f"{series.ticker}: no previous day before index {at}")
+        return series.bars[at - 1].close
     if isinstance(mode, OverestimateMode):
-        if t < 1:
-            raise AttackSetupError(f"{series.ticker}: no previous day before index {t}")
-        return series.bars[t - 1].close * (1.0 - mode.drop_fraction)
+        if at < 1:
+            raise AttackSetupError(f"{series.ticker}: no previous day before index {at}")
+        return series.bars[at - 1].close * (1.0 - mode.drop_fraction)
     if isinstance(mode, CustomMode):
         return mode.value
     raise AttackSetupError(f"unknown perturbation mode {mode!r}")
@@ -210,23 +200,22 @@ def perturbed_prediction_entry(
     test_start: int,
     ep: EpSpec,
     scaled: np.ndarray | None = None,
-    closes: np.ndarray | None = None,
-) -> tuple[int, float, float, float] | None:
+) -> tuple[int | None, float | None, float, float]:
     """Recompute the single forecast whose window ends on the attacked day.
 
-    Returns (entry_day, perturbed_entry, perturbed_close, clean_close), or
-    None when the attacked day is the last one (nothing downstream sees it).
-    ``scaled`` is ``predictor.scale(full_series.bars)`` and ``closes`` is
-    ``full_series.closes()`` when the caller already has them. The forecast
-    equals ``predict_window`` over the window with the attacked bar's close
-    replaced.
+    Returns (entry_day, perturbed_entry, perturbed_close, clean_close). On
+    the last day no forecast reads the attacked close, and entry_day and
+    perturbed_entry are None. ``scaled`` is
+    ``predictor.scale(full_series.bars)`` when the caller already has it.
+    The forecast equals ``predict_window`` over the window with the attacked
+    bar's close replaced.
     """
     w = predictor.config.window
     a = test_start + ep.day
-    perturbed_close = apply_ep(full_series, ep, at=a, closes=closes)
+    perturbed_close = apply_ep(full_series, ep, a)
     clean_close = full_series.bars[a].close
     if a + 1 >= len(full_series.bars):
-        return None
+        return None, None, perturbed_close, clean_close
     if a < w - 1:
         raise AttackSetupError(
             f"{full_series.ticker}: no {w}-day model window ends at index {a}"
@@ -263,10 +252,10 @@ def _cr_ratio(cr_attacked: float, cr_baseline: float) -> float:
 class AttackContext:
     """What every attack cell of one run shares, computed once.
 
-    Holds each ticker's closes and min-max-scaled features (full series),
-    clean test forecasts, their error vector and RMSE and the unshifted baseline
+    Holds each ticker's min-max-scaled features (full series), clean test
+    forecasts, their error vector and RMSE and the unshifted baseline
     signals, and the baseline run with the portfolio state before each of
-    its days.
+    its days. One context serves any number of cells.
     """
 
     def __init__(
@@ -283,7 +272,6 @@ class AttackContext:
         self.strategy_config = strategy_config
         self.cost_model = cost_model
         self.test = dataset.slice(test_start)
-        self.closes = {tk: dataset.series[tk].closes() for tk in sorted(predictors)}
         self.scaled = {
             tk: predictors[tk].scale(dataset.series[tk].bars) for tk in sorted(predictors)
         }
@@ -317,31 +305,22 @@ class AttackContext:
                 f"attacked day {ep.day} outside the {n}-day test window"
             )
 
-        full_series = self.dataset.series[ep.ticker]
         test_series = self.test.series[ep.ticker]
-        clean = self.predictions[ep.ticker]
-        swap = perturbed_prediction_entry(
+        entry_day, entry, perturbed_close, clean_close = perturbed_prediction_entry(
             self.predictors[ep.ticker],
-            full_series,
+            self.dataset.series[ep.ticker],
             self.test_start,
             ep,
             self.scaled[ep.ticker],
-            self.closes[ep.ticker],
         )
         run = self.baseline_run
         rmse_clean = rmse_attacked = self.rmse_clean[ep.ticker]
-        if swap is None:
-            perturbed_close = apply_ep(
-                full_series, ep, at=self.test_start + ep.day, closes=self.closes[ep.ticker]
-            )
-            clean_close = full_series.bars[self.test_start + ep.day].close
-        else:
-            entry_day, entry, perturbed_close, clean_close = swap
+        if entry_day is not None:
             days = reach(self.strategy_config, entry_day, n)
             raw = self.raw_signals[ep.ticker]
             patch = generate_signals(
                 test_series,
-                clean.with_entry(entry_day, entry),
+                self.predictions[ep.ticker].with_entry(entry_day, entry),
                 self.strategy_config,
                 n,
                 days,
@@ -393,19 +372,6 @@ def clean_run(
     """Baseline forecasts and simulation over the test window."""
     context = AttackContext(dataset, test_start, predictors, strategy_config, cost_model)
     return context.predictions, context.baseline
-
-
-def run_attacked_simulation(
-    dataset: Dataset,
-    test_start: int,
-    predictors: dict[str, RidgePredictor],
-    strategy_config: StrategyConfig,
-    cost_model: CostModel,
-    ep: EpSpec,
-) -> tuple[SimulationResult, AttackOutcome]:
-    """One attacked run plus its impact record against a fresh baseline."""
-    context = AttackContext(dataset, test_start, predictors, strategy_config, cost_model)
-    return context.outcome(ep)
 
 
 def _run_cells(context: AttackContext, kind: str, ticker: str, days, modes) -> AttackResult:

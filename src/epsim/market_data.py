@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,7 +25,6 @@ from .errors import (
     CsvParseError,
     EmptyInputError,
     ValidationError,
-    WindowError,
 )
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
@@ -50,11 +51,6 @@ class Bar:
     low: float
     close: float
     volume: float
-
-    def feature(self, name: str) -> float:
-        if name not in FEATURE_NAMES:
-            raise ValueError(f"unknown feature {name!r}")
-        return getattr(self, name)
 
 
 def feature_matrix(bars, features: tuple[str, ...]) -> np.ndarray:
@@ -107,9 +103,16 @@ class StockSeries:
         return tuple(b.date for b in self.bars)
 
     def closes(self) -> np.ndarray:
+        """The closes as a read-only float64 array, built on first use."""
+        return self._closes
+
+    @functools.cached_property
+    def _closes(self) -> np.ndarray:
         import numpy as np
 
-        return np.array([b.close for b in self.bars], dtype=np.float64)
+        closes = np.array([b.close for b in self.bars], dtype=np.float64)
+        closes.flags.writeable = False
+        return closes
 
     def restrict(self, dates: set[dt.date]) -> "StockSeries":
         return StockSeries(
@@ -157,6 +160,18 @@ class SplitSpec:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(text: str) -> dt.date:
+    """A YYYY-MM-DD date. Python 3.11+ ``date.fromisoformat`` also accepts
+    forms such as ``20200102`` and ``2020-W01-3``; those raise ValueError
+    here, as every other malformed date does."""
+    if _ISO_DATE.fullmatch(text) is None:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _finite(raw: str, col: str, line_no: int) -> float:
     raw = raw.strip()
     try:
@@ -176,7 +191,7 @@ def _diagnose_row(raw, line_no: int, n_fields: int, i_date: int, columns) -> Bar
     if len(raw) < n_fields:
         raise CsvParseError(f"line {line_no}: expected {n_fields} fields, got {len(raw)}")
     try:
-        date = dt.date.fromisoformat(raw[i_date].strip())
+        date = parse_date(raw[i_date].strip())
     except ValueError as exc:
         raise CsvParseError(f"line {line_no}: bad date {raw[i_date]!r}: {exc}") from exc
     bar = Bar(date, *(_finite(raw[i], c, line_no) for c, i in columns))
@@ -213,7 +228,7 @@ def load_csv(path, ticker: str) -> StockSeries:
             # spaces); any other row is parsed again by _diagnose_row, which
             # skips it, returns its bar or raises the error that names it.
             try:
-                date = dt.date.fromisoformat(raw[i_date].strip())
+                date = parse_date(raw[i_date].strip())
                 o = float(raw[i_open])
                 h = float(raw[i_high])
                 lo = float(raw[i_low])
@@ -304,14 +319,3 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         )
     return dataset.slice(0, n_train), dataset.slice(n_train, n)
 
-
-def window(series: StockSeries, t: int, w: int) -> tuple[Bar, ...]:
-    """The w bars for days t-w+1 .. t inclusive. Never reaches past day t."""
-    if w < 1:
-        raise WindowError(f"window length must be >= 1, got {w}")
-    if t < w - 1 or t >= len(series.bars):
-        raise WindowError(
-            f"{series.ticker}: no {w}-day window ending at index {t} "
-            f"(series has {len(series.bars)} bars)"
-        )
-    return series.bars[t - w + 1 : t + 1]

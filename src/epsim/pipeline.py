@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import datetime as dt
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 from . import attack as attack_mod
 from .errors import AttackSetupError, ConfigurationError, FitError, ReportError
-from .market_data import Dataset, SplitSpec, align_calendar, load_csv, split
+from .market_data import Dataset, SplitSpec, align_calendar, load_csv, parse_date, split
 from .predictor import (
     FitReport,
     PredictorConfig,
@@ -71,8 +71,9 @@ def _object(section: str, given) -> dict:
 
 def _check_value(where: str, value, default) -> None:
     """Reject ``value`` unless it has the type of ``default``: a bool must be
-    a bool, an int an int (not a bool), a float any number and a str a str.
-    A tuple default asks for a list of values of its first item's type."""
+    a bool, an int an int (not a bool), a float any finite number and a str
+    a str. A tuple default asks for a list of values of its first item's
+    type."""
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigurationError(f"{where} must be a list, got {value!r}")
@@ -84,6 +85,10 @@ def _check_value(where: str, value, default) -> None:
         raise ConfigurationError(
             f"{where} must be of type {type(default).__name__}, got {value!r}"
         )
+    # json reads NaN and Infinity; an int past the float range is not finite
+    # either once it is used as a float
+    if type(default) is float and not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
 
 
 def _section(section: str, cls, given) -> dict:
@@ -381,23 +386,14 @@ def write_result_files(
         "ledger": os.path.join(out_dir, "ledger.csv"),
         "metrics": os.path.join(out_dir, "metrics.csv"),
     }
-    _write_json(paths["result"], result.to_dict())
+    payload = result.to_dict()
+    _write_json(paths["result"], payload)
+    columns = ("day", "ticker", "side", "shares", "price", "commission", "slippage")
     _write_csv(
         paths["ledger"],
         LEDGER_SCHEMA,
-        ("day", "ticker", "side", "shares", "price", "commission", "slippage"),
-        [
-            (
-                t.day,
-                t.ticker,
-                t.side.value,
-                t.shares,
-                _fmt(t.execution_price),
-                _fmt(t.commission_paid),
-                _fmt(t.slippage_paid),
-            )
-            for t in result.trade_ledger
-        ],
+        columns,
+        [tuple(_fmt(trade[c]) for c in columns) for trade in payload["trades"]],
     )
     initial = cost_model.initial_capital
     _write_csv(
@@ -542,7 +538,7 @@ def _attack_days(attack: AttackConfig, dataset: Dataset, test_start: int) -> lis
             days.append(entry)
         else:
             try:
-                date = dt.date.fromisoformat(str(entry))
+                date = parse_date(str(entry))
             except ValueError as exc:
                 raise ConfigurationError(
                     f"attack.days: {entry!r} is neither an index nor an ISO date"

@@ -15,7 +15,6 @@ exactly window * n_features coefficients and no intercept.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -26,7 +25,7 @@ from .errors import (
     PredictionImportError,
     WindowError,
 )
-from .market_data import FEATURE_NAMES, Dataset, StockSeries, feature_matrix
+from .market_data import FEATURE_NAMES, Dataset, StockSeries, feature_matrix, parse_date
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
@@ -204,16 +203,6 @@ def fit_baseline(train: Dataset, config: PredictorConfig) -> dict[str, RidgePred
     return {tk: _fit_one(train.series[tk], config) for tk in train.tickers()}
 
 
-def predict_next(predictor: RidgePredictor, series: StockSeries, t: int) -> float:
-    """Predicted close for day t+1, from the window ending at day t."""
-    w = predictor.config.window
-    if t < w - 1 or t >= len(series.bars):
-        raise WindowError(
-            f"{series.ticker}: no {w}-day window ending at index {t}"
-        )
-    return predictor.predict_window(series.bars[t - w + 1 : t + 1])
-
-
 def predict_test_series(
     predictor: RidgePredictor,
     full_series: StockSeries,
@@ -261,7 +250,7 @@ def import_predictions(path, calendar, ticker: str) -> PredictionSeries:
             if not raw or all(not cell.strip() for cell in raw):
                 continue
             try:
-                date = dt.date.fromisoformat(raw[d_idx].strip())
+                date = parse_date(raw[d_idx].strip())
                 value = float(raw[p_idx].strip())
             except (ValueError, IndexError) as exc:
                 raise PredictionImportError(

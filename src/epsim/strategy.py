@@ -69,12 +69,6 @@ class StrategyConfig:
             raise ConfigurationError("bb_width must be > 0")
 
 
-def _n_days(predictions: PredictionSeries, n_days: int | None) -> int:
-    if n_days is not None:
-        return n_days
-    return max(predictions.entries) + 1 if predictions.entries else 0
-
-
 def _prediction_mean(entries: dict[int, float], end: int, length: int):
     """Mean of entries for days end-length+1 .. end, or None if any missing."""
     total = 0.0
@@ -99,7 +93,7 @@ def _short_above_long(entries: dict[int, float], t: int, config: StrategyConfig)
 def ma_crossover_signals(
     predictions: PredictionSeries,
     config: StrategyConfig,
-    n_days: int | None = None,
+    n_days: int,
     days: range | None = None,
 ) -> list[Signal]:
     """Buy when the short mean of predictions crosses above the long mean.
@@ -109,8 +103,7 @@ def ma_crossover_signals(
     sells always alternate. Days where either mean is undefined are Hold.
     With ``days``, the edge state is seeded from day ``days.start - 1``.
     """
-    n = _n_days(predictions, n_days)
-    days = range(n) if days is None else days
+    days = range(n_days) if days is None else days
     entries = predictions.entries
     signals = [Signal.HOLD] * len(days)
     prev_above = (
@@ -128,7 +121,7 @@ def roc_signals(
     prices: StockSeries,
     predictions: PredictionSeries,
     config: StrategyConfig,
-    n_days: int | None = None,
+    n_days: int,
     days: range | None = None,
 ) -> list[Signal]:
     """Threshold the rate of change of the day's decision value.
@@ -138,8 +131,7 @@ def roc_signals(
     off). Strictly above the buy threshold is Buy, strictly below the sell
     threshold is Sell, anything else (including boundary values) is Hold.
     """
-    n = _n_days(predictions, n_days)
-    days = range(n) if days is None else days
+    days = range(n_days) if days is None else days
     closes = prices.closes()
     signals = [Signal.HOLD] * len(days)
     for i, t in enumerate(days):
@@ -166,7 +158,7 @@ def bollinger_signals(
     prices: StockSeries,
     predictions: PredictionSeries,
     config: StrategyConfig,
-    n_days: int | None = None,
+    n_days: int,
     days: range | None = None,
 ) -> list[Signal]:
     """Buy/sell when the day's forecast exits the trailing close band.
@@ -175,8 +167,7 @@ def bollinger_signals(
     the day before the decision day, so it contains only realized prices.
     Band edges are non-strict: a forecast exactly on an edge is Hold.
     """
-    n = _n_days(predictions, n_days)
-    days = range(n) if days is None else days
+    days = range(n_days) if days is None else days
     closes = prices.closes()
     signals = [Signal.HOLD] * len(days)
     p = config.bb_period
@@ -208,7 +199,7 @@ def generate_signals(
     prices: StockSeries,
     predictions: PredictionSeries,
     config: StrategyConfig,
-    n_days: int | None = None,
+    n_days: int,
     days: range | None = None,
 ) -> list[Signal]:
     """Dispatch to the configured strategy (unshifted signals).

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import epsim
-from epsim.attack import CustomMode, EpSpec, StdDevMode, run_attacked_simulation
+from epsim.attack import AttackContext, CustomMode, EpSpec, StdDevMode
 from epsim.errors import ZeroVolatilityWarning
 from epsim.market_data import save_csv
 from epsim.pipeline import RunConfig, cmd_attack, cmd_backtest, cmd_report, read_schema_csv
@@ -61,12 +61,12 @@ def test_ep_crafting_oracle():
         for _ in range(1000):
             omega = int(rng.integers(2, 60))
             t = int(rng.integers(omega - 1, len(closes)))
-            got = epsim.apply_ep(series, EpSpec("T", t, StdDevMode(omega=omega)))
+            got = epsim.apply_ep(series, EpSpec("T", t, StdDevMode(omega=omega)), t)
             want = closes[t] + 2.0 * sample_std(closes[t - omega + 1 : t + 1])
             assert abs(got - want) <= 1e-9
         flat = series_from_closes("T", [77.7] * 60)
         for t in range(9, 60):
-            assert epsim.apply_ep(flat, EpSpec("T", t, StdDevMode(omega=10))) == 77.7
+            assert epsim.apply_ep(flat, EpSpec("T", t, StdDevMode(omega=10)), t) == 77.7
         assert time.perf_counter() - start < 5.0
 
 
@@ -81,6 +81,7 @@ def test_single_prediction_locality():
             make_world(rng, tickers=("AAA",), n=150, window=10, vol=2.5)
             for _ in range(8)
         ]
+        contexts = [AttackContext(*world, StrategyConfig(), COSTS) for world in worlds]
         checked = 0
         divergences = 0
         while checked < 200:
@@ -92,20 +93,16 @@ def test_single_prediction_locality():
 
             full = dataset.series["AAA"]
             clean = epsim.predict_test_series(predictors["AAA"], full, test_start)
-            swap = epsim.attack.perturbed_prediction_entry(
+            entry_day, entry, _, _ = epsim.attack.perturbed_prediction_entry(
                 predictors["AAA"], full, test_start, ep
             )
-            assert swap is not None
-            entry_day, entry, _, _ = swap
             attacked_stream = clean.with_entry(entry_day, entry)
             diffs = [
                 d for d in clean.entries if attacked_stream.entries[d] != clean.entries[d]
             ]
             assert diffs == [day + 1]
 
-            _, outcome = run_attacked_simulation(
-                dataset, test_start, predictors, StrategyConfig(), COSTS, ep
-            )
+            _, outcome = contexts[checked % len(worlds)].outcome(ep)
             if outcome.first_divergence_day is not None:
                 divergences += 1
                 assert outcome.first_divergence_day >= day + 1
@@ -139,9 +136,9 @@ def test_null_perturbation_equivalence():
             clean_close = dataset.series["AAA"].bars[test_start + day].close
             ep = EpSpec("AAA", day, CustomMode(value=clean_close))
 
-            attacked, outcome = run_attacked_simulation(
-                dataset, test_start, predictors, strategy, costs, ep
-            )
+            attacked, outcome = AttackContext(
+                dataset, test_start, predictors, strategy, costs
+            ).outcome(ep)
             _, baseline = epsim.clean_run(
                 dataset, test_start, predictors, strategy, costs
             )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsim.attack import (
+    AttackContext,
     ConcealMode,
     CustomMode,
     EpSpec,
@@ -14,7 +15,6 @@ from epsim.attack import (
     apply_ep,
     clean_run,
     perturbed_prediction_entry,
-    run_attacked_simulation,
     run_targeted,
     sweep_indiscriminate,
 )
@@ -39,19 +39,19 @@ COSTS = CostModel()
 class TestApplyEp:
     def test_constant_window_is_noop(self):
         series = series_from_closes("T", [50.0] * 10)
-        got = apply_ep(series, EpSpec("T", 7, StdDevMode(omega=5)))
+        got = apply_ep(series, EpSpec("T", 7, StdDevMode(omega=5)), 7)
         assert got == 50.0
 
     def test_sample_std_magnitude(self):
         # closes [10, 12, 14]: sample std = 2, so the reported close is 14+4.
         series = series_from_closes("T", [10.0, 12.0, 14.0])
-        got = apply_ep(series, EpSpec("T", 2, StdDevMode(omega=3)))
+        got = apply_ep(series, EpSpec("T", 2, StdDevMode(omega=3)), 2)
         assert got == pytest.approx(18.0, abs=1e-12)
         assert sample_std([10.0, 12.0, 14.0]) == 2.0
 
     def test_population_std_switch(self):
         series = series_from_closes("T", [10.0, 12.0, 14.0])
-        got = apply_ep(series, EpSpec("T", 2, StdDevMode(omega=3, ddof=0)))
+        got = apply_ep(series, EpSpec("T", 2, StdDevMode(omega=3, ddof=0)), 2)
         want = 14.0 + 2.0 * math.sqrt(8.0 / 3.0)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -61,31 +61,31 @@ class TestApplyEp:
         for _ in range(50):
             omega = int(rng.integers(2, 30))
             t = int(rng.integers(omega - 1, 200))
-            got = apply_ep(series, EpSpec("T", t, StdDevMode(omega=omega)))
+            got = apply_ep(series, EpSpec("T", t, StdDevMode(omega=omega)), t)
             want = closes[t] + 2.0 * sample_std(closes[t - omega + 1 : t + 1])
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_conceal_reports_previous_close(self):
         series = series_from_closes("T", [100.0, 95.0, 90.0])
-        assert apply_ep(series, EpSpec("T", 2, ConcealMode())) == 95.0
+        assert apply_ep(series, EpSpec("T", 2, ConcealMode()), 2) == 95.0
 
     def test_overestimate_fixed_drop(self):
         series = series_from_closes("T", [100.0, 100.0])
-        got = apply_ep(series, EpSpec("T", 1, OverestimateMode(drop_fraction=0.10)))
+        got = apply_ep(series, EpSpec("T", 1, OverestimateMode(drop_fraction=0.10)), 1)
         assert got == pytest.approx(90.0, abs=1e-12)
 
     def test_custom_value(self):
         series = series_from_closes("T", [100.0])
-        assert apply_ep(series, EpSpec("T", 0, CustomMode(value=123.5))) == 123.5
+        assert apply_ep(series, EpSpec("T", 0, CustomMode(value=123.5)), 0) == 123.5
 
     def test_insufficient_history_errors(self):
         series = series_from_closes("T", [100.0, 101.0, 102.0])
         with pytest.raises(AttackSetupError):
-            apply_ep(series, EpSpec("T", 1, StdDevMode(omega=3)))
+            apply_ep(series, EpSpec("T", 1, StdDevMode(omega=3)), 1)
         with pytest.raises(AttackSetupError):
-            apply_ep(series, EpSpec("T", 0, ConcealMode()))
+            apply_ep(series, EpSpec("T", 0, ConcealMode()), 0)
         with pytest.raises(AttackSetupError):
-            apply_ep(series, EpSpec("T", 9, ConcealMode()))
+            apply_ep(series, EpSpec("T", 9, ConcealMode()), 9)
 
     @given(
         closes=st.lists(
@@ -97,9 +97,9 @@ class TestApplyEp:
     )
     @settings(max_examples=300, deadline=None)
     def test_stddev_over_a_closes_slice_is_bit_identical(self, closes, data):
-        # sigma over a slice of the whole series' closes (the attack context
-        # builds that array once) has the bits of sigma over a fresh array
-        # of the window's closes, at any offset, omega and ddof
+        # sigma over a slice of the whole series' closes (built once per
+        # series) has the bits of sigma over a fresh array of the window's
+        # closes, at any offset, omega and ddof
         omega = data.draw(st.integers(min_value=2, max_value=len(closes)))
         t = data.draw(st.integers(min_value=omega - 1, max_value=len(closes) - 1))
         ddof = data.draw(st.sampled_from([0, 1]))
@@ -109,8 +109,7 @@ class TestApplyEp:
             want += 2.0 * float(np.std(fresh, ddof=ddof))
         series = series_from_closes("T", closes)
         ep = EpSpec("T", t, StdDevMode(omega=omega, ddof=ddof))
-        assert apply_ep(series, ep) == want
-        assert apply_ep(series, ep, closes=series.closes()) == want
+        assert apply_ep(series, ep, t) == want
 
     def test_mode_validation(self):
         with pytest.raises(AttackSetupError):
@@ -133,9 +132,9 @@ class TestSinglePredictionLocality:
             day = int(rng.integers(0, n_test - 1))
             omega = int(rng.choice([5, 8, 10]))
             ep = EpSpec(ticker, day, StdDevMode(omega=omega))
-            swap = perturbed_prediction_entry(predictors[ticker], full, test_start, ep)
-            assert swap is not None
-            entry_day, entry, perturbed, clean_close = swap
+            entry_day, entry, perturbed, clean_close = perturbed_prediction_entry(
+                predictors[ticker], full, test_start, ep
+            )
             assert entry_day == day + 1
             assert perturbed != clean_close  # random walk: sigma > 0
             attacked = clean.with_entry(entry_day, entry)
@@ -150,22 +149,22 @@ class TestSinglePredictionLocality:
         dataset, test_start, predictors = make_world(rng)
         n_test = dataset.n_days() - test_start
         ep = EpSpec("AAA", n_test - 1, StdDevMode(omega=5))
-        swap = perturbed_prediction_entry(
-            predictors["AAA"], dataset.series["AAA"], test_start, ep
+        full = dataset.series["AAA"]
+        entry_day, entry, perturbed, clean_close = perturbed_prediction_entry(
+            predictors["AAA"], full, test_start, ep
         )
-        assert swap is None
+        assert entry_day is None and entry is None
+        assert perturbed == apply_ep(full, ep, test_start + n_test - 1)
+        assert clean_close == full.bars[-1].close
 
     def test_other_tickers_untouched(self, rng):
         dataset, test_start, predictors = make_world(rng)
-        _, outcome = run_attacked_simulation(
-            dataset, test_start, predictors, STRAT, COSTS,
-            EpSpec("AAA", 20, StdDevMode(omega=10)),
-        )
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
+        context.outcome(EpSpec("AAA", 20, StdDevMode(omega=10)))
         # Re-derive the untouched ticker's stream and confirm the attack left
         # the clean pipeline's values for it bit-identical.
-        clean_preds, _ = clean_run(dataset, test_start, predictors, STRAT, COSTS)
         again = predict_test_series(predictors["BBB"], dataset.series["BBB"], test_start)
-        assert clean_preds["BBB"].entries == again.entries
+        assert context.predictions["BBB"].entries == again.entries
 
 
 class TestAttackedSimulation:
@@ -173,10 +172,9 @@ class TestAttackedSimulation:
         dataset, test_start, predictors = make_world(rng)
         day = 15
         clean_close = dataset.series["AAA"].bars[test_start + day].close
-        attacked, outcome = run_attacked_simulation(
-            dataset, test_start, predictors, STRAT, COSTS,
-            EpSpec("AAA", day, CustomMode(value=clean_close)),
-        )
+        attacked, outcome = AttackContext(
+            dataset, test_start, predictors, STRAT, COSTS
+        ).outcome(EpSpec("AAA", day, CustomMode(value=clean_close)))
         _, baseline = clean_run(dataset, test_start, predictors, STRAT, COSTS)
         assert attacked.serialize() == baseline.serialize()
         assert outcome.first_divergence_day is None
@@ -187,12 +185,10 @@ class TestAttackedSimulation:
     def test_divergence_causality(self, rng):
         dataset, test_start, predictors = make_world(rng, vol=3.0)
         n_test = dataset.n_days() - test_start
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
         seen_divergence = False
         for day in range(5, n_test - 1, 7):
-            attacked, outcome = run_attacked_simulation(
-                dataset, test_start, predictors, STRAT, COSTS,
-                EpSpec("AAA", day, StdDevMode(omega=10)),
-            )
+            attacked, outcome = context.outcome(EpSpec("AAA", day, StdDevMode(omega=10)))
             if outcome.first_divergence_day is not None:
                 seen_divergence = True
                 assert outcome.first_divergence_day >= day + 1
@@ -200,10 +196,9 @@ class TestAttackedSimulation:
 
     def test_outcome_carries_model_and_system_metrics(self, rng):
         dataset, test_start, predictors = make_world(rng, vol=3.0)
-        _, outcome = run_attacked_simulation(
-            dataset, test_start, predictors, STRAT, COSTS,
-            EpSpec("AAA", 30, StdDevMode(omega=10)),
-        )
+        _, outcome = AttackContext(
+            dataset, test_start, predictors, STRAT, COSTS
+        ).outcome(EpSpec("AAA", 30, StdDevMode(omega=10)))
         assert outcome.perturbed_value > outcome.clean_value
         assert outcome.rmse_clean > 0 and outcome.rmse_attacked > 0
         assert outcome.rmse_attacked != outcome.rmse_clean
@@ -212,19 +207,15 @@ class TestAttackedSimulation:
 
     def test_day_outside_test_window_rejected(self, rng):
         dataset, test_start, predictors = make_world(rng)
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
         with pytest.raises(AttackSetupError):
-            run_attacked_simulation(
-                dataset, test_start, predictors, STRAT, COSTS,
-                EpSpec("AAA", 10_000, StdDevMode(omega=5)),
-            )
+            context.outcome(EpSpec("AAA", 10_000, StdDevMode(omega=5)))
 
     def test_unknown_ticker_rejected(self, rng):
         dataset, test_start, predictors = make_world(rng)
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
         with pytest.raises(AttackSetupError):
-            run_attacked_simulation(
-                dataset, test_start, predictors, STRAT, COSTS,
-                EpSpec("ZZZ", 5, ConcealMode()),
-            )
+            context.outcome(EpSpec("ZZZ", 5, ConcealMode()))
 
 
 class TestSweep:

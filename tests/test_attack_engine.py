@@ -22,7 +22,6 @@ from epsim.attack import (
     OverestimateMode,
     StdDevMode,
     perturbed_prediction_entry,
-    run_attacked_simulation,
     run_targeted,
     sweep_indiscriminate,
 )
@@ -169,7 +168,7 @@ class TestDifferential:
             _, _, want = attack_oracle(*world, strategy, costs, outcome.ep)
             assert_same_outcome(outcome, want)
         ep = EpSpec("AAA", 12, StdDevMode(omega=6))
-        attacked, outcome = run_attacked_simulation(*world, strategy, costs, ep)
+        attacked, outcome = AttackContext(*world, strategy, costs).outcome(ep)
         _, attacked_want, want = attack_oracle(*world, strategy, costs, ep)
         assert attacked.serialize() == attacked_want.serialize()
         assert_same_outcome(outcome, want)

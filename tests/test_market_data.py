@@ -1,8 +1,9 @@
+import csv
 import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsim.errors import (
@@ -14,15 +15,18 @@ from epsim.errors import (
     WindowError,
 )
 from epsim.market_data import (
+    CSV_COLUMNS,
     Bar,
     SplitSpec,
     StockSeries,
+    _diagnose_row,
     align_calendar,
+    feature_matrix,
     load_csv,
     save_csv,
     split,
-    window,
 )
+from epsim.predictor import PredictorConfig, fit_baseline, predict_test_series
 
 from conftest import dataset_from_closes, series_from_closes, trading_dates
 
@@ -145,6 +149,17 @@ class TestLoadCsv:
                 CsvParseError,
                 "line 5: bad date 'nope': Invalid isoformat string: 'nope'",
             ),
+            # forms Python 3.11+ date.fromisoformat reads but YYYY-MM-DD is not
+            (
+                "20200103,10,12,9,11,1000",
+                CsvParseError,
+                "line 5: bad date '20200103': Invalid isoformat string: '20200103'",
+            ),
+            (
+                "2020-W01-5,10,12,9,11,1000",
+                CsvParseError,
+                "line 5: bad date '2020-W01-5': Invalid isoformat string: '2020-W01-5'",
+            ),
             ("nope,x", CsvParseError, "line 5: expected 6 fields, got 2"),
             ("2020-01-03,0,12,9,11,1000", ValidationError, "non-positive price on 2020-01-03"),
             ("2020-01-03,10,12,9,11,-1", ValidationError, "negative volume on 2020-01-03"),
@@ -218,6 +233,72 @@ class TestLoadCsv:
         assert reloaded == original
 
 
+PAD = st.sampled_from(["", " ", "  "])
+BAD_DATES = st.sampled_from(
+    ["", "nope", "20200102", "2020-W01-3", "2020W013", "2020-02-30", "2020-1-2"]
+)
+BAD_NUMBERS = st.sampled_from(["", "x", "-1", "0", "nan", "inf", "-inf", "1e400"])
+
+
+@st.composite
+def csv_files(draw):
+    """A header and one CSV line: a blank line, or a row of a date and
+    prices (which may overflow a sum, or be out of OHLC order) with at most
+    one field replaced by a bad value, perhaps cut short or followed by an
+    extra cell."""
+    header = draw(st.sampled_from([HEADER, HEADER + ",Adj Close"]))
+    if draw(st.integers(0, 9)) == 0:
+        return header, draw(st.sampled_from(["", " ", ",,,,,", " , ,"]))
+    date = draw(st.dates(dt.date(1990, 1, 1), dt.date(2040, 12, 31))).isoformat()
+    prices = st.sampled_from(["9", "10", "11", "12.5", "1_0", "1e308", "1.5e308", "1.7e308"])
+    low, a, b, high = sorted(draw(st.lists(prices, min_size=4, max_size=4)), key=float)
+    if draw(st.booleans()):
+        a, b = b, a
+    volume = draw(st.sampled_from(["1000", "0", "-0", "1e308"]))
+    fields = [date, a, high, low, b, volume]
+    if draw(st.integers(0, 3)) == 0:  # OHLC out of order
+        fields[1:5] = draw(st.permutations(fields[1:5]))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 5))
+        fields[k] = draw(BAD_DATES if k == 0 else BAD_NUMBERS)
+    fields = [draw(PAD) + f + draw(PAD) for f in fields]
+    if header != HEADER or draw(st.booleans()):
+        fields.append(draw(st.sampled_from(["", "7", " x "])))
+    if draw(st.integers(0, 4)) == 0:
+        fields = fields[: draw(st.integers(1, len(fields) - 1))]
+    return header, ",".join(fields)
+
+
+class TestLoadCsvDifferential:
+    @given(file=csv_files())
+    @example(file=(HEADER, "2020-01-02,10,12,9,11,inf"))
+    @example(file=(HEADER, "2020-01-02,10,12,0,11,1000"))
+    @example(file=(HEADER, "20200102,10,12,9,11,1000"))
+    @example(file=(HEADER, "2020-01-02,1e308,1.7e308,1e308,1.5e308,1e308"))
+    @settings(max_examples=600, deadline=None)
+    def test_one_row_load_equals_the_field_by_field_parse(self, tmp_path_factory, file):
+        # load_csv parses a row in one pass and hands any row that fails it to
+        # _diagnose_row; either way the result must be _diagnose_row's
+        header, line = file
+        path = tmp_path_factory.mktemp("diff") / "t.csv"
+        write_lines(path, [header, line])
+        names = header.split(",")
+        raw = next(csv.reader([line]), [])
+        columns = [(c, names.index(c)) for c in CSV_COLUMNS[1:]]
+        try:
+            want = _diagnose_row(raw, 2, len(names), names.index("Date"), columns)
+        except (CsvParseError, ValidationError) as exc:
+            with pytest.raises(type(exc)) as excinfo:
+                load_csv(path, "T")
+            assert str(excinfo.value) == str(exc)
+            return
+        if want is None:
+            with pytest.raises(EmptyInputError):
+                load_csv(path, "T")
+            return
+        assert [repr(b) for b in load_csv(path, "T").bars] == [repr(want)]
+
+
 class TestAlignCalendar:
     def test_identical_dates_unchanged(self):
         a = series_from_closes("A", [1, 2, 3])
@@ -287,43 +368,51 @@ class TestSplit:
 
 
 class TestWindow:
+    """The forecast for day t+1 reads the w bars ending on day t, and no
+    later bar."""
+
+    @staticmethod
+    def fitted(closes, w):
+        ds = dataset_from_closes({"A": [float(c) for c in closes]})
+        predictor = fit_baseline(ds, PredictorConfig(window=w, features=("close",)))["A"]
+        return predictor, ds.series["A"], predict_test_series(predictor, ds.series["A"], 0)
+
     def test_degenerate_single_bar(self):
-        s = series_from_closes("A", [1, 2, 3, 4, 5])
-        bars = window(s, 2, 1)
-        assert len(bars) == 1
-        assert bars[0].close == 3
+        # days 1 and 3 close at 2: with w = 1 the forecasts they feed agree
+        predictor, s, preds = self.fitted([1, 2, 3, 2, 1], 1)
+        assert preds.entries[2] == preds.entries[4] != preds.entries[3]
+        assert preds.entries[3] == predictor.predict_window(s.bars[2:3])
 
     def test_slice_contents(self):
-        s = series_from_closes("A", [1, 2, 3, 4, 5])
-        assert [b.close for b in window(s, 4, 3)] == [3, 4, 5]
+        predictor, s, preds = self.fitted([1, 2, 3, 4, 5, 9], 3)
+        assert [b.close for b in s.bars[2:5]] == [3, 4, 5]
+        assert preds.entries[5] == predictor.predict_window(s.bars[2:5])
 
     def test_first_full_fifty_day_window(self):
-        s = series_from_closes("A", list(range(1, 61)))
-        bars = window(s, 49, 50)
-        assert len(bars) == 50
-        assert bars[0].close == 1 and bars[-1].close == 50
+        predictor, s, preds = self.fitted(range(1, 61), 50)
+        assert min(preds.entries) == 50
+        assert preds.entries[50] == predictor.predict_window(s.bars[:50])
 
     def test_insufficient_history(self):
-        s = series_from_closes("A", [1, 2, 3])
+        predictor, s, _ = self.fitted([1, 2, 3, 4, 5], 3)
         with pytest.raises(WindowError):
-            window(s, 1, 3)
+            predictor.predict_window(s.bars[:2])
 
-    @given(
-        n=st.integers(min_value=1, max_value=60),
-        t=st.integers(min_value=0, max_value=59),
-        w=st.integers(min_value=1, max_value=60),
-    )
+    @given(data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_never_reaches_past_day_t(self, n, t, w):
-        s = series_from_closes("A", [1.0 + i for i in range(n)])
-        if t >= n or t < w - 1:
-            with pytest.raises(WindowError):
-                window(s, t, w)
-            return
-        bars = window(s, t, w)
-        assert len(bars) == w
-        assert all(b.date <= s.bars[t].date for b in bars)
-        assert bars[-1] is s.bars[t]
+    def test_never_reaches_past_day_t(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=60))
+        w = data.draw(st.integers(min_value=1, max_value=n - 1))
+        t = data.draw(st.integers(min_value=0, max_value=n - 1))
+        closes = [1.0 + i for i in range(n)]
+        predictor, s, preds = self.fitted(closes, w)
+        mutated = series_from_closes("A", closes[: t + 1] + [999.0] * (n - t - 1))
+        after = predict_test_series(predictor, mutated, 0).entries
+        assert sorted(preds.entries) == list(range(w, n))
+        assert all(after[d] == v for d, v in preds.entries.items() if d <= t + 1)
+        if w <= t + 1 < n:
+            window = s.bars[t - w + 1 : t + 1]
+            assert preds.entries[t + 1] == predictor.predict_window(window)
 
 
 class TestInvariants:
@@ -346,9 +435,16 @@ class TestInvariants:
         with pytest.raises(ConfigurationError):
             SplitSpec(window=0)
 
+    def test_closes_are_read_only_and_built_once(self):
+        s = series_from_closes("A", [1.0, 2.5])
+        closes = s.closes()
+        assert closes.dtype == np.float64
+        assert closes.tolist() == [1.0, 2.5]
+        assert s.closes() is closes
+        with pytest.raises(ValueError):
+            closes[0] = 5.0
+
     def test_bar_feature_access(self):
         bar = Bar(dt.date(2020, 1, 2), 1.0, 2.0, 0.5, 1.5, 10.0)
-        assert bar.feature("close") == 1.5
-        assert bar.feature("volume") == 10.0
-        with pytest.raises(ValueError):
-            bar.feature("nope")
+        got = feature_matrix([bar, bar], ("volume", "close", "open"))
+        assert got.tolist() == [[10.0, 1.5, 1.0]] * 2

@@ -41,6 +41,11 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 TICKERS = ("AAA", "BBB", "CCC")
+# a test day of ``write_universe(n=150)``, in the two date forms Python 3.11+
+# date.fromisoformat reads besides YYYY-MM-DD
+TEST_DAY = trading_dates(150)[127]
+TEST_DAY_COMPACT = TEST_DAY.strftime("%Y%m%d")
+TEST_DAY_WEEK = "{}-W{:02d}-{}".format(*TEST_DAY.isocalendar())
 
 
 def _python(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -646,8 +651,13 @@ class TestCli:
             ({"ticker": "AAA", "mode": "stddev", "days": [3, True]}, []),
             ({"ticker": "AAA", "mode": "stddev", "days": [3, 30]}, []),
             ({"ticker": "AAA", "mode": "conceal", "days": [-1]}, ["--mode", "conceal"]),
+            ({"ticker": "AAA", "mode": "conceal", "days": [TEST_DAY_COMPACT]}, []),
+            ({"ticker": "AAA", "mode": "conceal", "days": [TEST_DAY_WEEK]}, []),
         ],
-        ids=["ticker", "ticker-flag", "bool-day", "day-past-window", "negative-day"],
+        ids=[
+            "ticker", "ticker-flag", "bool-day", "day-past-window", "negative-day",
+            "compact-date", "week-date",
+        ],
     )
     def test_bad_attack_target_fails_before_compute(
         self, tmp_path, rng, capsys, monkeypatch, attack, argv
@@ -731,6 +741,43 @@ class TestCli:
         code = main(["attack", "sweep", "--config", str(cfg_path), "--out", str(out), *argv])
         assert code == 1
         assert capsys.readouterr().err.startswith("error [config]: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("strategy", "bb_width"), math.nan),
+            (("costs", "risk_free_annual"), math.nan),
+            (("costs", "commission_per_share"), math.nan),
+            (("costs", "initial_capital"), math.inf),
+            (("costs", "slippage_per_share"), -math.inf),
+            (("costs", "initial_capital"), 10**400),
+            (("split", "train_fraction"), math.nan),
+            (("predictor", "ridge_lambda"), math.inf),
+            (("attack", "drop_fraction"), math.nan),
+        ],
+        ids=[
+            "bb_width-nan", "risk_free-nan", "commission-nan", "capital-inf",
+            "slippage-minus-inf", "capital-huge-int", "train_fraction-nan",
+            "ridge-inf", "drop-nan",
+        ],
+    )
+    def test_non_finite_config_number_fails_before_compute(
+        self, tmp_path, rng, capsys, path, value
+    ):
+        # json reads NaN and Infinity (and 1e400 as inf) into float fields
+        cfg_path = write_universe(
+            tmp_path, rng, n=150, attack={"ticker": "AAA", "mode": "stddev", "days": "all"}
+        )
+        raw = json.loads(cfg_path.read_text())
+        raw[path[0]][path[1]] = value
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        code = main(["backtest", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error [config]: {'.'.join(path)} must be a finite number, got {value!r}\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

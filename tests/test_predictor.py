@@ -7,7 +7,6 @@ from epsim.errors import (
     EvaluationError,
     FitError,
     PredictionImportError,
-    WindowError,
 )
 from epsim.market_data import SplitSpec, split
 from epsim.predictor import (
@@ -17,7 +16,6 @@ from epsim.predictor import (
     fit_baseline,
     fit_report,
     import_predictions,
-    predict_next,
     predict_test_series,
 )
 
@@ -38,10 +36,10 @@ class TestFitBaseline:
     def test_constant_series_predicts_the_constant(self):
         for w in (1, 3, 10):
             predictor, series = fit_single([42.5] * 30, window=w, features=("close",))
-            for t in range(w - 1, len(series) - 1):
-                assert predict_next(predictor, series, t) == pytest.approx(
-                    42.5, abs=1e-9
-                )
+            preds = predict_test_series(predictor, series, 0)
+            assert sorted(preds.entries) == list(range(w, len(series)))
+            for value in preds.entries.values():
+                assert value == pytest.approx(42.5, abs=1e-9)
 
     def test_linear_trend_extrapolates_exactly(self):
         # closes 2, 4, 6, ...; lambda=0 gives the unique 2-coefficient
@@ -63,9 +61,11 @@ class TestFitBaseline:
         assert beta1 == pytest.approx(-1.0, abs=1e-9)
         assert beta2 == pytest.approx(2.0, abs=1e-9)
 
+        preds = predict_test_series(predictor, series, 0)
+        assert sorted(preds.entries) == list(range(2, len(series)))
         for t in range(1, len(series) - 1):
             oracle = beta1 * closes[t - 1] + beta2 * closes[t]
-            got = predict_next(predictor, series, t)
+            got = preds.entries[t + 1]
             assert got == pytest.approx(oracle, abs=1e-6)
             assert got == pytest.approx(closes[t] + 2.0, abs=1e-6)
 
@@ -117,24 +117,22 @@ class TestPredictNext:
         # predictions for t=3 and t=7 must be bit-equal (dates never enter).
         closes = [10.0, 11.0, 12.0, 5.0, 10.0, 11.0, 12.0, 9.0, 8.0, 7.0, 6.0]
         predictor, series = fit_single(closes, window=3)
-        assert predict_next(predictor, series, 2) == predict_next(predictor, series, 6)
+        first, second = series.bars[0:3], series.bars[4:7]
+        assert predictor.predict_window(first) == predictor.predict_window(second)
         # Repeated calls are bit-stable too.
-        assert predict_next(predictor, series, 2) == predict_next(predictor, series, 2)
-
-    def test_insufficient_history(self):
-        predictor, series = fit_single([10.0 + i for i in range(20)], window=5)
-        with pytest.raises(WindowError):
-            predict_next(predictor, series, 3)
-        with pytest.raises(WindowError):
-            predict_next(predictor, series, 99)
+        assert predictor.predict_window(first) == predictor.predict_window(first)
+        preds = predict_test_series(predictor, series, 0)
+        assert preds.entries[3] == preds.entries[7]
 
     def test_window_locality_future_bars_irrelevant(self, rng):
         closes = [float(c) for c in random_series(rng, "T", 80).closes()]
         predictor, series = fit_single(closes, window=10)
-        before = [predict_next(predictor, series, t) for t in range(9, 40)]
+        before = predict_test_series(predictor, series, 0).entries
         mutated = series_from_closes("T", closes[:41] + [999.0] * 39)
-        after = [predict_next(predictor, mutated, t) for t in range(9, 40)]
-        assert before == after
+        after = predict_test_series(predictor, mutated, 0).entries
+        # the forecast for day 41 is the last whose window ends before day 41
+        assert [before[d] for d in range(10, 42)] == [after[d] for d in range(10, 42)]
+        assert before[42] != after[42]
 
     def test_prediction_series_warmup_boundary(self, rng):
         closes = [float(c) for c in random_series(rng, "T", 40).closes()]
@@ -199,6 +197,18 @@ class TestImportPredictions:
         path = tmp_path / "p.csv"
         self.write(path, [f"{calendar[0].isoformat()},100", f"{calendar[1].isoformat()},{value}"])
         with pytest.raises(PredictionImportError, match=f"line 3: non-finite prediction '{value}'"):
+            import_predictions(path, calendar, "T")
+
+    @pytest.mark.parametrize("form", ["%Y%m%d", "%G-W%V-%u"], ids=["compact", "week"])
+    def test_non_iso_date_names_the_line(self, tmp_path, form):
+        # Python 3.11+ date.fromisoformat reads these forms; only YYYY-MM-DD is accepted
+        calendar = trading_dates(3)
+        path = tmp_path / "p.csv"
+        date = calendar[1].strftime(form)
+        self.write(path, [f"{calendar[0].isoformat()},100", f"{date},101"])
+        with pytest.raises(
+            PredictionImportError, match=f"line 3: Invalid isoformat string: '{date}'"
+        ):
             import_predictions(path, calendar, "T")
 
     def test_partial_coverage_is_allowed(self, tmp_path):

@@ -33,14 +33,14 @@ def as_strings(signals):
 
 class TestMaCrossover:
     def test_constant_stream_all_hold(self):
-        signals = ma_crossover_signals(preds([10.0] * 40), DEFAULTS)
+        signals = ma_crossover_signals(preds([10.0] * 40), DEFAULTS, 40)
         assert all(s is Signal.HOLD for s in signals)
 
     def test_step_fires_exactly_one_buy(self):
         # 20 flat days at 10, then 20 at 20: the 5-day mean first exceeds the
         # 20-day mean on day 20 (oracle-confirmed below).
         stream = [10.0] * 20 + [20.0] * 20
-        signals = ma_crossover_signals(preds(stream), DEFAULTS)
+        signals = ma_crossover_signals(preds(stream), DEFAULTS, len(stream))
         oracle = ma_crossover_oracle(preds(stream).entries, 5, 20, 40)
         assert as_strings(signals) == oracle
         assert signals.count(Signal.BUY) == 1
@@ -51,7 +51,7 @@ class TestMaCrossover:
         assert signals[39] is Signal.SELL
 
     def test_warmup_days_hold(self):
-        signals = ma_crossover_signals(preds(list(range(40))), DEFAULTS)
+        signals = ma_crossover_signals(preds(list(range(40))), DEFAULTS, 40)
         assert all(s is Signal.HOLD for s in signals[:20])
 
     def test_exact_tie_counts_as_not_above(self):
@@ -60,7 +60,7 @@ class TestMaCrossover:
         cfg = StrategyConfig(ma_short=1, ma_long=2)
         stream = [10.0, 10.0, 12.0, 10.0, 10.0]
         # short=[10,10,12,10,10], long=[-,10,11,11,10]; above=[F,T,F,F]
-        signals = ma_crossover_signals(preds(stream), cfg)
+        signals = ma_crossover_signals(preds(stream), cfg, len(stream))
         assert as_strings(signals) == ["hold", "hold", "buy", "sell", "hold"]
 
     @given(
@@ -72,7 +72,7 @@ class TestMaCrossover:
     )
     @settings(max_examples=100, deadline=None)
     def test_buys_and_sells_alternate(self, values):
-        signals = ma_crossover_signals(preds(values), DEFAULTS)
+        signals = ma_crossover_signals(preds(values), DEFAULTS, len(values))
         fired = [s for s in signals if s is not Signal.HOLD]
         for a, b in zip(fired, fired[1:]):
             assert a != b
@@ -88,35 +88,35 @@ class TestMaCrossover:
     @settings(max_examples=60, deadline=None)
     def test_oracle_agreement_random_streams(self, values, seed):
         entries = preds(values).entries
-        signals = ma_crossover_signals(preds(values), DEFAULTS)
+        signals = ma_crossover_signals(preds(values), DEFAULTS, len(values))
         assert as_strings(signals) == ma_crossover_oracle(entries, 5, 20, len(values))
 
 
 class TestRoc:
     def test_constant_series_holds(self):
         series = series_from_closes("T", [100.0] * 30)
-        signals = roc_signals(series, preds([100.0] * 30), DEFAULTS)
+        signals = roc_signals(series, preds([100.0] * 30), DEFAULTS, 30)
         assert all(s is Signal.HOLD for s in signals)
 
     def test_threshold_crossings(self):
         # Day 14 decision value vs the day-0 close of 100:
         # 101.5 -> ROC +1.5 -> buy; 98.9 -> ROC -1.1 -> sell.
         series = series_from_closes("T", [100.0] * 15)
-        up = roc_signals(series, preds([100.0] * 14 + [101.5]), DEFAULTS)
+        up = roc_signals(series, preds([100.0] * 14 + [101.5]), DEFAULTS, 15)
         assert up[14] is Signal.BUY
-        down = roc_signals(series, preds([100.0] * 14 + [98.9]), DEFAULTS)
+        down = roc_signals(series, preds([100.0] * 14 + [98.9]), DEFAULTS, 15)
         assert down[14] is Signal.SELL
 
     def test_boundary_is_hold(self):
         series = series_from_closes("T", [100.0] * 15)
-        flat = roc_signals(series, preds([100.0] * 14 + [101.0]), DEFAULTS)
+        flat = roc_signals(series, preds([100.0] * 14 + [101.0]), DEFAULTS, 15)
         assert flat[14] is Signal.HOLD
 
     def test_close_decision_switch(self):
         closes = [100.0] * 14 + [103.0]
         series = series_from_closes("T", closes)
         cfg = StrategyConfig(roc_use_predictions=False)
-        signals = roc_signals(series, preds([100.0] * 15), cfg)
+        signals = roc_signals(series, preds([100.0] * 15), cfg, 15)
         assert signals[14] is Signal.BUY  # driven by the close, not the forecast
 
     @given(scale=st.floats(min_value=0.01, max_value=100.0))
@@ -126,11 +126,12 @@ class TestRoc:
         closes = [float(c) for c in 100.0 + np.cumsum(gen.normal(0, 2, 40))]
         closes = [max(c, 1.0) for c in closes]
         values = [c * (1 + 0.001 * i) for i, c in enumerate(closes)]
-        base = roc_signals(series_from_closes("T", closes), preds(values), DEFAULTS)
+        base = roc_signals(series_from_closes("T", closes), preds(values), DEFAULTS, 40)
         scaled = roc_signals(
             series_from_closes("T", [c * scale for c in closes]),
             preds([v * scale for v in values]),
             DEFAULTS,
+            40,
         )
         assert base == scaled
 
@@ -139,7 +140,7 @@ class TestRoc:
             series = random_series(rng, "T", 60, vol=3.0)
             closes = series.closes()
             values = [float(v) for v in closes * rng.uniform(0.95, 1.05, 60)]
-            signals = roc_signals(series, preds(values), DEFAULTS)
+            signals = roc_signals(series, preds(values), DEFAULTS, 60)
             oracle = roc_oracle(closes, preds(values).entries, 14, 1.0, -1.0, 60)
             assert as_strings(signals) == oracle
 
@@ -147,7 +148,7 @@ class TestRoc:
 class TestBollinger:
     def test_degenerate_band_holds(self):
         series = series_from_closes("T", [50.0] * 30)
-        signals = bollinger_signals(series, preds([50.0] * 30), DEFAULTS)
+        signals = bollinger_signals(series, preds([50.0] * 30), DEFAULTS, 30)
         assert all(s is Signal.HOLD for s in signals)
 
     def test_alternating_band_exits(self):
@@ -178,7 +179,7 @@ class TestBollinger:
             series = random_series(rng, "T", 50, vol=2.0)
             closes = series.closes()
             values = [float(v) for v in closes * rng.uniform(0.9, 1.1, 50)]
-            signals = bollinger_signals(series, preds(values), DEFAULTS)
+            signals = bollinger_signals(series, preds(values), DEFAULTS, 50)
             oracle = bollinger_oracle(closes, preds(values).entries, 20, 2.0, 50)
             assert as_strings(signals) == oracle
 
