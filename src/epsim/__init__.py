@@ -7,118 +7,92 @@ with costs -> measure Sharpe ratio and cumulative returns. The attack harness
 perturbs one stock's reported close on one day, re-runs the simulation, and
 measures the system-wide impact against the untouched baseline.
 
-numpy is imported inside the functions that compute with it, never at
-module level: importing epsim, and the ``ingest`` command, do not load it.
+Importing epsim loads none of its modules: each exported name is imported
+from its module on first use (PEP 562). numpy is imported inside the
+functions that compute with it, never at module level. So each CLI command
+loads only the code it runs, and ``ingest`` and ``report`` load no numpy.
 """
 
-from .attack import (
-    AttackContext,
-    AttackOutcome,
-    AttackResult,
-    ConcealMode,
-    CustomMode,
-    EpSpec,
-    OverestimateMode,
-    StdDevMode,
-    apply_ep,
-    clean_run,
-    run_targeted,
-    sweep_indiscriminate,
-)
-from .errors import EpsimError, ZeroVolatilityWarning
-from .market_data import (
-    Bar,
-    Dataset,
-    SplitSpec,
-    StockSeries,
-    align_calendar,
-    load_csv,
-    save_csv,
-    split,
-)
-from .pipeline import AttackConfig, RunConfig
-from .predictor import (
-    FitReport,
-    PredictionSeries,
-    PredictorConfig,
-    RidgePredictor,
-    evaluate_rmse,
-    fit_baseline,
-    fit_report,
-    import_predictions,
-    predict_test_series,
-)
-from .strategy import (
-    Signal,
-    StrategyConfig,
-    bollinger_signals,
-    generate_signals,
-    ma_crossover_signals,
-    roc_signals,
-    shift_signals,
-)
-from .trade_engine import (
-    CostModel,
-    PortfolioState,
-    SimulationResult,
-    TradeRecord,
-    cumulative_returns,
-    execute_signal,
-    run_signals,
-    run_simulation,
-    sharpe_ratio,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackConfig",
-    "AttackContext",
-    "AttackOutcome",
-    "AttackResult",
-    "Bar",
-    "ConcealMode",
-    "CostModel",
-    "CustomMode",
-    "Dataset",
-    "EpSpec",
-    "EpsimError",
-    "FitReport",
-    "OverestimateMode",
-    "PortfolioState",
-    "PredictionSeries",
-    "PredictorConfig",
-    "RidgePredictor",
-    "RunConfig",
-    "Signal",
-    "SimulationResult",
-    "SplitSpec",
-    "StdDevMode",
-    "StockSeries",
-    "StrategyConfig",
-    "TradeRecord",
-    "ZeroVolatilityWarning",
-    "align_calendar",
-    "apply_ep",
-    "bollinger_signals",
-    "clean_run",
-    "cumulative_returns",
-    "evaluate_rmse",
-    "execute_signal",
-    "fit_baseline",
-    "fit_report",
-    "generate_signals",
-    "import_predictions",
-    "load_csv",
-    "ma_crossover_signals",
-    "predict_test_series",
-    "roc_signals",
-    "run_signals",
-    "run_simulation",
-    "run_targeted",
-    "save_csv",
-    "sharpe_ratio",
-    "shift_signals",
-    "split",
-    "sweep_indiscriminate",
-]
+# module -> the names epsim exports from it
+_EXPORTS = {
+    "attack": (
+        "AttackContext",
+        "AttackOutcome",
+        "AttackResult",
+        "EpSpec",
+        "apply_ep",
+        "clean_run",
+        "run_targeted",
+        "sweep_indiscriminate",
+    ),
+    "config": (
+        "AttackConfig",
+        "ConcealMode",
+        "CostModel",
+        "CustomMode",
+        "OverestimateMode",
+        "PredictorConfig",
+        "RunConfig",
+        "StdDevMode",
+        "StrategyConfig",
+    ),
+    "errors": ("EpsimError", "ZeroVolatilityWarning"),
+    "market_data": (
+        "Bar",
+        "Dataset",
+        "SplitSpec",
+        "StockSeries",
+        "align_calendar",
+        "load_csv",
+        "save_csv",
+        "split",
+    ),
+    "predictor": (
+        "FitReport",
+        "PredictionSeries",
+        "RidgePredictor",
+        "evaluate_rmse",
+        "fit_baseline",
+        "fit_report",
+        "import_predictions",
+        "predict_test_series",
+    ),
+    "strategy": (
+        "Signal",
+        "bollinger_signals",
+        "generate_signals",
+        "ma_crossover_signals",
+        "roc_signals",
+        "shift_signals",
+    ),
+    "trade_engine": (
+        "PortfolioState",
+        "SimulationResult",
+        "TradeRecord",
+        "cumulative_returns",
+        "execute_signal",
+        "run_signals",
+        "run_simulation",
+        "sharpe_ratio",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

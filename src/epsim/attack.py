@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .config import ConcealMode, CustomMode, OverestimateMode, StdDevMode
 from .errors import AttackSetupError
 from .market_data import Dataset, StockSeries
 from .predictor import (
@@ -56,39 +57,6 @@ from .trade_engine import (
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
-
-
-@dataclass(frozen=True)
-class StdDevMode:
-    omega: int
-    ddof: int = 1  # sample std; set 0 for population std
-
-    def __post_init__(self):
-        if self.omega < 2:
-            raise AttackSetupError(f"omega must be >= 2, got {self.omega}")
-        if self.ddof not in (0, 1):
-            raise AttackSetupError(f"ddof must be 0 or 1, got {self.ddof}")
-
-
-@dataclass(frozen=True)
-class ConcealMode:
-    pass
-
-
-@dataclass(frozen=True)
-class OverestimateMode:
-    drop_fraction: float = 0.10
-
-    def __post_init__(self):
-        if not 0.0 < self.drop_fraction < 1.0:
-            raise AttackSetupError(
-                f"drop_fraction must be in (0,1), got {self.drop_fraction}"
-            )
-
-
-@dataclass(frozen=True)
-class CustomMode:
-    value: float
 
 
 EpMode = StdDevMode | ConcealMode | OverestimateMode | CustomMode

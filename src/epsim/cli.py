@@ -2,6 +2,10 @@
 
 Commands: ingest, fit, backtest, attack (sweep | targeted), report.
 Any pipeline error is reported with its module name and a nonzero exit.
+
+Each command imports only the code it runs: ``ingest`` and ``report`` need
+the config and the file formats, and only ``fit``, ``backtest`` and
+``attack`` import ``pipeline`` and with it the engine and numpy.
 """
 
 from __future__ import annotations
@@ -10,7 +14,8 @@ import argparse
 import dataclasses
 import sys
 
-from . import pipeline
+from . import files
+from .config import ATTACK_SUBMODES, AttackConfig, RunConfig
 from .errors import EpsimError
 
 
@@ -32,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(sub.add_parser("backtest", help="run the baseline simulation"))
 
     atk = sub.add_parser("attack", help="run perturbation experiments")
-    atk.add_argument("submode", choices=sorted(set(pipeline.ATTACK_SUBMODES.values())))
+    atk.add_argument("submode", choices=sorted(set(ATTACK_SUBMODES.values())))
     _add_config_args(atk)
     atk.add_argument("--ticker", help="override the attacked ticker")
     atk.add_argument(
@@ -42,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sigma window for sweep mode (repeatable)",
     )
     atk.add_argument(
-        "--mode", choices=tuple(pipeline.ATTACK_SUBMODES), help="override attack mode"
+        "--mode", choices=tuple(ATTACK_SUBMODES), help="override attack mode"
     )
 
     rep = sub.add_parser("report", help="summarize result files")
@@ -60,36 +65,40 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            for line in pipeline.cmd_report(args.files, args.out):
+            for line in files.cmd_report(args.files, args.out):
                 print(line)
             return 0
 
-        config = pipeline.RunConfig.from_file(args.config)
+        config = RunConfig.from_file(args.config)
 
         if args.command == "attack":
             overrides = {} if config.attack is None else dataclasses.asdict(config.attack)
             flags = {"ticker": args.ticker, "omegas": args.omega, "mode": args.mode}
             overrides.update({k: v for k, v in flags.items() if v})
-            modes = [m for m, s in pipeline.ATTACK_SUBMODES.items() if s == args.submode]
+            modes = [m for m, s in ATTACK_SUBMODES.items() if s == args.submode]
             if len(modes) == 1:  # a submode with one mode needs no attack.mode
                 overrides.setdefault("mode", modes[0])
             config = dataclasses.replace(
-                config, attack=pipeline.AttackConfig.from_dict(overrides)
+                config, attack=AttackConfig.from_dict(overrides)
             )
-            paths = pipeline.cmd_attack(config, _out_dir(args, config), args.submode)
-            for name in sorted(paths):
-                print(f"{name}: {paths[name]}")
-            return 0
 
         out_dir = _out_dir(args, config)
         if args.command == "ingest":
-            report = pipeline.cmd_ingest(config, out_dir)
+            report = files.cmd_ingest(config, out_dir)
             print(
                 f"{len(report['tickers'])} tickers, "
                 f"{report['calendar']['n_days']} aligned days "
                 f"({report['calendar']['start']} .. {report['calendar']['end']}), "
                 f"train={report['n_train']} test={report['n_test']}"
             )
+            return 0
+
+        from . import pipeline
+
+        if args.command == "attack":
+            paths = pipeline.cmd_attack(config, out_dir, args.submode)
+            for name in sorted(paths):
+                print(f"{name}: {paths[name]}")
         elif args.command == "fit":
             reports = pipeline.cmd_fit(config, out_dir)
             for r in reports:

@@ -1,0 +1,408 @@
+"""Run configuration: the strict JSON config and the dataclasses it builds.
+
+Configuration is strict JSON: unknown keys are rejected loudly, because the
+attack experiments are parameter-sensitive and a typo silently falling back
+to a default would corrupt baseline/attacked comparisons.
+
+Each config section is a frozen dataclass that checks its own values: the
+predictor's, the strategy's, the cost model and the attack modes. They live
+here, not beside the code that uses them, so that reading and checking a
+config loads none of the engine; ``predictor``, ``strategy``,
+``trade_engine`` and ``attack`` import them back under their old names.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import os
+import sys
+from dataclasses import dataclass
+
+from .errors import AttackSetupError, ConfigurationError, FitError
+from .market_data import FEATURE_NAMES, SplitSpec
+
+# attack.mode -> the ``epsim attack`` submode that runs it
+ATTACK_SUBMODES = {"stddev": "sweep", "conceal": "targeted", "overestimate": "targeted"}
+
+DEFAULT_FEATURES = ("open", "high", "low", "close", "volume")
+
+STRATEGY_KINDS = ("ma_crossover", "rate_of_change", "bollinger_bands")
+
+
+@dataclass(frozen=True)
+class PredictorConfig:
+    window: int = 50
+    features: tuple[str, ...] = DEFAULT_FEATURES
+    ridge_lambda: float = 1e-3
+
+    def __post_init__(self):
+        if self.window < 1:
+            raise FitError(f"window must be >= 1, got {self.window}")
+        if not self.features:
+            raise FitError("features must be nonempty")
+        unknown = [f for f in self.features if f not in FEATURE_NAMES]
+        if unknown:
+            raise FitError(f"unknown features {unknown}")
+        if self.ridge_lambda < 0:
+            raise FitError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
+
+
+@dataclass(frozen=True)
+class StrategyConfig:
+    kind: str = "ma_crossover"
+    ma_short: int = 5
+    ma_long: int = 20
+    roc_lookback: int = 14
+    roc_buy_threshold: float = 1.0
+    roc_sell_threshold: float = -1.0
+    bb_period: int = 20
+    bb_width: float = 2.0
+    # ROC decision value: the day's prediction (default) or the raw close.
+    roc_use_predictions: bool = True
+
+    def __post_init__(self):
+        if self.kind not in STRATEGY_KINDS:
+            raise ConfigurationError(
+                f"unknown strategy kind {self.kind!r}; expected one of "
+                f"{STRATEGY_KINDS}"
+            )
+        if not 0 < self.ma_short < self.ma_long:
+            raise ConfigurationError(
+                f"need 0 < ma_short < ma_long, got {self.ma_short}/{self.ma_long}"
+            )
+        if self.roc_lookback < 1:
+            raise ConfigurationError("roc_lookback must be >= 1")
+        if self.bb_period < 2:
+            raise ConfigurationError("bb_period must be >= 2")
+        if self.bb_width <= 0:
+            raise ConfigurationError("bb_width must be > 0")
+
+
+@dataclass(frozen=True)
+class CostModel:
+    commission_per_share: float = 0.005
+    slippage_per_share: float = 0.02
+    position_fraction: float = 0.10
+    initial_capital: float = 100_000.0
+    risk_free_annual: float = 0.0505
+    trading_days_per_year: int = 252
+    # "per_share": execution price = close +/- slippage_per_share (currency).
+    # "proportional": execution price = close * (1 +/- slippage_per_share).
+    slippage_mode: str = "per_share"
+
+    def __post_init__(self):
+        for name in (
+            "commission_per_share",
+            "slippage_per_share",
+            "initial_capital",
+            "risk_free_annual",
+        ):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be nonnegative")
+        if not 0 < self.position_fraction <= 1:
+            raise ConfigurationError("position_fraction must be in (0,1]")
+        if self.trading_days_per_year < 1:
+            raise ConfigurationError("trading_days_per_year must be >= 1")
+        if self.slippage_mode not in ("per_share", "proportional"):
+            raise ConfigurationError(
+                f"slippage_mode must be per_share or proportional, "
+                f"got {self.slippage_mode!r}"
+            )
+
+    def buy_price(self, close: float) -> float:
+        if self.slippage_mode == "proportional":
+            return close * (1.0 + self.slippage_per_share)
+        return close + self.slippage_per_share
+
+    def sell_price(self, close: float) -> float:
+        if self.slippage_mode == "proportional":
+            return close * (1.0 - self.slippage_per_share)
+        return close - self.slippage_per_share
+
+    def risk_free_daily(self) -> float:
+        return (1.0 + self.risk_free_annual) ** (1.0 / self.trading_days_per_year) - 1.0
+
+
+@dataclass(frozen=True)
+class StdDevMode:
+    omega: int
+    ddof: int = 1  # sample std; set 0 for population std
+
+    def __post_init__(self):
+        if self.omega < 2:
+            raise AttackSetupError(f"omega must be >= 2, got {self.omega}")
+        if self.ddof not in (0, 1):
+            raise AttackSetupError(f"ddof must be 0 or 1, got {self.ddof}")
+
+
+@dataclass(frozen=True)
+class ConcealMode:
+    pass
+
+
+@dataclass(frozen=True)
+class OverestimateMode:
+    drop_fraction: float = 0.10
+
+    def __post_init__(self):
+        if not 0.0 < self.drop_fraction < 1.0:
+            raise AttackSetupError(
+                f"drop_fraction must be in (0,1), got {self.drop_fraction}"
+            )
+
+
+@dataclass(frozen=True)
+class CustomMode:
+    value: float
+
+
+# ---------------------------------------------------------------------------
+# section checks
+
+
+def _reject_unknown(section: str, given: dict, known) -> None:
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ConfigurationError(f"{section}: unrecognized keys {unknown}")
+
+
+def _object(section: str, given) -> dict:
+    if not isinstance(given, dict):
+        raise ConfigurationError(f"{section} must be an object, got {given!r}")
+    return given
+
+
+def _check_value(where: str, value, default) -> None:
+    """Reject ``value`` unless it has the type of ``default``: a bool must be
+    a bool, an int an int (not a bool) inside the float range, a float any
+    finite number and a str a str. A tuple default asks for a list of values
+    of its first item's type."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{where} must be a list, got {value!r}")
+        for item in value:
+            _check_value(where, item, default[0])
+        return
+    kinds = (int, float) if type(default) is float else type(default)
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
+        raise ConfigurationError(
+            f"{where} must be of type {type(default).__name__}, got {value!r}"
+        )
+    # json reads NaN and Infinity; an int past the float range is not finite
+    # either once it is used as a float, in a float or an int field
+    if type(default) in (int, float) and not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+
+
+def _section(section: str, cls, given) -> dict:
+    """``given`` checked against the fields of the dataclass ``cls``: no
+    unknown key, and each value of its field's default type. Fields without
+    a default are left to the caller."""
+    _object(section, given)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    _reject_unknown(section, given, defaults)
+    for key, value in given.items():
+        if isinstance(defaults[key], (bool, int, float, str, tuple)):
+            _check_value(f"{section}.{key}", value, defaults[key])
+    return given
+
+
+def _plain(section) -> dict:
+    """A config dataclass as its JSON section, tuples as lists."""
+    return {
+        k: list(v) if isinstance(v, tuple) else v
+        for k, v in dataclasses.asdict(section).items()
+    }
+
+
+# ---------------------------------------------------------------------------
+# the run configuration
+
+
+@dataclass(frozen=True)
+class AttackConfig:
+    ticker: str
+    mode: str  # a key of ATTACK_SUBMODES
+    days: str | list  # "all" or a list of day indices / ISO dates
+    omegas: tuple[int, ...] = (30, 40, 50)
+    ddof: int = 1
+    drop_fraction: float = 0.10
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "AttackConfig":
+        _section("attack", cls, d)
+        mode = d.get("mode")
+        if mode not in ATTACK_SUBMODES:
+            raise ConfigurationError(
+                f"attack.mode must be one of {list(ATTACK_SUBMODES)}, got {mode!r}"
+            )
+        if "ticker" not in d:
+            raise ConfigurationError("attack.ticker is required")
+        _check_value("attack.ticker", d["ticker"], "")
+        days = d.get("days", "all")
+        if days != "all" and not isinstance(days, list):
+            raise ConfigurationError('attack.days must be "all" or a list')
+        for entry in days if days != "all" else ():
+            if isinstance(entry, bool) or not isinstance(entry, (int, str)):
+                raise ConfigurationError(
+                    f"attack.days: {entry!r} is neither a day index nor an ISO date"
+                )
+        cfg = cls(**{**d, "days": days, "omegas": tuple(d.get("omegas", cls.omegas))})
+        if not cfg.omegas:
+            raise ConfigurationError("attack.omegas must name at least one window")
+        try:
+            for omega in cfg.omegas:
+                StdDevMode(omega=omega, ddof=cfg.ddof)
+            OverestimateMode(drop_fraction=cfg.drop_fraction)
+        except AttackSetupError as exc:
+            raise ConfigurationError(f"attack: {exc}") from exc
+        return cfg
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    data_dir: str
+    tickers: tuple[str, ...]
+    split: SplitSpec
+    predictor_kind: str  # baseline | import
+    predictor: PredictorConfig
+    import_files: dict[str, str]
+    strategy: StrategyConfig
+    costs: CostModel
+    attack: AttackConfig | None
+    output_dir: str
+    base_dir: str = "."
+
+    _KEYS = (
+        "data_dir",
+        "tickers",
+        "split",
+        "predictor",
+        "strategy",
+        "costs",
+        "attack",
+        "output_dir",
+    )
+
+    def __post_init__(self):
+        if self.attack is not None and self.attack.ticker not in self.tickers:
+            raise ConfigurationError(
+                f"attack.ticker {self.attack.ticker!r} is not one of the "
+                f"tickers {list(self.tickers)}"
+            )
+
+    @classmethod
+    def from_dict(cls, d: dict, base_dir: str = ".") -> "RunConfig":
+        _reject_unknown("config", _object("config", d), cls._KEYS)
+        tickers = d.get("tickers")
+        if not tickers:
+            raise ConfigurationError("tickers must be a nonempty list")
+        _check_value("tickers", tickers, ("",))
+        repeated = sorted({tk for tk in tickers if tickers.count(tk) > 1})
+        if repeated:
+            raise ConfigurationError(f"tickers: each ticker once, {repeated} repeated")
+        if "data_dir" not in d:
+            raise ConfigurationError("data_dir is required")
+        _check_value("data_dir", d["data_dir"], "")
+        output_dir = d.get("output_dir", "out")
+        _check_value("output_dir", output_dir, "")
+
+        split_spec = SplitSpec(**_section("split", SplitSpec, d.get("split", {})))
+
+        pred_d = dict(_object("predictor", d.get("predictor", {})))
+        kind = pred_d.pop("kind", "baseline")
+        import_files: dict[str, str] = {}
+        if kind == "baseline":
+            _section("predictor", PredictorConfig, pred_d)
+            try:
+                predictor = PredictorConfig(
+                    window=pred_d.get("window", split_spec.window),
+                    features=tuple(pred_d.get("features", PredictorConfig.features)),
+                    ridge_lambda=float(pred_d.get("ridge_lambda", PredictorConfig.ridge_lambda)),
+                )
+            except FitError as exc:
+                raise ConfigurationError(f"predictor: {exc}") from exc
+        elif kind == "import":
+            _reject_unknown("predictor", pred_d, ("files",))
+            import_files = _object("predictor.files", pred_d.get("files", {}))
+            for path in import_files.values():
+                _check_value("predictor.files", path, "")
+            missing = [tk for tk in tickers if tk not in import_files]
+            if missing:
+                raise ConfigurationError(
+                    f"predictor.files: no prediction file for {missing}"
+                )
+            predictor = PredictorConfig(window=split_spec.window)
+        else:
+            raise ConfigurationError(
+                f"predictor.kind must be baseline or import, got {kind!r}"
+            )
+
+        attack_cfg = None
+        if d.get("attack") is not None:
+            attack_cfg = AttackConfig.from_dict(d["attack"])
+
+        cfg = cls(
+            data_dir=d["data_dir"],
+            tickers=tuple(tickers),
+            split=split_spec,
+            predictor_kind=kind,
+            predictor=predictor,
+            import_files=dict(import_files),
+            strategy=StrategyConfig(
+                **_section("strategy", StrategyConfig, d.get("strategy", {}))
+            ),
+            costs=CostModel(**_section("costs", CostModel, d.get("costs", {}))),
+            attack=attack_cfg,
+            output_dir=output_dir,
+            base_dir=base_dir,
+        )
+        cfg.validate_paths()
+        return cfg
+
+    @classmethod
+    def from_file(cls, path) -> "RunConfig":
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
+        return cls.from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+
+    def resolve(self, path: str) -> str:
+        return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
+
+    def csv_path(self, ticker: str) -> str:
+        return os.path.join(self.resolve(self.data_dir), f"{ticker}.csv")
+
+    def validate_paths(self) -> None:
+        for tk in self.tickers:
+            if not os.path.isfile(self.csv_path(tk)):
+                raise ConfigurationError(f"no data file for {tk}: {self.csv_path(tk)}")
+        for tk, path in self.import_files.items():
+            if not os.path.isfile(self.resolve(path)):
+                raise ConfigurationError(
+                    f"prediction file for {tk} not found: {self.resolve(path)}"
+                )
+
+    def to_dict(self) -> dict:
+        predictor: dict = {"kind": self.predictor_kind}
+        if self.predictor_kind == "baseline":
+            predictor.update(_plain(self.predictor))
+        else:
+            predictor["files"] = dict(self.import_files)
+        out = {
+            "data_dir": self.data_dir,
+            "tickers": list(self.tickers),
+            "split": _plain(self.split),
+            "predictor": predictor,
+            "strategy": _plain(self.strategy),
+            "costs": _plain(self.costs),
+            "output_dir": self.output_dir,
+        }
+        if self.attack is not None:
+            out["attack"] = _plain(self.attack)
+        return out

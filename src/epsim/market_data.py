@@ -17,7 +17,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     AlignmentError,
@@ -35,9 +35,9 @@ FEATURE_NAMES = ("open", "high", "low", "close", "volume")
 CSV_COLUMNS = ("Date", "Open", "High", "Low", "Close", "Volume")
 
 
-@dataclass(frozen=True)
-class Bar:
-    """One trading day of a single stock.
+class Bar(NamedTuple):
+    """One trading day of a single stock. A named tuple, so it is immutable
+    and cheap to build: ``load_csv`` makes one per row.
 
     Invariants (low <= min(open, close), high >= max(open, close), prices > 0,
     volume >= 0) are enforced at ingestion via :func:`validate_bar`, not in the

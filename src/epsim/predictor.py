@@ -19,36 +19,17 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .config import DEFAULT_FEATURES, PredictorConfig  # noqa: F401  (re-exported from their old home)
 from .errors import (
     EvaluationError,
     FitError,
     PredictionImportError,
     WindowError,
 )
-from .market_data import FEATURE_NAMES, Dataset, StockSeries, feature_matrix, parse_date
+from .market_data import Dataset, StockSeries, feature_matrix, parse_date
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
-
-DEFAULT_FEATURES = ("open", "high", "low", "close", "volume")
-
-
-@dataclass(frozen=True)
-class PredictorConfig:
-    window: int = 50
-    features: tuple[str, ...] = DEFAULT_FEATURES
-    ridge_lambda: float = 1e-3
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise FitError(f"window must be >= 1, got {self.window}")
-        if not self.features:
-            raise FitError("features must be nonempty")
-        unknown = [f for f in self.features if f not in FEATURE_NAMES]
-        if unknown:
-            raise FitError(f"unknown features {unknown}")
-        if self.ridge_lambda < 0:
-            raise FitError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
 
 
 @dataclass(frozen=True)

@@ -23,50 +23,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
+from .config import STRATEGY_KINDS, StrategyConfig  # noqa: F401  (re-exported from their old home)
 from .errors import ConfigurationError
 from .market_data import StockSeries
 from .predictor import PredictionSeries
-
-STRATEGY_KINDS = ("ma_crossover", "rate_of_change", "bollinger_bands")
 
 
 class Signal(enum.Enum):
     BUY = "buy"
     SELL = "sell"
     HOLD = "hold"
-
-
-@dataclass(frozen=True)
-class StrategyConfig:
-    kind: str = "ma_crossover"
-    ma_short: int = 5
-    ma_long: int = 20
-    roc_lookback: int = 14
-    roc_buy_threshold: float = 1.0
-    roc_sell_threshold: float = -1.0
-    bb_period: int = 20
-    bb_width: float = 2.0
-    # ROC decision value: the day's prediction (default) or the raw close.
-    roc_use_predictions: bool = True
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ConfigurationError(
-                f"unknown strategy kind {self.kind!r}; expected one of "
-                f"{STRATEGY_KINDS}"
-            )
-        if not 0 < self.ma_short < self.ma_long:
-            raise ConfigurationError(
-                f"need 0 < ma_short < ma_long, got {self.ma_short}/{self.ma_long}"
-            )
-        if self.roc_lookback < 1:
-            raise ConfigurationError("roc_lookback must be >= 1")
-        if self.bb_period < 2:
-            raise ConfigurationError("bb_period must be >= 2")
-        if self.bb_width <= 0:
-            raise ConfigurationError("bb_width must be > 0")
 
 
 def _prediction_mean(entries: dict[int, float], end: int, length: int):

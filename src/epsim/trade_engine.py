@@ -26,57 +26,12 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .errors import ConfigurationError, MetricError, SimulationSetupError, ZeroVolatilityWarning
+from .config import CostModel
+from .errors import MetricError, SimulationSetupError, ZeroVolatilityWarning
+from .files import RESULT_SCHEMA
 from .market_data import Dataset
 from .predictor import PredictionSeries
 from .strategy import Signal, StrategyConfig, generate_signals, shift_signals
-
-RESULT_SCHEMA = "epsim/result/v1"
-
-
-@dataclass(frozen=True)
-class CostModel:
-    commission_per_share: float = 0.005
-    slippage_per_share: float = 0.02
-    position_fraction: float = 0.10
-    initial_capital: float = 100_000.0
-    risk_free_annual: float = 0.0505
-    trading_days_per_year: int = 252
-    # "per_share": execution price = close +/- slippage_per_share (currency).
-    # "proportional": execution price = close * (1 +/- slippage_per_share).
-    slippage_mode: str = "per_share"
-
-    def __post_init__(self):
-        for name in (
-            "commission_per_share",
-            "slippage_per_share",
-            "initial_capital",
-            "risk_free_annual",
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be nonnegative")
-        if not 0 < self.position_fraction <= 1:
-            raise ConfigurationError("position_fraction must be in (0,1]")
-        if self.trading_days_per_year < 1:
-            raise ConfigurationError("trading_days_per_year must be >= 1")
-        if self.slippage_mode not in ("per_share", "proportional"):
-            raise ConfigurationError(
-                f"slippage_mode must be per_share or proportional, "
-                f"got {self.slippage_mode!r}"
-            )
-
-    def buy_price(self, close: float) -> float:
-        if self.slippage_mode == "proportional":
-            return close * (1.0 + self.slippage_per_share)
-        return close + self.slippage_per_share
-
-    def sell_price(self, close: float) -> float:
-        if self.slippage_mode == "proportional":
-            return close * (1.0 - self.slippage_per_share)
-        return close - self.slippage_per_share
-
-    def risk_free_daily(self) -> float:
-        return (1.0 + self.risk_free_annual) ** (1.0 / self.trading_days_per_year) - 1.0
 
 
 @dataclass(frozen=True)

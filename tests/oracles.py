@@ -10,7 +10,6 @@ incremental attack engine.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 
 def sample_std(values, ddof: int = 1) -> float:
@@ -192,7 +191,7 @@ def attack_oracle(dataset, test_start, predictors, strategy_config, cost_model, 
         if a < w - 1:
             raise AttackSetupError(f"no window ends at index {a}")
         window = list(full.bars[a - w + 1 : a + 1])
-        window[-1] = replace(window[-1], close=perturbed)
+        window[-1] = window[-1]._replace(close=perturbed)
         attacked_predictions[ep.ticker] = clean[ep.ticker].with_entry(
             ep.day + 1, predictor.predict_window(window)
         )

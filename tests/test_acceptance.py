@@ -15,9 +15,11 @@ import pytest
 
 import epsim
 from epsim.attack import AttackContext, CustomMode, EpSpec, StdDevMode
+from epsim.config import RunConfig
 from epsim.errors import ZeroVolatilityWarning
+from epsim.files import cmd_report, read_schema_csv
 from epsim.market_data import save_csv
-from epsim.pipeline import RunConfig, cmd_attack, cmd_backtest, cmd_report, read_schema_csv
+from epsim.pipeline import cmd_attack, cmd_backtest
 from epsim.predictor import PredictionSeries
 from epsim.strategy import Signal, StrategyConfig, generate_signals
 from epsim.trade_engine import CostModel, cumulative_returns, run_signals, sharpe_ratio

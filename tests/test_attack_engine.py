@@ -6,7 +6,6 @@ the same attacked ledger and returns, the same first divergence day.
 """
 
 import dataclasses
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,7 +212,7 @@ class TestCachedForecasts:
                     )
                     a = test_start + day
                     window = list(bars[a - 9 : a + 1])
-                    window[-1] = replace(window[-1], close=perturbed)
+                    window[-1] = window[-1]._replace(close=perturbed)
                     assert entry_day == day + 1
                     assert entry == predictor.predict_window(window)
                     assert entry == scalar_forecast(predictor, window)

@@ -1,11 +1,15 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import epsim
 from epsim.attack import (
@@ -17,20 +21,11 @@ from epsim.attack import (
     StdDevMode,
 )
 from epsim.cli import main
+from epsim.config import AttackConfig, RunConfig
 from epsim.errors import ConfigurationError, ReportError
+from epsim.files import cmd_ingest, cmd_report, quantile_table, read_schema_csv
 from epsim.market_data import save_csv
-from epsim.pipeline import (
-    AttackConfig,
-    RunConfig,
-    cmd_attack,
-    cmd_backtest,
-    cmd_fit,
-    cmd_ingest,
-    cmd_report,
-    quantile_table,
-    read_schema_csv,
-    write_sweep_files,
-)
+from epsim.pipeline import cmd_attack, cmd_backtest, cmd_fit, write_sweep_files
 from epsim.trade_engine import SimulationResult
 
 from conftest import random_series, trading_dates
@@ -575,6 +570,63 @@ class TestReport:
             cmd_report([str(cells)], tmp_path)
 
 
+@st.composite
+def metric_groups(draw):
+    """One group's values: sizes at numpy's pairwise-sum boundaries, drawn
+    from a pool of finite floats of any magnitude up to 1e300, optionally
+    with each value's negation (cancellation) and mixed-scale noise."""
+    n = draw(st.sampled_from((1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 720)))
+    pool = draw(
+        st.lists(
+            st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    if draw(st.booleans()):
+        pool += [-v for v in pool]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    noisy = draw(st.booleans())
+    return [
+        rng.choice(pool) + (rng.gauss(0, 1) * 10.0 ** rng.randint(-3, 17) if noisy else 0.0)
+        for _ in range(n)
+    ]
+
+
+class TestQuantileDifferential:
+    @given(values=metric_groups())
+    @example(values=[-0.0])
+    @example(values=[-0.0] * 9)
+    @example(values=[0.0, -0.0, 0.0, -0.0, 1.0])
+    @example(values=[1e16, 1.0, -1e16, 1.0, 0.5, 3.0, -2.0, 1e-3, 7.0])
+    @settings(max_examples=300, deadline=None)
+    def test_quantile_table_has_numpys_bits(self, values):
+        """``quantile_table`` gives the bits of ``np.quantile(values, (0.25,
+        0.5, 0.75))``, ``np.mean``, ``min`` and ``max``, compared with
+        ``float.hex``. Signed zeros are the one exception: where numpy's
+        value is a zero, the two are compared by value, because which zero
+        numpy returns follows its partition order and ours Python's stable
+        ``sorted``."""
+        rows = [
+            {"omega_or_mode": "g", "delta_sharpe": repr(v), "cr_ratio": repr(-v)}
+            for v in values
+        ]
+        table = quantile_table(rows)
+        for sign, row in zip((1.0, -1.0), table):
+            arr = np.asarray([sign * v for v in values], dtype=np.float64)
+            q1, q2, q3 = (float(v) for v in np.quantile(arr, (0.25, 0.5, 0.75)))
+            expected = {
+                "min": float(arr.min()), "q1": q1, "median": q2, "q3": q3,
+                "max": float(arr.max()), "mean": float(arr.mean()),
+            }
+            for key, want in expected.items():
+                got = row[key]
+                if want == 0:
+                    assert got == want, (key, got, want)
+                else:
+                    assert got.hex() == want.hex(), (key, got, want)
+
+
 class TestCli:
     def test_full_cli_session(self, tmp_path, rng, capsys):
         cfg_path = write_universe(
@@ -752,14 +804,15 @@ class TestCli:
             (("costs", "initial_capital"), math.inf),
             (("costs", "slippage_per_share"), -math.inf),
             (("costs", "initial_capital"), 10**400),
+            (("costs", "trading_days_per_year"), 10**400),
             (("split", "train_fraction"), math.nan),
             (("predictor", "ridge_lambda"), math.inf),
             (("attack", "drop_fraction"), math.nan),
         ],
         ids=[
             "bb_width-nan", "risk_free-nan", "commission-nan", "capital-inf",
-            "slippage-minus-inf", "capital-huge-int", "train_fraction-nan",
-            "ridge-inf", "drop-nan",
+            "slippage-minus-inf", "capital-huge-int", "trading-days-huge-int",
+            "train_fraction-nan", "ridge-inf", "drop-nan",
         ],
     )
     def test_non_finite_config_number_fails_before_compute(
@@ -872,6 +925,27 @@ class TestCli:
         report = "ingest_report.json"
         assert (tmp_path / "b" / report).read_bytes() == (tmp_path / "a" / report).read_bytes()
 
+    def test_report_runs_without_numpy(self, tmp_path, rng):
+        # report's quantiles are computed without numpy: with the import made
+        # to fail, it writes the bytes an in-process report writes
+        cfg_path = write_universe(
+            tmp_path, rng, n=150, attack={"ticker": "AAA", "mode": "stddev", "days": "all"}
+        )
+        run = tmp_path / "run"
+        for command in (["backtest"], ["attack", "sweep"]):
+            assert main([*command, "--config", str(cfg_path), "--out", str(run)]) == 0
+        files = [str(run / f) for f in ("result.json", "sweep_summary.json", "sweep_cells.csv")]
+        assert main(["report", *files, "--out", str(tmp_path / "a")]) == 0
+        script = (
+            "import runpy, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "runpy.run_module('epsim.cli', run_name='__main__')\n"
+        )
+        proc = _python(script, "report", *files, "--out", str(tmp_path / "b"))
+        assert proc.returncode == 0, proc.stderr
+        table = "quantiles.csv"
+        assert (tmp_path / "b" / table).read_bytes() == (tmp_path / "a" / table).read_bytes()
+
     def test_import_epsim_leaves_numpy_unloaded(self):
         proc = _python("import sys, epsim, epsim.cli; print('numpy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
@@ -881,3 +955,97 @@ class TestCli:
         code = main(["backtest", "--config", str(tmp_path / "absent.json")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error [config]")
+
+
+
+class TestWhatEachCommandLoads:
+    """Each command imports only the code it runs; see the README."""
+
+    @staticmethod
+    def loaded(*argv: str) -> set[str]:
+        """The epsim and numpy modules left in ``sys.modules`` after one
+        command runs through ``runpy`` in a fresh interpreter."""
+        script = (
+            "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('epsim.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('epsim', 'numpy')))\n"
+        )
+        proc = _python(script, *argv)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split())
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("loads")
+        cfg_path = write_universe(
+            tmp_path, np.random.default_rng(7), n=150,
+            attack={"ticker": "AAA", "mode": "stddev", "days": [3], "omegas": [5]},
+        )
+        out = tmp_path / "out"
+        for command in (["backtest"], ["attack", "sweep"]):
+            assert main([*command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        return cfg_path, out
+
+    def test_ingest_loads_config_files_and_market_data_only(self, run, tmp_path):
+        cfg_path, _ = run
+        mods = self.loaded("ingest", "--config", str(cfg_path), "--out", str(tmp_path))
+        assert "epsim.files" in mods
+        assert mods <= {
+            "epsim", "epsim.cli", "epsim.config", "epsim.errors", "epsim.market_data",
+            "epsim.files",
+        }
+
+    def test_report_loads_no_numpy_and_no_engine(self, run, tmp_path):
+        _, out = run
+        files = [str(out / f) for f in ("result.json", "sweep_summary.json", "sweep_cells.csv")]
+        mods = self.loaded("report", *files, "--out", str(tmp_path))
+        assert "epsim.files" in mods
+        assert "numpy" not in mods
+        engine = {"predictor", "strategy", "trade_engine", "attack", "pipeline"}
+        assert not mods & {f"epsim.{m}" for m in engine}
+
+    @pytest.mark.parametrize("command", ["fit", "backtest"])
+    def test_fit_and_backtest_do_not_load_attack(self, run, tmp_path, command):
+        cfg_path, _ = run
+        mods = self.loaded(command, "--config", str(cfg_path), "--out", str(tmp_path))
+        assert {"epsim.pipeline", "numpy"} <= mods
+        assert "epsim.attack" not in mods
+
+    def test_import_epsim_loads_no_submodule(self):
+        proc = _python("import sys, epsim; print(sorted(m for m in sys.modules if 'epsim' in m))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['epsim']\n"
+
+
+class TestLazyInit:
+    def test_every_exported_name_is_its_modules_object(self):
+        import importlib
+
+        for name in epsim.__all__:
+            module = importlib.import_module(f"epsim.{epsim._MODULE_OF[name]}")
+            assert getattr(epsim, name) is getattr(module, name), name
+
+    def test_dir_lists_every_exported_name(self):
+        # in a fresh interpreter, before any name is looked up and cached
+        proc = _python("import epsim; print(sorted(set(epsim.__all__) - set(dir(epsim))))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            epsim.no_such_name  # noqa: B018
+        assert not hasattr(epsim, "no_such_name")
+
+    def test_config_sections_keep_their_old_homes(self):
+        from epsim import attack, config, predictor, strategy, trade_engine
+
+        assert predictor.PredictorConfig is config.PredictorConfig
+        assert predictor.DEFAULT_FEATURES is config.DEFAULT_FEATURES
+        assert strategy.StrategyConfig is config.StrategyConfig
+        assert strategy.STRATEGY_KINDS is config.STRATEGY_KINDS
+        assert trade_engine.CostModel is config.CostModel
+        for mode in ("StdDevMode", "ConcealMode", "OverestimateMode", "CustomMode"):
+            assert getattr(attack, mode) is getattr(config, mode)
