@@ -6,17 +6,24 @@ Any pipeline error is reported with its module name and a nonzero exit.
 Each command imports only the code it runs: ``ingest`` and ``report`` need
 the config and the file formats, and only ``fit``, ``backtest`` and
 ``attack`` import ``pipeline`` and with it the engine and numpy.
+
+``python -m epsim.cli`` and the ``epsim`` script run :func:`entry`, which
+runs :func:`main` as a one-shot process; ``main(argv)`` itself changes no
+process state, so tests and the benchmark's in-process passes call it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
+import os
 import sys
+from typing import NoReturn
 
 from . import files
 from .config import ATTACK_SUBMODES, AttackConfig, RunConfig
-from .errors import EpsimError
+from .errors import ConfigurationError, EpsimError
 
 
 def _add_config_args(parser):
@@ -57,15 +64,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(args, config) -> str:
-    return args.out if args.out else config.resolve(config.output_dir)
+def _out_dir(args, config=None) -> str:
+    """Where the command writes: ``--out``, else the config's output_dir.
+    A path that is, or lies under, an existing non-directory fails before
+    any compute."""
+    if args.out or config is None:
+        out, option = args.out, "--out"
+    else:
+        out, option = config.resolve(config.output_dir), "output_dir"
+    existing = out
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        under = "" if existing == out else f" ({existing} is not one)"
+        raise ConfigurationError(f"{option} {out} is not a directory{under}")
+    return out
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            for line in files.cmd_report(args.files, args.out):
+            for line in files.cmd_report(args.files, _out_dir(args)):
                 print(line)
             return 0
 
@@ -117,5 +137,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> NoReturn:
+    """Run one command as this process and exit with its code."""
+    # A command leaves a few hundred objects in reference cycles, however many
+    # cells, days or tickers it runs (TestProcessLifecycle in
+    # tests/test_pipeline.py checks this), so memory stays bounded with the
+    # collector off. Its passes during the run would traverse live objects to
+    # find them, and freezing what is left spares the full collections at
+    # shutdown over objects that are about to be freed anyway.
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

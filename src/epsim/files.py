@@ -72,18 +72,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _check_schema_line(path, fh, expected_schema: str) -> None:
+    first = fh.readline().strip()
+    if not first.startswith("# schema: "):
+        raise ReportError(f"{path}: missing schema line")
+    found = first[len("# schema: ") :]
+    if found != expected_schema:
+        raise ReportError(
+            f"{path}: schema mismatch: expected {expected_schema}, found {found}"
+        )
+
+
 def read_schema_csv(path, expected_schema: str) -> list[dict]:
     """Read a schema-tagged CSV; refuses missing or mismatched versions."""
     with open(path, newline="") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# schema: "):
-            raise ReportError(f"{path}: missing schema line")
-        found = first[len("# schema: ") :]
-        if found != expected_schema:
-            raise ReportError(
-                f"{path}: schema mismatch: expected {expected_schema}, found {found}"
-            )
-        rows = list(csv.DictReader(fh))
+        _check_schema_line(path, fh, expected_schema)
+        return list(csv.DictReader(fh))
+
+
+def _read_cells(path) -> list[dict]:
+    """Read an attack cells CSV whose every row has a group label and a
+    number (possibly NaN) for each impact metric; a bad row fails with its
+    line number."""
+    rows = []
+    try:
+        with open(path, newline="") as fh:
+            _check_schema_line(path, fh, CELLS_SCHEMA)
+            reader = csv.DictReader(fh)
+            for row in reader:
+                line = reader.line_num + 1  # the schema line came before the reader
+                for column in ("omega_or_mode", *IMPACT_METRICS):
+                    if row.get(column) is None:
+                        raise ReportError(f"{path}: line {line}: missing field '{column}'")
+                for metric in IMPACT_METRICS:
+                    try:
+                        float(row[metric])
+                    except ValueError:
+                        raise ReportError(
+                            f"{path}: line {line}: {metric} {row[metric]!r} is not a number"
+                        ) from None
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"{path}: not UTF-8 text: {exc}") from None
     return rows
 
 
@@ -214,38 +244,77 @@ def _check_json_schema(path, payload: dict, expected: str) -> None:
         )
 
 
+_NUMBER = (int, float)
+
+
+def _typed(path, name: str, value, kind=_NUMBER):
+    if not isinstance(value, kind) or (kind is _NUMBER and isinstance(value, bool)):
+        expected = "number" if kind is _NUMBER else kind.__name__
+        raise ReportError(
+            f"{path}: field '{name}' is a {type(value).__name__}, not a {expected}"
+        )
+    return value
+
+
+def _field(path, payload: dict, *keys: str, kind=_NUMBER):
+    """``payload[keys[0]][keys[1]]...`` of a JSON result file, checked to be
+    a ``kind``; a missing or mistyped field fails naming it."""
+    value = payload
+    for i, key in enumerate(keys):
+        if not isinstance(value, dict) or key not in value:
+            raise ReportError(f"{path}: missing field '{'.'.join(keys[: i + 1])}'")
+        value = value[key]
+    return _typed(path, ".".join(keys), value, kind)
+
+
+def _summary_line(path, payload: dict) -> str:
+    """The printed line of a ``result.json`` or an attack summary."""
+    name = os.path.basename(path)
+    if payload.get("schema") == ATTACK_SUMMARY_SCHEMA:
+        return (
+            f"{name}: mode={_field(path, payload, 'mode', kind=object)} "
+            f"cells={_field(path, payload, 'n_outcomes', kind=object)} "
+            f"baseline_sharpe={_field(path, payload, 'baseline', 'sharpe_ratio'):.4f} "
+            f"baseline_cr={_field(path, payload, 'baseline', 'cumulative_return'):.4%} "
+            f"sr_degraded={_field(path, payload, 'fraction_sharpe_degraded'):.1%} "
+            f"cr_degraded={_field(path, payload, 'fraction_cr_degraded'):.1%}"
+        )
+    _check_json_schema(path, payload, RESULT_SCHEMA)
+    curve = _field(path, payload, "cumulative_returns", kind=list)
+    if not curve:
+        raise ReportError(f"{path}: field 'cumulative_returns' is empty")
+    return (
+        f"{name}: sharpe={_field(path, payload, 'sharpe_ratio'):.4f} "
+        f"final_cr={_typed(path, 'cumulative_returns[-1]', curve[-1]):.4%} "
+        f"final_value={_field(path, payload, 'final_value'):.2f} "
+        f"trades={len(_field(path, payload, 'trades', kind=list))}"
+    )
+
+
 def cmd_report(paths, out_dir) -> list[str]:
-    """Summarize result/attack files; returns the printed lines."""
+    """Summarize result/attack files; returns the printed lines.
+
+    Every file is read and checked before ``quantiles.csv`` is written, so a
+    malformed input fails naming its path and writes nothing.
+    """
     lines: list[str] = []
     cell_rows: list[dict] = []
     for path in paths:
         if not os.path.isfile(path):
             raise ReportError(f"{path}: no such file")
-        name = os.path.basename(path)
         if path.endswith(".json"):
-            with open(path) as fh:
-                payload = json.load(fh)
-            schema = payload.get("schema")
-            if schema == RESULT_SCHEMA:
-                lines.append(
-                    f"{name}: sharpe={payload['sharpe_ratio']:.4f} "
-                    f"final_cr={payload['cumulative_returns'][-1]:.4%} "
-                    f"final_value={payload['final_value']:.2f} "
-                    f"trades={len(payload['trades'])}"
+            try:
+                with open(path) as fh:
+                    payload = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ReportError(f"{path}: invalid JSON: {exc}") from None
+            if not isinstance(payload, dict):
+                raise ReportError(
+                    f"{path}: a {type(payload).__name__}, not a JSON object"
                 )
-            elif schema == ATTACK_SUMMARY_SCHEMA:
-                base = payload["baseline"]
-                lines.append(
-                    f"{name}: mode={payload['mode']} cells={payload['n_outcomes']} "
-                    f"baseline_sharpe={base['sharpe_ratio']:.4f} "
-                    f"baseline_cr={base['cumulative_return']:.4%} "
-                    f"sr_degraded={payload['fraction_sharpe_degraded']:.1%} "
-                    f"cr_degraded={payload['fraction_cr_degraded']:.1%}"
-                )
-            else:
-                _check_json_schema(path, payload, RESULT_SCHEMA)
+            lines.append(_summary_line(path, payload))
         elif path.endswith(".csv"):
-            rows = read_schema_csv(path, CELLS_SCHEMA)
+            rows = _read_cells(path)
             if not rows:
                 raise ReportError(f"{path}: no outcome rows")
             cell_rows.extend(rows)

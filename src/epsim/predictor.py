@@ -135,6 +135,7 @@ def _scale(raw: np.ndarray, scalers: dict, features) -> np.ndarray:
 
 def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
     import numpy as np
+    from numpy.lib.stride_tricks import as_strided
 
     n = len(series.bars)
     w = config.window
@@ -153,13 +154,19 @@ def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
     scaled = _scale(raw, scalers, config.features)
     y_scaled = target_scaler.transform(series.closes())
 
-    n_samples = n - w
+    # Row i is the window of days i .. i+w-1 flattened bar by bar, and its
+    # target the next day's close; tests/oracles.py keeps the row-by-row loop.
+    # Rows are views into the flattened features, F values apart; the last
+    # ends at (n-w-1)*F + d = (n-1)*F, inside its n*F values. (as_strided
+    # rather than sliding_window_view, whose first call raises a process's
+    # peak RSS by about 0.2 MB.)
     d = w * len(config.features)
-    X = np.empty((n_samples, d), dtype=np.float64)
-    y = np.empty(n_samples, dtype=np.float64)
-    for i in range(n_samples):
-        X[i] = scaled[i : i + w].reshape(-1)
-        y[i] = y_scaled[i + w]
+    flat = scaled.reshape(-1)
+    step = flat.strides[0]
+    X = np.ascontiguousarray(
+        as_strided(flat, (n - w, d), (step * len(config.features), step), writeable=False)
+    )
+    y = y_scaled[w:]
 
     gram = X.T @ X + config.ridge_lambda * np.eye(d)
     rhs = X.T @ y

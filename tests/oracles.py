@@ -147,6 +147,27 @@ def accounting_oracle(closes_by_ticker: dict, signals_by_ticker: dict, cost) -> 
     return {"values": values, "trades": trades, "cash": cash, "holdings": holdings}
 
 
+def ridge_coef_oracle(predictor, series):
+    """The coefficients of ``predictor`` refitted on ``series`` (its train
+    partition) with the design matrix built row by row: row i is the scaled
+    window of days i .. i+w-1 flattened bar by bar, and its target the next
+    day's scaled close. Same normal equations and solve as the library."""
+    import numpy as np
+
+    config = predictor.config
+    w = config.window
+    scaled = predictor.scale(series.bars)
+    y_scaled = predictor.target_scaler.transform(series.closes())
+    n_samples = len(series.bars) - w
+    X = np.empty((n_samples, w * len(config.features)), dtype=np.float64)
+    y = np.empty(n_samples, dtype=np.float64)
+    for i in range(n_samples):
+        X[i] = scaled[i : i + w].reshape(-1)
+        y[i] = y_scaled[i + w]
+    gram = X.T @ X + config.ridge_lambda * np.eye(X.shape[1])
+    return np.linalg.solve(gram, X.T @ y)
+
+
 def attack_oracle(dataset, test_start, predictors, strategy_config, cost_model, ep):
     """One attack cell by full rerun: (baseline, attacked, outcome).
 

@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import math
 import os
@@ -477,16 +479,33 @@ class TestAttackWriter:
         ).read_bytes() == TARGETED_SUMMARY.encode()
 
 
+GOOD_RESULT = {
+    "schema": "epsim/result/v1",
+    "sharpe_ratio": 0.5,
+    "cumulative_returns": [0.0, 0.01],
+    "final_value": 101.0,
+    "trades": [],
+}
+GOOD_SUMMARY = {
+    "schema": "epsim/attack-summary/v1",
+    "mode": "sweep",
+    "n_outcomes": 1,
+    "baseline": {"sharpe_ratio": 0.5, "cumulative_return": 0.01},
+    "fraction_sharpe_degraded": 0.0,
+    "fraction_cr_degraded": 0.0,
+}
+CELLS_HEAD = (
+    "# schema: epsim/attack-cells/v1\n"
+    "day,omega_or_mode,delta_sharpe,cr_ratio,first_divergence_day,rmse_clean,rmse_attacked\n"
+)
+
+
 class TestReport:
     def make_cells(self, path, rows):
-        lines = ["# schema: epsim/attack-cells/v1"]
-        lines.append(
-            "day,omega_or_mode,delta_sharpe,cr_ratio,first_divergence_day,"
-            "rmse_clean,rmse_attacked"
+        path.write_text(
+            CELLS_HEAD
+            + "".join(f"{i},{label},{ds},{cr},,1.0,1.0\n" for i, (label, ds, cr) in enumerate(rows))
         )
-        for i, (label, ds, cr) in enumerate(rows):
-            lines.append(f"{i},{label},{ds},{cr},,1.0,1.0")
-        path.write_text("\n".join(lines) + "\n")
 
     def test_quantiles_match_sort_oracle(self, tmp_path, rng):
         values = [float(v) for v in rng.normal(0, 1, 37)]
@@ -568,6 +587,61 @@ class TestReport:
         cells.write_text("day,omega_or_mode\n1,omega=5\n")
         with pytest.raises(ReportError, match="schema"):
             cmd_report([str(cells)], tmp_path)
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            ("result.json", '{"schema": "epsim/result/v1",', "invalid JSON: "),
+            ("result.json", "[1, 2]", "a list, not a JSON object"),
+            ("result.json", "\udcff", "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+            ("result.json", json.dumps({**GOOD_RESULT, "cumulative_returns": []}),
+             "field 'cumulative_returns' is empty"),
+            ("result.json", json.dumps({k: v for k, v in GOOD_RESULT.items() if k != "trades"}),
+             "missing field 'trades'"),
+            ("result.json", json.dumps({**GOOD_RESULT, "final_value": "12"}),
+             "field 'final_value' is a str, not a number"),
+            ("sweep_summary.json",
+             json.dumps({**GOOD_SUMMARY, "baseline": {"sharpe_ratio": 0.5}}),
+             "missing field 'baseline.cumulative_return'"),
+            ("sweep_cells.csv", CELLS_HEAD + "3,omega=5,0.5,1.0,,1.0,1.0\n4,omega=5,abc,1.0,,1.0,1.0\n",
+             "line 4: delta_sharpe 'abc' is not a number"),
+            ("sweep_cells.csv", CELLS_HEAD + "3,omega=5,0.5\n", "line 3: missing field 'cr_ratio'"),
+            ("sweep_cells.csv",
+             "# schema: epsim/attack-cells/v1\nday,omega_or_mode,delta_sharpe\n3,omega=5,0.5\n",
+             "line 3: missing field 'cr_ratio'"),
+            ("sweep_cells.csv", CELLS_HEAD + "\udcff\n", "not UTF-8 text: "),
+        ],
+        ids=[
+            "invalid-json", "not-an-object", "json-not-utf8", "empty-cumulative-returns",
+            "missing-key", "mistyped-key", "missing-nested-key", "cell-not-a-number",
+            "short-cell-row", "missing-cell-column", "cells-not-utf8",
+        ],
+    )
+    def test_malformed_input_fails_cleanly(self, tmp_path, capsys, name, content, message):
+        # each fails naming the file, after a good cells file that would
+        # otherwise make a quantile table
+        good = tmp_path / "good_cells.csv"
+        self.make_cells(good, [("omega=5", 0.25, 1.1)])
+        bad = tmp_path / name
+        bad.write_bytes(content.encode("utf-8", "surrogateescape"))  # \udcff: byte 0xff
+        out = tmp_path / "out"
+        assert main(["report", str(good), str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [report]: {bad}: {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_well_formed_inputs_of_the_malformed_cases_report(self, tmp_path, capsys):
+        result, summary = tmp_path / "result.json", tmp_path / "sweep_summary.json"
+        result.write_text(json.dumps(GOOD_RESULT))
+        summary.write_text(json.dumps(GOOD_SUMMARY))
+        cells = tmp_path / "sweep_cells.csv"
+        cells.write_text(CELLS_HEAD + "3,omega=5,0.5,1.0,,1.0,1.0\n")
+        assert main(["report", str(result), str(summary), str(cells), "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out
+        assert "result.json: sharpe=0.5000 final_cr=1.0000% final_value=101.00 trades=0" in printed
+        assert "cells=1 baseline_sharpe=0.5000 baseline_cr=1.0000%" in printed
+        assert (tmp_path / "quantiles.csv").exists()
 
 
 @st.composite
@@ -851,6 +925,55 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error [config]: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [["ingest"], ["fit"], ["backtest"], ["attack", "sweep"],
+         ["attack", "targeted", "--mode", "conceal"], ["report"]],
+        ids=lambda c: " ".join(c[:2]),
+    )
+    def test_out_naming_a_file_fails_before_compute(
+        self, tmp_path, rng, capsys, monkeypatch, command
+    ):
+        from epsim import files, pipeline
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran despite an --out that is a file")
+
+        for module, name in ((files, "cmd_ingest"), (files, "cmd_report"),
+                             (pipeline, "cmd_fit"), (pipeline, "cmd_backtest"),
+                             (pipeline, "cmd_attack")):
+            monkeypatch.setattr(module, name, no_run)
+        cfg_path = write_universe(
+            tmp_path, rng, n=130, attack={"ticker": "AAA", "mode": "stddev", "days": "all"}
+        )
+        cells = tmp_path / "cells.csv"
+        cells.write_text(CELLS_HEAD + "3,omega=5,0.5,1.0,,1.0,1.0\n")
+        out = tmp_path / "out.txt"
+        out.write_text("not a directory\n")
+        before = sorted(tmp_path.rglob("*"))
+        inputs = [str(cells)] if command == ["report"] else ["--config", str(cfg_path)]
+        assert main([*command, *inputs, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error [config]: --out {out} is not a directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert out.read_text() == "not a directory\n"
+
+    def test_out_under_a_file_fails_before_compute(self, tmp_path, rng, capsys):
+        cfg_path = write_universe(tmp_path, rng, n=130)
+        (tmp_path / "out.txt").write_text("")
+        out = tmp_path / "out.txt" / "run"
+        assert main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error [config]: --out {out} is not a directory ({tmp_path / 'out.txt'} is not one)\n"
+        )
+
+    def test_output_dir_naming_a_file_fails_before_compute(self, tmp_path, rng, capsys):
+        cfg_path = write_universe(tmp_path, rng, n=130, output_dir="out.txt")
+        (tmp_path / "out.txt").write_text("")
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error [config]: output_dir {tmp_path / 'out.txt'} is not a directory\n"
+        )
+
     def test_cli_backtest_rejects_non_finite_imported_forecast(self, tmp_path, rng, capsys):
         path = write_universe(tmp_path, rng, n=100, tickers=("AAA",))
         test_days = trading_dates(100)[80:]
@@ -1018,6 +1141,89 @@ class TestWhatEachCommandLoads:
         proc = _python("import sys, epsim; print(sorted(m for m in sys.modules if 'epsim' in m))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "['epsim']\n"
+
+
+class TestProcessLifecycle:
+    """``python -m epsim.cli`` and the ``epsim`` script run ``cli.entry``:
+    the collector off, survivors frozen at exit. ``main`` itself leaves the
+    collector alone; see the README."""
+
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("lifecycle")
+        cfg_path = write_universe(
+            tmp_path, np.random.default_rng(7), n=150,
+            attack={"ticker": "AAA", "mode": "stddev", "days": "all", "omegas": [5, 10]},
+        )
+        return tmp_path, cfg_path
+
+    def test_main_leaves_the_collector_as_it_was(self, world, tmp_path):
+        _, cfg_path = world
+        out = str(tmp_path / "out")
+        config = ["--config", str(cfg_path), "--out", out]
+        commands = [
+            ["ingest", *config], ["fit", *config], ["backtest", *config],
+            ["attack", "sweep", *config], ["attack", "targeted", "--mode", "conceal", *config],
+            ["report", f"{out}/result.json", f"{out}/sweep_cells.csv", "--out", out],
+        ]
+        for argv in commands:
+            before = gc.isenabled(), gc.get_freeze_count()
+            assert main(argv) == 0, argv
+            assert (gc.isenabled(), gc.get_freeze_count()) == before, argv
+
+    @pytest.mark.parametrize("command", [["ingest"], ["attack", "sweep"]], ids=" ".join)
+    def test_python_m_runs_without_the_collector_and_freezes_at_exit(
+        self, world, tmp_path, command
+    ):
+        _, cfg_path = world
+        script = (
+            "import atexit, gc, runpy\n"
+            "atexit.register(lambda: print('at exit:', gc.isenabled(), gc.get_freeze_count() > 0))\n"
+            "runpy.run_module('epsim.cli', run_name='__main__')\n"
+        )
+        proc = _python(script, *command, "--config", str(cfg_path), "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "at exit: False True"
+
+    def test_script_and_python_m_call_one_entry(self):
+        import epsim.cli
+
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        script = tomllib.loads(pyproject.read_text())["project"]["scripts"]["epsim"]
+        tree = ast.parse(Path(epsim.cli.__file__).read_text())
+        (guard,) = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        module, function = script.split(":")
+        assert module == "epsim.cli"
+        assert [ast.unparse(stmt) for stmt in guard.body] == [f"{function}()"]
+
+    def test_cyclic_garbage_does_not_grow_with_cells(self, world):
+        # the premise of running without the collector: what one command
+        # leaves for it is the same for 1 day's cells as for every day's
+        tmp_path, cfg_path = world
+        script = (
+            "import gc, sys\n"
+            "gc.disable()\n"
+            "from epsim.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(gc.collect())\n"
+        )
+        raw = json.loads(cfg_path.read_text())
+        garbage = {}
+        for days in ([3], "all"):
+            raw["attack"]["days"] = days
+            one = tmp_path / f"config-{len(garbage)}.json"
+            one.write_text(json.dumps(raw))
+            out = tmp_path / f"out-{len(garbage)}"
+            proc = _python(script, "attack", "sweep", "--config", str(one), "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            cells = len(read_schema_csv(out / "sweep_cells.csv", "epsim/attack-cells/v1"))
+            garbage[cells] = int(proc.stdout.splitlines()[-1])
+        assert sorted(garbage)[0] == 2 and sorted(garbage)[1] >= 50
+        assert max(garbage.values()) - min(garbage.values()) <= 20, garbage
 
 
 class TestLazyInit:

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsim.errors import (
     EvaluationError,
     FitError,
     PredictionImportError,
 )
-from epsim.market_data import SplitSpec, split
+from epsim.market_data import FEATURE_NAMES, SplitSpec, align_calendar, split
 from epsim.predictor import (
     PredictionSeries,
     PredictorConfig,
@@ -25,6 +27,7 @@ from conftest import (
     series_from_closes,
     trading_dates,
 )
+from oracles import ridge_coef_oracle
 
 
 def fit_single(closes, **config_kwargs):
@@ -150,6 +153,21 @@ class TestDeterminismAndScaling:
         p2, _ = fit_single(closes, window=7)
         assert np.array_equal(p1.coef, p2.coef)
         assert p1.feature_scalers == p2.feature_scalers
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window=st.integers(1, 12),
+        features=st.lists(st.sampled_from(FEATURE_NAMES), min_size=1, unique=True),
+        n_samples=st.integers(1, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_coefficients_equal_the_row_by_row_fit(self, window, features, n_samples, seed):
+        # the design matrix built from a sliding window view has the loop's
+        # values and layout, so the same BLAS and LAPACK calls give the same bits
+        series = random_series(np.random.default_rng(seed), "T", window + n_samples)
+        config = PredictorConfig(window=window, features=tuple(features))
+        predictor = fit_baseline(align_calendar([series]), config)["T"]
+        assert predictor.coef.tobytes() == ridge_coef_oracle(predictor, series).tobytes()
 
     def test_scalers_come_from_train_only(self, rng):
         series = random_series(rng, "T", 200)
