@@ -47,7 +47,7 @@ DAY = 103
 ep = EpSpec(ticker="BLU", day=DAY, mode=StdDevMode(omega=50))
 
 clean_close = dataset.series["BLU"].bars[test_start + DAY].close
-reported = epsim.apply_ep(dataset.series["BLU"], ep, at=test_start + DAY)
+reported = epsim.apply_ep(dataset.series["BLU"], ep.mode, at=test_start + DAY)
 print("== the perturbation ==")
 print(f"  attacked day        : test day {DAY}")
 print(f"  clean close         : {clean_close:9.3f}")

@@ -17,7 +17,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# module -> the names epsim exports from it
+# module -> the names epsim exports from it: those the demos and README use.
+# The engine's building blocks are imported from their modules.
 _EXPORTS = {
     "attack": (
         "AttackContext",
@@ -55,27 +56,15 @@ _EXPORTS = {
         "FitReport",
         "PredictionSeries",
         "RidgePredictor",
-        "evaluate_rmse",
         "fit_baseline",
         "fit_report",
-        "import_predictions",
         "predict_test_series",
     ),
-    "strategy": (
-        "Signal",
-        "bollinger_signals",
-        "generate_signals",
-        "ma_crossover_signals",
-        "roc_signals",
-        "shift_signals",
-    ),
+    "strategy": ("Signal",),
     "trade_engine": (
-        "PortfolioState",
         "SimulationResult",
         "TradeRecord",
         "cumulative_returns",
-        "execute_signal",
-        "run_signals",
         "run_simulation",
         "sharpe_ratio",
     ),

@@ -113,29 +113,14 @@ class AttackResult:
     errors: tuple[CellError, ...]
 
 
-_MODE_NAMES = {ConcealMode: "conceal", OverestimateMode: "overestimate", CustomMode: "custom"}
-
-
-def mode_label(mode: EpMode) -> str:
-    """A mode's name in cell errors and in the ``omega_or_mode`` column."""
-    if isinstance(mode, StdDevMode):
-        return f"omega={mode.omega}"
-    return _MODE_NAMES[type(mode)]
-
-
-def apply_ep(series: StockSeries, ep: EpSpec, at: int) -> float:
-    """The perturbed close for the attacked day; only that value changes.
-
-    ``at`` is the attacked bar's index within ``series``; ``ep.day`` counts
-    test days, so the two differ by the test window's start when ``series``
-    is the full history.
-    """
+def apply_ep(series: StockSeries, mode: EpMode, at: int) -> float:
+    """The perturbed close for the bar at index ``at`` of ``series``; only
+    that value changes."""
     if not 0 <= at < len(series.bars):
         raise AttackSetupError(
             f"{series.ticker}: day index {at} outside the series"
         )
     clean = series.bars[at].close
-    mode = ep.mode
     if isinstance(mode, StdDevMode):
         if at < mode.omega - 1:
             raise AttackSetupError(
@@ -180,7 +165,7 @@ def perturbed_prediction_entry(
     """
     w = predictor.config.window
     a = test_start + ep.day
-    perturbed_close = apply_ep(full_series, ep, a)
+    perturbed_close = apply_ep(full_series, ep.mode, a)
     clean_close = full_series.bars[a].close
     if a + 1 >= len(full_series.bars):
         return None, None, perturbed_close, clean_close
@@ -354,7 +339,7 @@ def _run_cells(context: AttackContext, kind: str, ticker: str, days, modes) -> A
             try:
                 outcomes.append(context.outcome(EpSpec(ticker, day, mode))[1])
             except AttackSetupError as exc:
-                errors.append(CellError(day=day, label=mode_label(mode), message=str(exc)))
+                errors.append(CellError(day=day, label=mode.label, message=str(exc)))
     return AttackResult(kind, tuple(outcomes), context.baseline, tuple(errors))
 
 

@@ -94,13 +94,18 @@ def main(argv=None) -> int:
         if args.command == "attack":
             overrides = {} if config.attack is None else dataclasses.asdict(config.attack)
             flags = {"ticker": args.ticker, "omegas": args.omega, "mode": args.mode}
-            overrides.update({k: v for k, v in flags.items() if v})
+            overrides.update({k: v for k, v in flags.items() if v is not None})
             modes = [m for m, s in ATTACK_SUBMODES.items() if s == args.submode]
             if len(modes) == 1:  # a submode with one mode needs no attack.mode
                 overrides.setdefault("mode", modes[0])
             config = dataclasses.replace(
                 config, attack=AttackConfig.from_dict(overrides)
             )
+            if config.attack.mode not in modes:
+                raise ConfigurationError(
+                    f"attack {args.submode} runs attack.mode {' or '.join(modes)}, "
+                    f"not {config.attack.mode!r}"
+                )
 
         out_dir = _out_dir(args, config)
         if args.command == "ingest":
@@ -116,7 +121,7 @@ def main(argv=None) -> int:
         from . import pipeline
 
         if args.command == "attack":
-            paths = pipeline.cmd_attack(config, out_dir, args.submode)
+            paths = pipeline.cmd_attack(config, out_dir)
             for name in sorted(paths):
                 print(f"{name}: {paths[name]}")
         elif args.command == "fit":

@@ -5,7 +5,8 @@ attack experiments are parameter-sensitive and a typo silently falling back
 to a default would corrupt baseline/attacked comparisons.
 
 Each config section is a frozen dataclass that checks its own values: the
-predictor's, the strategy's, the cost model and the attack modes. They live
+predictor's, the strategy's, the cost model and the attack modes, each of
+which also carries the ``label`` its cells are written under. They live
 here, not beside the code that uses them, so that reading and checking a
 config loads none of the engine; ``predictor``, ``strategy``,
 ``trade_engine`` and ``attack`` import them back under their old names.
@@ -135,14 +136,20 @@ class StdDevMode:
         if self.ddof not in (0, 1):
             raise AttackSetupError(f"ddof must be 0 or 1, got {self.ddof}")
 
+    @property
+    def label(self) -> str:
+        """A mode's name in cell errors and in the ``omega_or_mode`` column."""
+        return f"omega={self.omega}"
+
 
 @dataclass(frozen=True)
 class ConcealMode:
-    pass
+    label = "conceal"
 
 
 @dataclass(frozen=True)
 class OverestimateMode:
+    label = "overestimate"
     drop_fraction: float = 0.10
 
     def __post_init__(self):
@@ -154,6 +161,7 @@ class OverestimateMode:
 
 @dataclass(frozen=True)
 class CustomMode:
+    label = "custom"
     value: float
 
 
@@ -364,12 +372,14 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from None
         return cls.from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
     def resolve(self, path: str) -> str:

@@ -20,7 +20,7 @@ import os
 from typing import TYPE_CHECKING
 
 from .errors import ReportError
-from .market_data import align_calendar, load_csv, split
+from .market_data import align_calendar, load_csv, open_csv, split
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -95,25 +95,22 @@ def _read_cells(path) -> list[dict]:
     number (possibly NaN) for each impact metric; a bad row fails with its
     line number."""
     rows = []
-    try:
-        with open(path, newline="") as fh:
-            _check_schema_line(path, fh, CELLS_SCHEMA)
-            reader = csv.DictReader(fh)
-            for row in reader:
-                line = reader.line_num + 1  # the schema line came before the reader
-                for column in ("omega_or_mode", *IMPACT_METRICS):
-                    if row.get(column) is None:
-                        raise ReportError(f"{path}: line {line}: missing field '{column}'")
-                for metric in IMPACT_METRICS:
-                    try:
-                        float(row[metric])
-                    except ValueError:
-                        raise ReportError(
-                            f"{path}: line {line}: {metric} {row[metric]!r} is not a number"
-                        ) from None
-                rows.append(row)
-    except UnicodeDecodeError as exc:
-        raise ReportError(f"{path}: not UTF-8 text: {exc}") from None
+    with open_csv(path, ReportError) as fh:
+        _check_schema_line(path, fh, CELLS_SCHEMA)
+        reader = csv.DictReader(fh)
+        for row in reader:
+            line = reader.line_num + 1  # the schema line came before the reader
+            for column in ("omega_or_mode", *IMPACT_METRICS):
+                if row.get(column) is None:
+                    raise ReportError(f"{path}: line {line}: missing field '{column}'")
+            for metric in IMPACT_METRICS:
+                try:
+                    float(row[metric])
+                except ValueError:
+                    raise ReportError(
+                        f"{path}: line {line}: {metric} {row[metric]!r} is not a number"
+                    ) from None
+            rows.append(row)
     return rows
 
 
@@ -304,7 +301,7 @@ def cmd_report(paths, out_dir) -> list[str]:
             raise ReportError(f"{path}: no such file")
         if path.endswith(".json"):
             try:
-                with open(path) as fh:
+                with open(path, encoding="utf-8") as fh:
                     payload = json.load(fh)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ReportError(f"{path}: invalid JSON: {exc}") from None

@@ -11,6 +11,7 @@ simulation runs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import functools
@@ -24,6 +25,7 @@ from .errors import (
     ConfigurationError,
     CsvParseError,
     EmptyInputError,
+    EpsimError,
     ValidationError,
 )
 
@@ -172,6 +174,17 @@ def parse_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
+@contextlib.contextmanager
+def open_csv(path, error: type[EpsimError]):
+    """``path`` opened for ``csv.reader``. A byte that is not UTF-8, wherever
+    it is read, raises ``error`` naming the path."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _finite(raw: str, col: str, line_no: int) -> float:
     raw = raw.strip()
     try:
@@ -207,7 +220,7 @@ def load_csv(path, ticker: str) -> StockSeries:
       ValidationError  - OHLC inconsistency, naming the date
       EmptyInputError  - file with no data rows
     """
-    with open(path, newline="") as fh:
+    with open_csv(path, CsvParseError) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

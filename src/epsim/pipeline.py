@@ -13,7 +13,7 @@ import dataclasses
 import os
 from typing import TYPE_CHECKING
 
-from .config import ATTACK_SUBMODES, AttackConfig, CostModel, RunConfig, _plain
+from .config import AttackConfig, CostModel, RunConfig, _plain
 from .errors import AttackSetupError, ConfigurationError
 from .files import (
     ATTACK_SUMMARY_SCHEMA,
@@ -22,6 +22,7 @@ from .files import (
     FIT_SCHEMA,
     LEDGER_SCHEMA,
     METRICS_SCHEMA,
+    RESULT_SCHEMA,
     _fmt,
     _write_csv,
     _write_json,
@@ -91,14 +92,25 @@ def write_result_files(
         "ledger": os.path.join(out_dir, "ledger.csv"),
         "metrics": os.path.join(out_dir, "metrics.csv"),
     }
-    payload = result.to_dict()
-    _write_json(paths["result"], payload)
     columns = ("day", "ticker", "side", "shares", "price", "commission", "slippage")
+    trades = [
+        (t.day, t.ticker, t.side.value, t.shares, t.execution_price, t.commission_paid,
+         t.slippage_paid)
+        for t in result.trade_ledger
+    ]
+    _write_json(
+        paths["result"],
+        {
+            "schema": RESULT_SCHEMA,
+            "daily_returns": list(result.daily_returns),
+            "cumulative_returns": list(result.cumulative_returns),
+            "sharpe_ratio": result.sharpe_ratio,
+            "final_value": result.final_value,
+            "trades": [dict(zip(columns, trade)) for trade in trades],
+        },
+    )
     _write_csv(
-        paths["ledger"],
-        LEDGER_SCHEMA,
-        columns,
-        [tuple(_fmt(trade[c]) for c in columns) for trade in payload["trades"]],
+        paths["ledger"], LEDGER_SCHEMA, columns, [tuple(map(_fmt, t)) for t in trades]
     )
     initial = cost_model.initial_capital
     _write_csv(
@@ -135,8 +147,6 @@ def write_sweep_files(result: AttackResult, out_dir) -> dict[str, str]:
     name because the benchmark's tracer (``perfbench/tracing.py``) looks it
     up under that name; renaming it waits for a change to the benchmark.
     """
-    from .attack import mode_label
-
     targeted = result.kind != "sweep"
     prefix = "targeted" if targeted else "sweep"
     os.makedirs(out_dir, exist_ok=True)
@@ -146,7 +156,7 @@ def write_sweep_files(result: AttackResult, out_dir) -> dict[str, str]:
     }
     columns = CELL_COLUMNS + (("cr_change_pct",) if targeted else ())
     rows = [
-        (o.ep.day, mode_label(o.ep.mode))
+        (o.ep.day, o.ep.mode.label)
         + tuple(_fmt(getattr(o, c)) for c in columns[2:])
         for o in result.outcomes
     ]
@@ -239,7 +249,9 @@ def _attack_days(attack: AttackConfig, dataset: Dataset, test_start: int) -> lis
     return sorted(set(days))
 
 
-def cmd_attack(config: RunConfig, out_dir, submode: str) -> dict:
+def cmd_attack(config: RunConfig, out_dir) -> dict:
+    """Run the attack ``attack.mode`` names: a sweep for ``stddev``, else a
+    targeted run."""
     from . import attack as attack_mod
 
     if config.attack is None:
@@ -250,18 +262,12 @@ def cmd_attack(config: RunConfig, out_dir, submode: str) -> dict:
             "needed to recompute the perturbed forecast)"
         )
     atk = config.attack
-    modes = [m for m, s in ATTACK_SUBMODES.items() if s == submode]
-    if atk.mode not in modes:
-        raise ConfigurationError(
-            f"attack {submode} runs attack.mode {' or '.join(modes) or 'none'}, "
-            f"not {atk.mode!r}"
-        )
     dataset, test_start = load_dataset(config)
     days = _attack_days(atk, dataset, test_start)
     train = dataset.slice(0, test_start)
     predictors = fit_baseline(train, config.predictor)
     world = (dataset, test_start, predictors, config.strategy, config.costs)
-    if submode == "sweep":
+    if atk.mode == "stddev":
         result = attack_mod.sweep_indiscriminate(
             *world, ticker=atk.ticker, omegas=atk.omegas, ddof=atk.ddof, days=days
         )

@@ -26,7 +26,7 @@ from .errors import (
     PredictionImportError,
     WindowError,
 )
-from .market_data import Dataset, StockSeries, feature_matrix, parse_date
+from .market_data import Dataset, StockSeries, feature_matrix, open_csv, parse_date
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
@@ -223,7 +223,7 @@ def import_predictions(path, calendar, ticker: str) -> PredictionSeries:
     """
     cal_index = {d: i for i, d in enumerate(calendar)}
     entries: dict[int, float] = {}
-    with open(path, newline="") as fh:
+    with open_csv(path, PredictionImportError) as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

@@ -21,14 +21,12 @@ earlier run is its rest too (:func:`resume_signals`).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 from .config import CostModel
 from .errors import MetricError, SimulationSetupError, ZeroVolatilityWarning
-from .files import RESULT_SCHEMA
 from .market_data import Dataset
 from .predictor import PredictionSeries
 from .strategy import Signal, StrategyConfig, generate_signals, shift_signals
@@ -135,31 +133,6 @@ class SimulationResult:
 
     def final_cumulative_return(self) -> float:
         return self.cumulative_returns[-1] if self.cumulative_returns else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": RESULT_SCHEMA,
-            "daily_returns": list(self.daily_returns),
-            "cumulative_returns": list(self.cumulative_returns),
-            "sharpe_ratio": self.sharpe_ratio,
-            "final_value": self.final_value,
-            "trades": [
-                {
-                    "day": t.day,
-                    "ticker": t.ticker,
-                    "side": t.side.value,
-                    "shares": t.shares,
-                    "price": t.execution_price,
-                    "commission": t.commission_paid,
-                    "slippage": t.slippage_paid,
-                }
-                for t in self.trade_ledger
-            ],
-        }
-
-    def serialize(self) -> str:
-        """Canonical JSON; identical inputs give byte-identical output."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def cumulative_returns(daily_returns) -> list[float]:

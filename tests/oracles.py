@@ -204,7 +204,7 @@ def attack_oracle(dataset, test_start, predictors, strategy_config, cost_model, 
 
     full = dataset.series[ep.ticker]
     a = test_start + ep.day
-    perturbed = apply_ep(full, ep, at=a)
+    perturbed = apply_ep(full, ep.mode, at=a)
     attacked_predictions = dict(clean)
     if a + 1 < len(full.bars):
         predictor = predictors[ep.ticker]

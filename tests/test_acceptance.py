@@ -21,7 +21,14 @@ from epsim.files import cmd_report, read_schema_csv
 from epsim.market_data import save_csv
 from epsim.pipeline import cmd_attack, cmd_backtest
 from epsim.predictor import PredictionSeries
-from epsim.strategy import Signal, StrategyConfig, generate_signals
+from epsim.strategy import (
+    Signal,
+    StrategyConfig,
+    bollinger_signals,
+    generate_signals,
+    ma_crossover_signals,
+    roc_signals,
+)
 from epsim.trade_engine import CostModel, cumulative_returns, run_signals, sharpe_ratio
 
 from conftest import make_world, random_series, series_from_closes
@@ -63,12 +70,12 @@ def test_ep_crafting_oracle():
         for _ in range(1000):
             omega = int(rng.integers(2, 60))
             t = int(rng.integers(omega - 1, len(closes)))
-            got = epsim.apply_ep(series, EpSpec("T", t, StdDevMode(omega=omega)), t)
+            got = epsim.apply_ep(series, StdDevMode(omega=omega), t)
             want = closes[t] + 2.0 * sample_std(closes[t - omega + 1 : t + 1])
             assert abs(got - want) <= 1e-9
         flat = series_from_closes("T", [77.7] * 60)
         for t in range(9, 60):
-            assert epsim.apply_ep(flat, EpSpec("T", t, StdDevMode(omega=10)), t) == 77.7
+            assert epsim.apply_ep(flat, StdDevMode(omega=10), t) == 77.7
         assert time.perf_counter() - start < 5.0
 
 
@@ -144,7 +151,7 @@ def test_null_perturbation_equivalence():
             _, baseline = epsim.clean_run(
                 dataset, test_start, predictors, strategy, costs
             )
-            assert attacked.serialize() == baseline.serialize()
+            assert repr(attacked) == repr(baseline)
             assert outcome.first_divergence_day is None
             assert outcome.cr_ratio == 1.0
             assert outcome.delta_sharpe == 0.0
@@ -246,13 +253,13 @@ def test_strategy_oracles():
             }
             preds = PredictionSeries("T", entries)
 
-            got = epsim.ma_crossover_signals(preds, cfg, n)
+            got = ma_crossover_signals(preds, cfg, n)
             assert [s.value for s in got] == ma_crossover_oracle(entries, 5, 20, n)
 
-            got = epsim.roc_signals(series, preds, cfg, n)
+            got = roc_signals(series, preds, cfg, n)
             assert [s.value for s in got] == roc_oracle(closes, entries, 14, 1.0, -1.0, n)
 
-            got = epsim.bollinger_signals(series, preds, cfg, n)
+            got = bollinger_signals(series, preds, cfg, n)
             assert [s.value for s in got] == bollinger_oracle(closes, entries, 20, 2.0, n)
 
         for kind in ("ma_crossover", "rate_of_change", "bollinger_bands"):
@@ -313,7 +320,7 @@ def test_desk_scale_end_to_end(tmp_path):
             out = tmp_path / label
             result = cmd_backtest(cfg, out)
             assert len(result.daily_returns) == 80
-            paths = cmd_attack(cfg, out, "sweep")
+            paths = cmd_attack(cfg, out)
             rows = read_schema_csv(paths["cells"], "epsim/attack-cells/v1")
             assert len(rows) == 80 * 3
             summary = json.loads(open(paths["summary"]).read())

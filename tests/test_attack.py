@@ -39,19 +39,19 @@ COSTS = CostModel()
 class TestApplyEp:
     def test_constant_window_is_noop(self):
         series = series_from_closes("T", [50.0] * 10)
-        got = apply_ep(series, EpSpec("T", 7, StdDevMode(omega=5)), 7)
+        got = apply_ep(series, StdDevMode(omega=5), 7)
         assert got == 50.0
 
     def test_sample_std_magnitude(self):
         # closes [10, 12, 14]: sample std = 2, so the reported close is 14+4.
         series = series_from_closes("T", [10.0, 12.0, 14.0])
-        got = apply_ep(series, EpSpec("T", 2, StdDevMode(omega=3)), 2)
+        got = apply_ep(series, StdDevMode(omega=3), 2)
         assert got == pytest.approx(18.0, abs=1e-12)
         assert sample_std([10.0, 12.0, 14.0]) == 2.0
 
     def test_population_std_switch(self):
         series = series_from_closes("T", [10.0, 12.0, 14.0])
-        got = apply_ep(series, EpSpec("T", 2, StdDevMode(omega=3, ddof=0)), 2)
+        got = apply_ep(series, StdDevMode(omega=3, ddof=0), 2)
         want = 14.0 + 2.0 * math.sqrt(8.0 / 3.0)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -61,31 +61,31 @@ class TestApplyEp:
         for _ in range(50):
             omega = int(rng.integers(2, 30))
             t = int(rng.integers(omega - 1, 200))
-            got = apply_ep(series, EpSpec("T", t, StdDevMode(omega=omega)), t)
+            got = apply_ep(series, StdDevMode(omega=omega), t)
             want = closes[t] + 2.0 * sample_std(closes[t - omega + 1 : t + 1])
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_conceal_reports_previous_close(self):
         series = series_from_closes("T", [100.0, 95.0, 90.0])
-        assert apply_ep(series, EpSpec("T", 2, ConcealMode()), 2) == 95.0
+        assert apply_ep(series, ConcealMode(), 2) == 95.0
 
     def test_overestimate_fixed_drop(self):
         series = series_from_closes("T", [100.0, 100.0])
-        got = apply_ep(series, EpSpec("T", 1, OverestimateMode(drop_fraction=0.10)), 1)
+        got = apply_ep(series, OverestimateMode(drop_fraction=0.10), 1)
         assert got == pytest.approx(90.0, abs=1e-12)
 
     def test_custom_value(self):
         series = series_from_closes("T", [100.0])
-        assert apply_ep(series, EpSpec("T", 0, CustomMode(value=123.5)), 0) == 123.5
+        assert apply_ep(series, CustomMode(value=123.5), 0) == 123.5
 
     def test_insufficient_history_errors(self):
         series = series_from_closes("T", [100.0, 101.0, 102.0])
         with pytest.raises(AttackSetupError):
-            apply_ep(series, EpSpec("T", 1, StdDevMode(omega=3)), 1)
+            apply_ep(series, StdDevMode(omega=3), 1)
         with pytest.raises(AttackSetupError):
-            apply_ep(series, EpSpec("T", 0, ConcealMode()), 0)
+            apply_ep(series, ConcealMode(), 0)
         with pytest.raises(AttackSetupError):
-            apply_ep(series, EpSpec("T", 9, ConcealMode()), 9)
+            apply_ep(series, ConcealMode(), 9)
 
     @given(
         closes=st.lists(
@@ -108,8 +108,7 @@ class TestApplyEp:
         if fresh.min() != fresh.max():
             want += 2.0 * float(np.std(fresh, ddof=ddof))
         series = series_from_closes("T", closes)
-        ep = EpSpec("T", t, StdDevMode(omega=omega, ddof=ddof))
-        assert apply_ep(series, ep, t) == want
+        assert apply_ep(series, StdDevMode(omega=omega, ddof=ddof), t) == want
 
     def test_mode_validation(self):
         with pytest.raises(AttackSetupError):
@@ -154,7 +153,7 @@ class TestSinglePredictionLocality:
             predictors["AAA"], full, test_start, ep
         )
         assert entry_day is None and entry is None
-        assert perturbed == apply_ep(full, ep, test_start + n_test - 1)
+        assert perturbed == apply_ep(full, ep.mode, test_start + n_test - 1)
         assert clean_close == full.bars[-1].close
 
     def test_other_tickers_untouched(self, rng):
@@ -176,7 +175,7 @@ class TestAttackedSimulation:
             dataset, test_start, predictors, STRAT, COSTS
         ).outcome(EpSpec("AAA", day, CustomMode(value=clean_close)))
         _, baseline = clean_run(dataset, test_start, predictors, STRAT, COSTS)
-        assert attacked.serialize() == baseline.serialize()
+        assert repr(attacked) == repr(baseline)
         assert outcome.first_divergence_day is None
         assert outcome.delta_sharpe == 0.0
         assert outcome.cr_ratio == 1.0

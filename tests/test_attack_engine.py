@@ -60,8 +60,8 @@ def assert_cell_matches_oracle(context, world, strategy, costs, ep):
         return
     baseline, attacked_want, outcome_want = want
     attacked, outcome = context.outcome(ep)
-    assert context.baseline.serialize() == baseline.serialize()
-    assert attacked.serialize() == attacked_want.serialize()
+    assert repr(context.baseline) == repr(baseline)
+    assert repr(attacked) == repr(attacked_want)
     assert_same_outcome(outcome, outcome_want)
 
 
@@ -169,7 +169,7 @@ class TestDifferential:
         ep = EpSpec("AAA", 12, StdDevMode(omega=6))
         attacked, outcome = AttackContext(*world, strategy, costs).outcome(ep)
         _, attacked_want, want = attack_oracle(*world, strategy, costs, ep)
-        assert attacked.serialize() == attacked_want.serialize()
+        assert repr(attacked) == repr(attacked_want)
         assert_same_outcome(outcome, want)
 
 
@@ -258,7 +258,7 @@ class TestResume:
             edited["ABC"[ticker]][day] = signal
         resumed = resume_signals(test, edited, costs, base)
         fresh = resume_signals(test, edited, costs)
-        assert resumed.result.serialize() == fresh.result.serialize()
+        assert repr(resumed.result) == repr(fresh.result)
         assert resumed.result == fresh.result
         assert resumed.day_starts == fresh.day_starts
         if edited == signals:
@@ -301,7 +301,7 @@ class TestResume:
         fresh = resume_signals(test, edited, self.FREE)
         assert (resumed.start, resumed.stop) == (4, 6)
         assert len(resumed.result.trade_ledger) != len(base.result.trade_ledger)
-        assert resumed.result.serialize() == fresh.result.serialize()
+        assert repr(resumed.result) == repr(fresh.result)
         assert resumed.day_starts == fresh.day_starts
         assert resumed.result.trade_ledger[-3:] == base.result.trade_ledger[-3:]
 
@@ -314,7 +314,7 @@ class TestResume:
         resumed = resume_signals(test, edited, self.FREE, base)
         fresh = resume_signals(test, edited, self.FREE)
         assert resumed.stop == 14  # {"A": 0} never matches {}
-        assert resumed.result.serialize() == fresh.result.serialize()
+        assert repr(resumed.result) == repr(fresh.result)
         assert resumed.day_starts == fresh.day_starts
 
     def test_state_match_compares_holdings_in_order_with_zero_keys(self):

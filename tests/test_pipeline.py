@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import gc
 import json
 import math
@@ -27,8 +28,15 @@ from epsim.config import AttackConfig, RunConfig
 from epsim.errors import ConfigurationError, ReportError
 from epsim.files import cmd_ingest, cmd_report, quantile_table, read_schema_csv
 from epsim.market_data import save_csv
-from epsim.pipeline import cmd_attack, cmd_backtest, cmd_fit, write_sweep_files
-from epsim.trade_engine import SimulationResult
+from epsim.pipeline import (
+    cmd_attack,
+    cmd_backtest,
+    cmd_fit,
+    write_result_files,
+    write_sweep_files,
+)
+from epsim.strategy import Signal
+from epsim.trade_engine import CostModel, SimulationResult, TradeRecord
 
 from conftest import random_series, trading_dates
 from oracles import quantile_oracle
@@ -45,10 +53,10 @@ TEST_DAY_COMPACT = TEST_DAY.strftime("%Y%m%d")
 TEST_DAY_WEEK = "{}-W{:02d}-{}".format(*TEST_DAY.isocalendar())
 
 
-def _python(script: str, *args: str) -> subprocess.CompletedProcess:
+def _python(script: str, *args: str, env=None) -> subprocess.CompletedProcess:
     """Run ``script`` in a fresh interpreter that imports this epsim."""
     src = os.path.dirname(os.path.dirname(epsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ if env is None else env, PYTHONPATH=src)
     return subprocess.run(
         [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
     )
@@ -204,7 +212,7 @@ class TestCommands:
             attack={"ticker": "AAA", "mode": "stddev", "omegas": [5, 10], "days": "all"},
         )
         cfg = RunConfig.from_file(path)
-        paths = cmd_attack(cfg, tmp_path / "out", "sweep")
+        paths = cmd_attack(cfg, tmp_path / "out")
         rows = read_schema_csv(paths["cells"], "epsim/attack-cells/v1")
         assert len(rows) == 2 * 30  # 30 test days x 2 omegas
         summary = json.loads(open(paths["summary"]).read())
@@ -225,7 +233,7 @@ class TestCommands:
             },
         )
         cfg = RunConfig.from_file(path)
-        paths = cmd_attack(cfg, tmp_path / "out", "targeted")
+        paths = cmd_attack(cfg, tmp_path / "out")
         rows = read_schema_csv(paths["cells"], "epsim/attack-cells/v1")
         assert [int(r["day"]) for r in rows] == [5, 12, 20]
         assert all(r["omega_or_mode"] == "overestimate" for r in rows)
@@ -244,7 +252,7 @@ class TestCommands:
             raw["attack"]["days"] = days
             path.write_text(json.dumps(raw))
             out = tmp_path / "out" / "-".join(map(str, days))
-            paths = cmd_attack(RunConfig.from_file(path), out, "targeted")
+            paths = cmd_attack(RunConfig.from_file(path), out)
             written[tuple(days)] = {k: Path(p).read_bytes() for k, p in paths.items()}
         return written
 
@@ -271,7 +279,7 @@ class TestCommands:
             attack={"ticker": "AAA", "mode": "conceal", "days": [target.isoformat()]},
         )
         cfg = RunConfig.from_file(path)
-        paths = cmd_attack(cfg, tmp_path / "out", "targeted")
+        paths = cmd_attack(cfg, tmp_path / "out")
         rows = read_schema_csv(paths["cells"], "epsim/attack-cells/v1")
         assert [int(r["day"]) for r in rows] == [7]
 
@@ -291,7 +299,7 @@ class TestCommands:
         path.write_text(json.dumps(raw))
         cfg = RunConfig.from_file(path)
         with pytest.raises(ConfigurationError, match="baseline"):
-            cmd_attack(cfg, tmp_path / "out", "sweep")
+            cmd_attack(cfg, tmp_path / "out")
 
     def test_sweep_days_compute_only_those_cells(self, tmp_path, rng, monkeypatch):
         from epsim import attack
@@ -301,7 +309,7 @@ class TestCommands:
             tmp_path, rng, n=150, attack={**attack_block, "days": "all"}
         )
         full = read_schema_csv(
-            cmd_attack(RunConfig.from_file(path), tmp_path / "all", "sweep")["cells"],
+            cmd_attack(RunConfig.from_file(path), tmp_path / "all")["cells"],
             "epsim/attack-cells/v1",
         )
         raw = json.loads(path.read_text())
@@ -315,19 +323,10 @@ class TestCommands:
             return original(predictor, series, test_start, ep, *cached)
 
         monkeypatch.setattr(attack, "perturbed_prediction_entry", counting)
-        cells = cmd_attack(RunConfig.from_file(path), tmp_path / "some", "sweep")
+        cells = cmd_attack(RunConfig.from_file(path), tmp_path / "some")
         rows = read_schema_csv(cells["cells"], "epsim/attack-cells/v1")
         assert computed == [(3, 5), (3, 10), (7, 5), (7, 10)]
         assert rows == [r for r in full if int(r["day"]) in (3, 7)]
-
-    def test_sweep_mismatched_mode_rejected(self, tmp_path, rng):
-        path = write_universe(
-            tmp_path, rng, n=100,
-            attack={"ticker": "AAA", "mode": "conceal", "days": "all"},
-        )
-        cfg = RunConfig.from_file(path)
-        with pytest.raises(ConfigurationError):
-            cmd_attack(cfg, tmp_path / "out", "sweep")
 
 
 BASELINE = SimulationResult(
@@ -447,6 +446,81 @@ TARGETED_SUMMARY = """\
   "schema": "epsim/attack-summary/v1"
 }
 """
+
+
+RESULT_JSON = """\
+{
+  "cumulative_returns": [
+    0.0,
+    0.0125,
+    0.00845
+  ],
+  "daily_returns": [
+    0.0,
+    0.0125,
+    -0.004
+  ],
+  "final_value": 100845.0,
+  "schema": "epsim/result/v1",
+  "sharpe_ratio": 1.75,
+  "trades": [
+    {
+      "commission": 0.49,
+      "day": 1,
+      "price": 101.27,
+      "shares": 98,
+      "side": "buy",
+      "slippage": 1.96,
+      "ticker": "AAA"
+    },
+    {
+      "commission": 0.2,
+      "day": 2,
+      "price": 49.98,
+      "shares": 40,
+      "side": "sell",
+      "slippage": 0.8000000000000114,
+      "ticker": "BBB"
+    }
+  ]
+}
+"""
+
+LEDGER_CSV = (
+    "# schema: epsim/ledger/v1\n"
+    "day,ticker,side,shares,price,commission,slippage\r\n"
+    "1,AAA,buy,98,101.27,0.49,1.96\r\n"
+    "2,BBB,sell,40,49.98,0.2,0.8000000000000114\r\n"
+)
+
+METRICS_CSV = (
+    "# schema: epsim/metrics/v1\n"
+    "day,portfolio_value,daily_return,cumulative_return\r\n"
+    "0,100000.0,0.0,0.0\r\n"
+    "1,101250.0,0.0125,0.0125\r\n"
+    "2,100845.0,-0.004,0.00845\r\n"
+)
+
+
+class TestResultWriter:
+    def test_result_files_are_byte_exact(self, tmp_path):
+        # bytes, not parsed values: key order, float reprs and CRLF rows are
+        # part of the format that reruns must reproduce
+        trades = (
+            TradeRecord(1, "AAA", Signal.BUY, 98, 101.27, 0.49, 1.96),
+            TradeRecord(2, "BBB", Signal.SELL, 40, 49.98, 0.2, 0.8000000000000114),
+        )
+        result = dataclasses.replace(BASELINE, trade_ledger=trades)
+        paths = write_result_files(result, CostModel(), tmp_path)
+        assert paths == {
+            "result": str(tmp_path / "result.json"),
+            "ledger": str(tmp_path / "ledger.csv"),
+            "metrics": str(tmp_path / "metrics.csv"),
+        }
+        assert json.loads(RESULT_JSON)["schema"] == "epsim/result/v1"
+        assert (tmp_path / "result.json").read_bytes() == RESULT_JSON.encode()
+        assert (tmp_path / "ledger.csv").read_bytes() == LEDGER_CSV.encode()
+        assert (tmp_path / "metrics.csv").read_bytes() == METRICS_CSV.encode()
 
 
 class TestAttackWriter:
@@ -761,6 +835,82 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error [config]: attack.ticker is required")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mode, argv, message",
+        [
+            ("conceal", ["sweep"], "attack sweep runs attack.mode stddev, not 'conceal'"),
+            ("stddev", ["targeted", "--mode", "stddev"],
+             "attack targeted runs attack.mode conceal or overestimate, not 'stddev'"),
+        ],
+        ids=["sweep-conceal", "targeted-stddev"],
+    )
+    def test_submode_that_does_not_run_attack_mode_fails_before_compute(
+        self, tmp_path, rng, capsys, monkeypatch, mode, argv, message
+    ):
+        from epsim import pipeline
+
+        def no_attack(*args, **kwargs):
+            raise AssertionError("attacked despite a mismatched submode")
+
+        monkeypatch.setattr(pipeline, "cmd_attack", no_attack)
+        cfg_path = write_universe(
+            tmp_path, rng, n=100, attack={"ticker": "AAA", "mode": mode, "days": "all"}
+        )
+        out = tmp_path / "out"
+        code = main(["attack", *argv, "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error [config]: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", ["config", "market_data", "predictor"])
+    def test_non_utf8_input_fails_cleanly(self, tmp_path, rng, capsys, reader):
+        cfg_path = write_universe(tmp_path, rng, n=100, tickers=("AAA",))
+        test_days = trading_dates(100)[80:]
+        preds = tmp_path / "preds.csv"
+        preds.write_text(
+            "Date,Prediction\n" + "".join(f"{d.isoformat()},100\n" for d in test_days)
+        )
+        raw = json.loads(cfg_path.read_text())
+        raw["predictor"] = {"kind": "import", "files": {"AAA": "preds.csv"}}
+        cfg_path.write_text(json.dumps(raw))
+        bad = {
+            "config": cfg_path, "market_data": tmp_path / "data" / "AAA.csv",
+            "predictor": preds,
+        }[reader]
+        lines = bad.read_bytes().split(b"\n")
+        at = 0 if reader == "config" else 5
+        lines[at] = b"\xff" + lines[at]
+        bad.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        code = main(["backtest", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error [{reader}]: {bad}: not UTF-8 text: "
+            "'utf-8' codec can't decode byte 0xff in position "
+        )
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_utf8_input_reads_under_an_ascii_locale(self, tmp_path, rng):
+        # inputs are UTF-8 whatever the locale's encoding, so a UTF-8 config
+        # is not refused as "not UTF-8 text" where that encoding is ASCII
+        cfg_path = write_universe(tmp_path, rng, n=120, output_dir="sortie_\u00e9")
+        cfg_path.write_text(
+            json.dumps(json.loads(cfg_path.read_text()), ensure_ascii=False),
+            encoding="utf-8",
+        )
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = _python(
+            "import locale, sys\n"
+            "assert 'utf' not in locale.getpreferredencoding(False).lower()\n"
+            "from epsim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n",
+            "ingest", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_cli_error_reports_module_and_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"data_dir": "nope", "tickers": ["X"]}))
@@ -774,6 +924,7 @@ class TestCli:
         [
             ({"ticker": "ZZZ", "mode": "stddev", "days": "all"}, []),
             ({"ticker": "AAA", "mode": "stddev", "days": "all"}, ["--ticker", "ZZZ"]),
+            ({"ticker": "AAA", "mode": "stddev", "days": "all"}, ["--ticker", ""]),
             ({"ticker": "AAA", "mode": "stddev", "days": [3, True]}, []),
             ({"ticker": "AAA", "mode": "stddev", "days": [3, 30]}, []),
             ({"ticker": "AAA", "mode": "conceal", "days": [-1]}, ["--mode", "conceal"]),
@@ -781,8 +932,8 @@ class TestCli:
             ({"ticker": "AAA", "mode": "conceal", "days": [TEST_DAY_WEEK]}, []),
         ],
         ids=[
-            "ticker", "ticker-flag", "bool-day", "day-past-window", "negative-day",
-            "compact-date", "week-date",
+            "ticker", "ticker-flag", "empty-ticker-flag", "bool-day", "day-past-window",
+            "negative-day", "compact-date", "week-date",
         ],
     )
     def test_bad_attack_target_fails_before_compute(
@@ -1136,6 +1287,12 @@ class TestWhatEachCommandLoads:
         mods = self.loaded(command, "--config", str(cfg_path), "--out", str(tmp_path))
         assert {"epsim.pipeline", "numpy"} <= mods
         assert "epsim.attack" not in mods
+
+    def test_engine_loads_no_file_format_module(self):
+        # the engine computes results; pipeline and files write them
+        proc = _python("import sys, epsim.attack; print('epsim.files' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_import_epsim_loads_no_submodule(self):
         proc = _python("import sys, epsim; print(sorted(m for m in sys.modules if 'epsim' in m))")
