@@ -44,11 +44,10 @@ costs = epsim.CostModel()
 print(f"universe: {len(dataset.series)} tickers, test window {test.n_days()} days")
 
 # ---------------------------------------------------------------------------
-# Full sweep: one attacked simulation per (day, omega) cell, day-major order.
-sweep = epsim.sweep_indiscriminate(
-    dataset, test_start, predictors, strategy, costs,
-    ticker="BLU", omegas=[30, 40, 50],
-)
+# Full sweep: one attacked simulation per (day, omega) cell, day-major order,
+# each measured against the context's clean forecasts and baseline run.
+context = epsim.AttackContext(dataset, test_start, predictors, strategy, costs)
+sweep = epsim.sweep_indiscriminate(context, ticker="BLU", omegas=[30, 40, 50])
 print(f"cells simulated: {len(sweep.outcomes)} "
       f"({test.n_days()} days x 3 magnitude windows), "
       f"{len(sweep.errors)} infeasible")

@@ -41,10 +41,11 @@ costs = epsim.CostModel()
 # Every day except the first (conceal needs a previous close) and the last
 # (a perturbation there has no following forecast to poison).
 all_days = list(range(1, test.n_days() - 1))
+# both scenarios attack the same system: one context serves them
+context = epsim.AttackContext(dataset, test_start, predictors, strategy, costs)
 results = {
     scenario: epsim.run_targeted(
-        dataset, test_start, predictors, strategy, costs,
-        ticker="BLU", days=all_days, scenario=scenario, drop_fraction=0.10,
+        context, ticker="BLU", days=all_days, scenario=scenario, drop_fraction=0.10
     )
     for scenario in ("conceal", "overestimate")
 }

@@ -44,13 +44,18 @@ STRATEGIES = {
     "rate_of_change": epsim.StrategyConfig(kind="rate_of_change"),
     "bollinger_bands": epsim.StrategyConfig(kind="bollinger_bands"),
 }
+# one trading system per strategy: its clean forecasts and baseline run
+contexts = {
+    name: epsim.AttackContext(dataset, test_start, predictors, strat, costs)
+    for name, strat in STRATEGIES.items()
+}
 
 # ---------------------------------------------------------------------------
 # Clean baselines first: the three systems trade the same forecasts very
 # differently, so their risk/return profiles already diverge unattacked.
 print("clean baselines (same forecasters, different trading rules)")
-for name, strat in STRATEGIES.items():
-    _, baseline = epsim.clean_run(dataset, test_start, predictors, strat, costs)
+for name, context in contexts.items():
+    baseline = context.baseline
     print(
         f"  {name:<16s} Sharpe {baseline.sharpe_ratio:+7.3f}   "
         f"CR {baseline.final_cumulative_return():+8.2%}   "
@@ -61,11 +66,8 @@ for name, strat in STRATEGIES.items():
 # Identical sweep against each system.
 print("\nidentical +2-sigma sweeps against each system (ticker BLU)")
 print("  strategy          SR degraded   CR degraded   zero-impact cells")
-for name, strat in STRATEGIES.items():
-    sweep = epsim.sweep_indiscriminate(
-        dataset, test_start, predictors, strat, costs,
-        ticker="BLU", omegas=[30, 40, 50],
-    )
+for name, context in contexts.items():
+    sweep = epsim.sweep_indiscriminate(context, ticker="BLU", omegas=[30, 40, 50])
     n = len(sweep.outcomes)
     sr_down = sum(1 for o in sweep.outcomes if o.delta_sharpe < 0)
     cr_down = sum(1 for o in sweep.outcomes if o.cr_attacked < o.cr_baseline)

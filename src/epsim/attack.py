@@ -208,7 +208,8 @@ class AttackContext:
     Holds each ticker's min-max-scaled features (full series), clean test
     forecasts, their error vector and RMSE and the unshifted baseline
     signals, and the baseline run with the portfolio state before each of
-    its days. One context serves any number of cells.
+    its days. One context serves any number of cells and protocol calls:
+    :meth:`outcome` never changes what it holds.
     """
 
     def __init__(
@@ -330,8 +331,10 @@ def clean_run(
 def _run_cells(context: AttackContext, kind: str, ticker: str, days, modes) -> AttackResult:
     """Attack ``ticker`` on each day with each mode (day-major, mode-minor).
 
-    A cell that cannot be crafted is recorded as a :class:`CellError` and
-    skipped."""
+    A ticker the context has no predictor for fails before any cell; a cell
+    that cannot be crafted is recorded as a :class:`CellError` and skipped."""
+    if ticker not in context.predictors:
+        raise AttackSetupError(f"no predictor for attacked ticker {ticker!r}")
     outcomes: list[AttackOutcome] = []
     errors: list[CellError] = []
     for day in days:
@@ -344,15 +347,7 @@ def _run_cells(context: AttackContext, kind: str, ticker: str, days, modes) -> A
 
 
 def sweep_indiscriminate(
-    dataset: Dataset,
-    test_start: int,
-    predictors: dict[str, RidgePredictor],
-    strategy_config: StrategyConfig,
-    cost_model: CostModel,
-    ticker: str,
-    omegas,
-    ddof: int = 1,
-    days=None,
+    context: AttackContext, ticker: str, omegas, ddof: int = 1, days=None
 ) -> AttackResult:
     """Attack each test day once per omega (day-major, omega-minor).
 
@@ -363,18 +358,13 @@ def sweep_indiscriminate(
     modes = [StdDevMode(omega=omega, ddof=ddof) for omega in omegas]
     if not modes:
         raise AttackSetupError("need at least one omega")
-    context = AttackContext(dataset, test_start, predictors, strategy_config, cost_model)
     if days is None:
         days = range(context.test.n_days())
     return _run_cells(context, "sweep", ticker, days, modes)
 
 
 def run_targeted(
-    dataset: Dataset,
-    test_start: int,
-    predictors: dict[str, RidgePredictor],
-    strategy_config: StrategyConfig,
-    cost_model: CostModel,
+    context: AttackContext,
     ticker: str,
     days,
     scenario: str,
@@ -390,5 +380,4 @@ def run_targeted(
         raise AttackSetupError(
             f"scenario must be conceal or overestimate, got {scenario!r}"
         )
-    context = AttackContext(dataset, test_start, predictors, strategy_config, cost_model)
     return _run_cells(context, scenario, ticker, days, [mode])

@@ -92,6 +92,10 @@ def main(argv=None) -> int:
         config = RunConfig.from_file(args.config)
 
         if args.command == "attack":
+            if args.submode == "targeted" and args.omega is not None:
+                raise ConfigurationError(
+                    "attack targeted takes no --omega: it sets attack sweep's windows"
+                )
             overrides = {} if config.attack is None else dataclasses.asdict(config.attack)
             flags = {"ticker": args.ticker, "omegas": args.omega, "mode": args.mode}
             overrides.update({k: v for k, v in flags.items() if v is not None})

@@ -251,6 +251,8 @@ class AttackConfig:
         days = d.get("days", "all")
         if days != "all" and not isinstance(days, list):
             raise ConfigurationError('attack.days must be "all" or a list')
+        if not days:
+            raise ConfigurationError("attack.days must name at least one day")
         for entry in days if days != "all" else ():
             if isinstance(entry, bool) or not isinstance(entry, (int, str)):
                 raise ConfigurationError(
@@ -259,6 +261,11 @@ class AttackConfig:
         cfg = cls(**{**d, "days": days, "omegas": tuple(d.get("omegas", cls.omegas))})
         if not cfg.omegas:
             raise ConfigurationError("attack.omegas must name at least one window")
+        repeated = sorted({w for w in cfg.omegas if cfg.omegas.count(w) > 1})
+        if repeated:
+            raise ConfigurationError(
+                f"attack.omegas: each window once, {repeated} repeated"
+            )
         try:
             for omega in cfg.omegas:
                 StdDevMode(omega=omega, ddof=cfg.ddof)

@@ -1,5 +1,5 @@
-"""Result file formats, and the two commands that fit no model: ``ingest``
-and ``report``.
+"""Result file formats: the writer of every result file, and the two commands
+that fit no model, ``ingest`` and ``report``, which read them back.
 
 Every output file declares a schema version (a ``schema`` field in JSON, a
 leading ``# schema: ...`` comment line in CSV); the report command refuses
@@ -8,12 +8,14 @@ repeated runs of the same configuration are byte-identical.
 
 This module loads neither numpy nor the engine (``predictor``,
 ``strategy``, ``trade_engine``, ``attack``), so ``ingest`` and ``report``
-start without them.
+start without them; the writers take the engine's result types but only
+read their fields.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -23,7 +25,10 @@ from .errors import ReportError
 from .market_data import align_calendar, load_csv, open_csv, split
 
 if TYPE_CHECKING:
-    from .config import RunConfig
+    from .attack import AttackResult
+    from .config import CostModel, PredictorConfig, RunConfig
+    from .predictor import FitReport
+    from .trade_engine import SimulationResult
 
 INGEST_SCHEMA = "epsim/ingest/v1"
 FIT_SCHEMA = "epsim/fit/v1"
@@ -112,6 +117,128 @@ def _read_cells(path) -> list[dict]:
                     ) from None
             rows.append(row)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# result writers
+
+
+def write_fit_reports(
+    reports: list[FitReport], predictor_config: PredictorConfig, out_dir
+) -> None:
+    """fit_reports.json: the predictor config and each ticker's fit report."""
+    os.makedirs(out_dir, exist_ok=True)
+    _write_json(
+        os.path.join(out_dir, "fit_reports.json"),
+        {
+            "schema": FIT_SCHEMA,
+            **dataclasses.asdict(predictor_config),
+            "reports": [dataclasses.asdict(r) for r in reports],
+        },
+    )
+
+
+def write_result_files(
+    result: SimulationResult, cost_model: CostModel, out_dir
+) -> dict[str, str]:
+    """result.json + ledger.csv + metrics.csv for one simulation."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {
+        "result": os.path.join(out_dir, "result.json"),
+        "ledger": os.path.join(out_dir, "ledger.csv"),
+        "metrics": os.path.join(out_dir, "metrics.csv"),
+    }
+    columns = ("day", "ticker", "side", "shares", "price", "commission", "slippage")
+    trades = [
+        (t.day, t.ticker, t.side.value, t.shares, t.execution_price, t.commission_paid,
+         t.slippage_paid)
+        for t in result.trade_ledger
+    ]
+    _write_json(
+        paths["result"],
+        {
+            "schema": RESULT_SCHEMA,
+            "daily_returns": list(result.daily_returns),
+            "cumulative_returns": list(result.cumulative_returns),
+            "sharpe_ratio": result.sharpe_ratio,
+            "final_value": result.final_value,
+            "trades": [dict(zip(columns, trade)) for trade in trades],
+        },
+    )
+    _write_csv(
+        paths["ledger"], LEDGER_SCHEMA, columns, [tuple(map(_fmt, t)) for t in trades]
+    )
+    initial = cost_model.initial_capital
+    _write_csv(
+        paths["metrics"],
+        METRICS_SCHEMA,
+        ("day", "portfolio_value", "daily_return", "cumulative_return"),
+        [
+            (
+                t,
+                _fmt(initial * (1.0 + result.cumulative_returns[t])),
+                _fmt(result.daily_returns[t]),
+                _fmt(result.cumulative_returns[t]),
+            )
+            for t in range(len(result.daily_returns))
+        ],
+    )
+    return paths
+
+
+def _degradation_fractions(outcomes) -> tuple[float, float]:
+    if not outcomes:
+        return 0.0, 0.0
+    sr = sum(1 for o in outcomes if o.sharpe_attacked < o.sharpe_baseline)
+    cr = sum(1 for o in outcomes if o.cr_attacked < o.cr_baseline)
+    return sr / len(outcomes), cr / len(outcomes)
+
+
+def write_sweep_files(result: AttackResult, out_dir) -> dict[str, str]:
+    """The cells CSV and summary JSON of one attack run, sweep or targeted.
+
+    A sweep writes ``sweep_cells.csv`` and ``sweep_summary.json``; a
+    targeted run writes ``targeted_*`` files whose cells and summary also
+    carry each outcome's ``cr_change_pct``. The writer keeps the sweep's
+    name because the benchmark's tracer (``perfbench/tracing.py``) looks it
+    up in ``epsim.pipeline`` under that name; renaming it waits for a change
+    to the benchmark.
+    """
+    targeted = result.kind != "sweep"
+    prefix = "targeted" if targeted else "sweep"
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {
+        "cells": os.path.join(out_dir, f"{prefix}_cells.csv"),
+        "summary": os.path.join(out_dir, f"{prefix}_summary.json"),
+    }
+    columns = CELL_COLUMNS + (("cr_change_pct",) if targeted else ())
+    rows = [
+        (o.ep.day, o.ep.mode.label)
+        + tuple(_fmt(getattr(o, c)) for c in columns[2:])
+        for o in result.outcomes
+    ]
+    _write_csv(paths["cells"], CELLS_SCHEMA, columns, rows)
+    frac_sr, frac_cr = _degradation_fractions(result.outcomes)
+    summary = {
+        "schema": ATTACK_SUMMARY_SCHEMA,
+        "mode": result.kind,
+        "n_outcomes": len(result.outcomes),
+        "n_errors": len(result.errors),
+        "errors": [dataclasses.asdict(e) for e in result.errors],
+        "baseline": {
+            "sharpe_ratio": result.baseline.sharpe_ratio,
+            "cumulative_return": result.baseline.final_cumulative_return(),
+            "final_value": result.baseline.final_value,
+        },
+        "fraction_sharpe_degraded": frac_sr,
+        "fraction_cr_degraded": frac_cr,
+    }
+    if targeted:
+        summary["per_day"] = [
+            {"day": o.ep.day, "cr_change_pct": o.cr_change_pct} for o in result.outcomes
+        ]
+    _write_json(paths["summary"], summary)
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -221,10 +221,8 @@ class TestSweep:
     def test_cell_count_and_order(self, rng):
         dataset, test_start, predictors = make_world(rng, n=120)
         n_test = dataset.n_days() - test_start
-        result = sweep_indiscriminate(
-            dataset, test_start, predictors, STRAT, COSTS,
-            ticker="AAA", omegas=[5, 8, 10],
-        )
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
+        result = sweep_indiscriminate(context, ticker="AAA", omegas=[5, 8, 10])
         assert len(result.outcomes) + len(result.errors) == 3 * n_test
         assert not result.errors  # plenty of pre-test history for every cell
         # day-major, omega-minor ordering
@@ -242,10 +240,8 @@ class TestSweep:
         )
         train, _ = split(dataset, SplitSpec(train_fraction=0.5, window=5))
         predictors = fit_baseline(train, PredictorConfig(window=5, features=("close",)))
-        result = sweep_indiscriminate(
-            dataset, train.n_days(), predictors, STRAT, COSTS,
-            ticker="AAA", omegas=[3, 5],
-        )
+        context = AttackContext(dataset, train.n_days(), predictors, STRAT, COSTS)
+        result = sweep_indiscriminate(context, ticker="AAA", omegas=[3, 5])
         assert result.outcomes
         assert all(o.delta_sharpe == 0.0 for o in result.outcomes)
         assert all(o.cr_ratio == 1.0 for o in result.outcomes)
@@ -258,26 +254,25 @@ class TestSweep:
             rng, n=60, window=5, train_fraction=0.1
         )
         assert test_start == 6
-        result = sweep_indiscriminate(
-            dataset, test_start, predictors, STRAT, COSTS,
-            ticker="AAA", omegas=[10],
-        )
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
+        result = sweep_indiscriminate(context, ticker="AAA", omegas=[10])
         infeasible_days = [e.day for e in result.errors]
         assert infeasible_days == [0, 1, 2]
         assert all(o.ep.day >= 3 for o in result.outcomes)
 
     def test_empty_omegas_rejected(self, rng):
         dataset, test_start, predictors = make_world(rng, n=60)
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
         with pytest.raises(AttackSetupError):
-            sweep_indiscriminate(
-                dataset, test_start, predictors, STRAT, COSTS,
-                ticker="AAA", omegas=[],
-            )
+            sweep_indiscriminate(context, ticker="AAA", omegas=[])
         with pytest.raises(AttackSetupError, match="omega must be >= 2"):
-            sweep_indiscriminate(
-                dataset, test_start, predictors, STRAT, COSTS,
-                ticker="AAA", omegas=[5, 1],
-            )
+            sweep_indiscriminate(context, ticker="AAA", omegas=[5, 1])
+
+    def test_unknown_ticker_fails_before_any_cell(self, rng):
+        dataset, test_start, predictors = make_world(rng, n=60)
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
+        with pytest.raises(AttackSetupError, match="no predictor for attacked ticker 'ZZZ'"):
+            sweep_indiscriminate(context, ticker="ZZZ", omegas=[5])
 
 
 class TestTargeted:
@@ -290,10 +285,8 @@ class TestTargeted:
         dataset = align_calendar([series_from_closes("AAA", closes)])
         train, _ = split(dataset, SplitSpec(train_fraction=0.5, window=5))
         predictors = fit_baseline(train, PredictorConfig(window=5, features=("close",)))
-        result = run_targeted(
-            dataset, train.n_days(), predictors, STRAT, COSTS,
-            ticker="AAA", days=[5], scenario="conceal",
-        )
+        context = AttackContext(dataset, train.n_days(), predictors, STRAT, COSTS)
+        result = run_targeted(context, ticker="AAA", days=[5], scenario="conceal")
         outcome = result.outcomes[0]
         assert outcome.perturbed_value == outcome.clean_value
         assert outcome.first_divergence_day is None
@@ -301,36 +294,61 @@ class TestTargeted:
 
     def test_overestimate_and_conceal_run_per_day(self, rng):
         dataset, test_start, predictors = make_world(rng, vol=3.0)
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
         days = [10, 20, 30]
         for scenario in ("conceal", "overestimate"):
-            result = run_targeted(
-                dataset, test_start, predictors, STRAT, COSTS,
-                ticker="AAA", days=days, scenario=scenario,
-            )
+            result = run_targeted(context, ticker="AAA", days=days, scenario=scenario)
             assert [o.ep.day for o in result.outcomes] == days
             for o in result.outcomes:
                 assert math.isfinite(o.cr_change_pct)
         # overestimate reports a 10% drop vs the previous day's close
         over = run_targeted(
-            dataset, test_start, predictors, STRAT, COSTS,
-            ticker="AAA", days=[25], scenario="overestimate",
+            context, ticker="AAA", days=[25], scenario="overestimate"
         ).outcomes[0]
         prev_close = dataset.series["AAA"].bars[test_start + 24].close
         assert over.perturbed_value == pytest.approx(prev_close * 0.9, rel=1e-12)
 
     def test_unknown_scenario_rejected(self, rng):
         dataset, test_start, predictors = make_world(rng, n=60)
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
         with pytest.raises(AttackSetupError):
-            run_targeted(
-                dataset, test_start, predictors, STRAT, COSTS,
-                ticker="AAA", days=[5], scenario="inflate",
-            )
+            run_targeted(context, ticker="AAA", days=[5], scenario="inflate")
+
+    def test_unknown_ticker_fails_before_any_cell(self, rng):
+        dataset, test_start, predictors = make_world(rng, n=60)
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
+        with pytest.raises(AttackSetupError, match="no predictor for attacked ticker 'ZZZ'"):
+            run_targeted(context, ticker="ZZZ", days=[5], scenario="conceal")
 
     def test_infeasible_day_recorded(self, rng):
         dataset, test_start, predictors = make_world(rng, n=60)
-        result = run_targeted(
-            dataset, test_start, predictors, STRAT, COSTS,
-            ticker="AAA", days=[-5, 10], scenario="conceal",
-        )
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
+        result = run_targeted(context, ticker="AAA", days=[-5, 10], scenario="conceal")
         assert [e.day for e in result.errors] == [-5]
         assert [o.ep.day for o in result.outcomes] == [10]
+
+
+class TestSharedContext:
+    def test_one_context_serves_any_number_of_protocol_calls(self, rng):
+        # ``outcome`` must leave the context's caches as it found them, so a
+        # protocol call gives the same result on a shared context as on a
+        # fresh one, whatever ran on it before
+        world = (*make_world(rng, vol=3.0), STRAT, COSTS)
+        calls = {
+            "sweep": lambda c: sweep_indiscriminate(c, "AAA", [5, 10]),
+            "conceal": lambda c: run_targeted(
+                c, "AAA", range(1, c.test.n_days()), "conceal"
+            ),
+            "overestimate": lambda c: run_targeted(
+                c, "BBB", range(1, c.test.n_days()), "overestimate"
+            ),
+        }
+        fresh = {name: call(AttackContext(*world)) for name, call in calls.items()}
+        assert all(
+            any(o.first_divergence_day is not None for o in result.outcomes)
+            for result in fresh.values()
+        )
+        for order in (list(calls), list(reversed(calls))):
+            context = AttackContext(*world)
+            for name in order:
+                assert repr(calls[name](context)) == repr(fresh[name]), (order, name)

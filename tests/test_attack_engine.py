@@ -153,21 +153,20 @@ class TestDifferential:
     def test_sweep_and_targeted_cells_equal_full_rerun(self, rng):
         world = make_world(rng, tickers=("AAA", "BBB"), n=120, vol=3.0)
         strategy, costs = StrategyConfig(ma_long=8), CostModel(position_fraction=0.5)
-        sweep = sweep_indiscriminate(
-            *world, strategy, costs, ticker="AAA", omegas=[4, 9]
-        )
+        context = AttackContext(*world, strategy, costs)
+        sweep = sweep_indiscriminate(context, ticker="AAA", omegas=[4, 9])
         assert any(o.first_divergence_day is not None for o in sweep.outcomes)
         for outcome in sweep.outcomes:
             _, _, want = attack_oracle(*world, strategy, costs, outcome.ep)
             assert_same_outcome(outcome, want)
         targeted = run_targeted(
-            *world, strategy, costs, ticker="BBB", days=[3, 17, 29], scenario="conceal"
+            context, ticker="BBB", days=[3, 17, 29], scenario="conceal"
         )
         for outcome in targeted.outcomes:
             _, _, want = attack_oracle(*world, strategy, costs, outcome.ep)
             assert_same_outcome(outcome, want)
         ep = EpSpec("AAA", 12, StdDevMode(omega=6))
-        attacked, outcome = AttackContext(*world, strategy, costs).outcome(ep)
+        attacked, outcome = context.outcome(ep)
         _, attacked_want, want = attack_oracle(*world, strategy, costs, ep)
         assert repr(attacked) == repr(attacked_want)
         assert_same_outcome(outcome, want)

@@ -26,15 +26,16 @@ from epsim.attack import (
 from epsim.cli import main
 from epsim.config import AttackConfig, RunConfig
 from epsim.errors import ConfigurationError, ReportError
-from epsim.files import cmd_ingest, cmd_report, quantile_table, read_schema_csv
-from epsim.market_data import save_csv
-from epsim.pipeline import (
-    cmd_attack,
-    cmd_backtest,
-    cmd_fit,
+from epsim.files import (
+    cmd_ingest,
+    cmd_report,
+    quantile_table,
+    read_schema_csv,
     write_result_files,
     write_sweep_files,
 )
+from epsim.market_data import save_csv
+from epsim.pipeline import cmd_attack, cmd_backtest, cmd_fit
 from epsim.strategy import Signal
 from epsim.trade_engine import CostModel, SimulationResult, TradeRecord
 
@@ -841,8 +842,10 @@ class TestCli:
             ("conceal", ["sweep"], "attack sweep runs attack.mode stddev, not 'conceal'"),
             ("stddev", ["targeted", "--mode", "stddev"],
              "attack targeted runs attack.mode conceal or overestimate, not 'stddev'"),
+            ("conceal", ["targeted", "--omega", "2"],
+             "attack targeted takes no --omega: it sets attack sweep's windows"),
         ],
-        ids=["sweep-conceal", "targeted-stddev"],
+        ids=["sweep-conceal", "targeted-stddev", "targeted-omega"],
     )
     def test_submode_that_does_not_run_attack_mode_fails_before_compute(
         self, tmp_path, rng, capsys, monkeypatch, mode, argv, message
@@ -985,6 +988,9 @@ class TestCli:
             (("attack", "drop_fraction"), 0, []),
             (("attack", "drop_fraction"), 1.5, []),
             (("attack", "omegas"), [30], ["--omega", "1"]),
+            (("attack", "omegas"), [30, 40, 30], []),
+            (("attack", "omegas"), [30], ["--omega", "30", "--omega", "30"]),
+            (("attack", "days"), [], []),
         ],
         ids=[
             "omegas-str", "omegas-float", "omegas-scalar", "ddof-str", "drop-str",
@@ -993,7 +999,7 @@ class TestCli:
             "predictor-window-0", "features-empty", "ridge-negative",
             "split-list", "costs-null", "tickers-str", "data_dir-int",
             "omegas-empty", "omega-1", "ddof-2", "ddof-bool", "drop-0", "drop-1.5",
-            "omega-flag-1",
+            "omega-flag-1", "omegas-repeated", "omega-flag-repeated", "days-empty",
         ],
     )
     def test_bad_config_value_fails_before_compute(
@@ -1289,7 +1295,7 @@ class TestWhatEachCommandLoads:
         assert "epsim.attack" not in mods
 
     def test_engine_loads_no_file_format_module(self):
-        # the engine computes results; pipeline and files write them
+        # the engine computes results; files writes them
         proc = _python("import sys, epsim.attack; print('epsim.files' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
