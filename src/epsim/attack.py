@@ -331,10 +331,17 @@ def clean_run(
 def _run_cells(context: AttackContext, kind: str, ticker: str, days, modes) -> AttackResult:
     """Attack ``ticker`` on each day with each mode (day-major, mode-minor).
 
-    A ticker the context has no predictor for fails before any cell; a cell
-    that cannot be crafted is recorded as a :class:`CellError` and skipped."""
+    A ticker the context has no predictor for, or a day or mode given twice
+    (its cells would weigh twice in any fraction taken over them), fails
+    before any cell; a cell that cannot be crafted is recorded as a
+    :class:`CellError` and skipped."""
     if ticker not in context.predictors:
         raise AttackSetupError(f"no predictor for attacked ticker {ticker!r}")
+    days = list(days)
+    for what, values in (("day", days), ("mode", [mode.label for mode in modes])):
+        if len(set(values)) < len(values):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            raise AttackSetupError(f"{what}s: each {what} once, {repeated} repeated")
     outcomes: list[AttackOutcome] = []
     errors: list[CellError] = []
     for day in days:

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Commands: ingest, fit, backtest, attack (sweep | targeted), report.
-Any pipeline error is reported with its module name and a nonzero exit.
+Any pipeline error is reported with its module name and a nonzero exit; an
+option that takes one value, given twice, is a config error.
 
 Each command imports only the code it runs: ``ingest`` and ``report`` need
 the config and the file formats, and only ``fit``, ``backtest`` and
@@ -26,9 +27,28 @@ from .config import ATTACK_SUBMODES, AttackConfig, RunConfig
 from .errors import ConfigurationError, EpsimError
 
 
+class _Once(argparse.Action):
+    """Store an option that takes one value: given twice, it fails as a
+    config error rather than keep its last value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", {})
+        if self.dest in given:
+            raise ConfigurationError(
+                f"{self.option_strings[0]} given twice ({given[self.dest]!r}, "
+                f"then {values!r}); it takes one value"
+            )
+        given[self.dest] = values
+        setattr(namespace, self.dest, values)
+
+
 def _add_config_args(parser):
-    parser.add_argument("--config", required=True, help="run configuration (JSON)")
-    parser.add_argument("--out", help="output directory (default: config output_dir)")
+    parser.add_argument(
+        "--config", action=_Once, required=True, help="run configuration (JSON)"
+    )
+    parser.add_argument(
+        "--out", action=_Once, help="output directory (default: config output_dir)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     atk = sub.add_parser("attack", help="run perturbation experiments")
     atk.add_argument("submode", choices=sorted(set(ATTACK_SUBMODES.values())))
     _add_config_args(atk)
-    atk.add_argument("--ticker", help="override the attacked ticker")
+    atk.add_argument("--ticker", action=_Once, help="override the attacked ticker")
     atk.add_argument(
         "--omega",
         type=int,
@@ -54,12 +74,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="sigma window for sweep mode (repeatable)",
     )
     atk.add_argument(
-        "--mode", choices=tuple(ATTACK_SUBMODES), help="override attack mode"
+        "--mode",
+        action=_Once,
+        choices=tuple(ATTACK_SUBMODES),
+        help="override attack mode",
     )
 
     rep = sub.add_parser("report", help="summarize result files")
     rep.add_argument("files", nargs="+", help="result.json / *_summary.json / *_cells.csv")
-    rep.add_argument("--out", default=".", help="where to write the quantile table")
+    rep.add_argument(
+        "--out", action=_Once, default=".", help="where to write the quantile table"
+    )
 
     return parser
 
@@ -67,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _out_dir(args, config=None) -> str:
     """Where the command writes: ``--out``, else the config's output_dir.
     A path that is, or lies under, an existing non-directory fails before
-    any compute."""
+    any compute, and so does an empty ``--out``."""
+    if args.out == "":
+        raise ConfigurationError("--out must name a directory, got ''")
     if args.out or config is None:
         out, option = args.out, "--out"
     else:
@@ -82,8 +109,8 @@ def _out_dir(args, config=None) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "report":
             for line in files.cmd_report(args.files, _out_dir(args)):
                 print(line)

@@ -4,9 +4,10 @@ Configuration is strict JSON: unknown keys are rejected loudly, because the
 attack experiments are parameter-sensitive and a typo silently falling back
 to a default would corrupt baseline/attacked comparisons.
 
-Each config section is a frozen dataclass that checks its own values: the
-predictor's, the strategy's, the cost model and the attack modes, each of
-which also carries the ``label`` its cells are written under. They live
+Each config section is a frozen dataclass that checks its own values and
+raises :class:`ConfigurationError` for a bad one: the predictor's, the
+strategy's, the cost model and the attack modes, each of which also carries
+the ``label`` its cells are written under. They live
 here, not beside the code that uses them, so that reading and checking a
 config loads none of the engine; ``predictor``, ``strategy``,
 ``trade_engine`` and ``attack`` import them back under their old names.
@@ -20,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .errors import AttackSetupError, ConfigurationError, FitError
+from .errors import ConfigurationError
 from .market_data import FEATURE_NAMES, SplitSpec
 
 # attack.mode -> the ``epsim attack`` submode that runs it
@@ -39,14 +40,16 @@ class PredictorConfig:
 
     def __post_init__(self):
         if self.window < 1:
-            raise FitError(f"window must be >= 1, got {self.window}")
+            raise ConfigurationError(f"predictor: window must be >= 1, got {self.window}")
         if not self.features:
-            raise FitError("features must be nonempty")
+            raise ConfigurationError("predictor: features must be nonempty")
         unknown = [f for f in self.features if f not in FEATURE_NAMES]
         if unknown:
-            raise FitError(f"unknown features {unknown}")
+            raise ConfigurationError(f"predictor: unknown features {unknown}")
         if self.ridge_lambda < 0:
-            raise FitError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
+            raise ConfigurationError(
+                f"predictor: ridge_lambda must be >= 0, got {self.ridge_lambda}"
+            )
 
 
 @dataclass(frozen=True)
@@ -132,9 +135,9 @@ class StdDevMode:
 
     def __post_init__(self):
         if self.omega < 2:
-            raise AttackSetupError(f"omega must be >= 2, got {self.omega}")
+            raise ConfigurationError(f"attack: omega must be >= 2, got {self.omega}")
         if self.ddof not in (0, 1):
-            raise AttackSetupError(f"ddof must be 0 or 1, got {self.ddof}")
+            raise ConfigurationError(f"attack: ddof must be 0 or 1, got {self.ddof}")
 
     @property
     def label(self) -> str:
@@ -154,8 +157,8 @@ class OverestimateMode:
 
     def __post_init__(self):
         if not 0.0 < self.drop_fraction < 1.0:
-            raise AttackSetupError(
-                f"drop_fraction must be in (0,1), got {self.drop_fraction}"
+            raise ConfigurationError(
+                f"attack: drop_fraction must be in (0,1), got {self.drop_fraction}"
             )
 
 
@@ -266,12 +269,9 @@ class AttackConfig:
             raise ConfigurationError(
                 f"attack.omegas: each window once, {repeated} repeated"
             )
-        try:
-            for omega in cfg.omegas:
-                StdDevMode(omega=omega, ddof=cfg.ddof)
-            OverestimateMode(drop_fraction=cfg.drop_fraction)
-        except AttackSetupError as exc:
-            raise ConfigurationError(f"attack: {exc}") from exc
+        for omega in cfg.omegas:
+            StdDevMode(omega=omega, ddof=cfg.ddof)
+        OverestimateMode(drop_fraction=cfg.drop_fraction)
         return cfg
 
 
@@ -330,14 +330,11 @@ class RunConfig:
         import_files: dict[str, str] = {}
         if kind == "baseline":
             _section("predictor", PredictorConfig, pred_d)
-            try:
-                predictor = PredictorConfig(
-                    window=pred_d.get("window", split_spec.window),
-                    features=tuple(pred_d.get("features", PredictorConfig.features)),
-                    ridge_lambda=float(pred_d.get("ridge_lambda", PredictorConfig.ridge_lambda)),
-                )
-            except FitError as exc:
-                raise ConfigurationError(f"predictor: {exc}") from exc
+            predictor = PredictorConfig(
+                window=pred_d.get("window", split_spec.window),
+                features=tuple(pred_d.get("features", PredictorConfig.features)),
+                ridge_lambda=float(pred_d.get("ridge_lambda", PredictorConfig.ridge_lambda)),
+            )
         elif kind == "import":
             _reject_unknown("predictor", pred_d, ("files",))
             import_files = _object("predictor.files", pred_d.get("files", {}))

@@ -1,7 +1,9 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one class per pipeline stage.
 
-Every error carries a ``module`` tag so the CLI can report which stage of the
-pipeline rejected its input.
+The CLI reports an error as ``error [<module>]: <message>``. The tag is the
+class: each stage raises its own subclass of :class:`EpsimError`, whose
+``module`` names the stage, and the message names the input that was wrong
+(a path and line, a date, a config key).
 """
 
 
@@ -11,74 +13,35 @@ class EpsimError(Exception):
     module = "epsim"
 
 
-class CsvParseError(EpsimError):
-    """A CSV row could not be parsed; the message names the line number."""
-
-    module = "market_data"
-
-
-class ValidationError(EpsimError):
-    """A bar violates OHLCV consistency; the message names the date."""
-
-    module = "market_data"
-
-
-class EmptyInputError(EpsimError):
-    """An input file contains no data rows."""
-
-    module = "market_data"
-
-
-class AlignmentError(EpsimError):
-    """Calendar intersection across series is empty."""
+class MarketDataError(EpsimError):
+    """A data CSV is malformed, empty or inconsistent, or calendars do not
+    align."""
 
     module = "market_data"
 
 
 class ConfigurationError(EpsimError):
-    """A configuration value is inconsistent (bad split, unknown key, ...)."""
+    """A configuration value or a command-line option is invalid."""
 
     module = "config"
 
 
-class WindowError(EpsimError):
-    """Not enough history to form the requested window."""
-
-    module = "market_data"
-
-
-class FitError(EpsimError):
-    """Predictor fitting failed (singular system, too little data)."""
+class PredictorError(EpsimError):
+    """A predictor cannot be fitted, applied or evaluated, or an imported
+    forecast does not match the trading calendar."""
 
     module = "predictor"
 
 
-class PredictionImportError(EpsimError):
-    """An external prediction file does not match the trading calendar."""
-
-    module = "predictor"
-
-
-class EvaluationError(EpsimError):
-    """A metric was requested over an empty or uncovered day range."""
-
-    module = "predictor"
-
-
-class SimulationSetupError(EpsimError):
-    """Predictions and the test calendar do not line up."""
-
-    module = "trade_engine"
-
-
-class MetricError(EpsimError):
-    """A performance metric was requested on degenerate input."""
+class TradeEngineError(EpsimError):
+    """Forecasts and the test calendar do not line up, or a metric was asked
+    of degenerate input."""
 
     module = "trade_engine"
 
 
 class AttackSetupError(EpsimError):
-    """A perturbation cannot be crafted for the requested day."""
+    """A perturbation cannot be crafted for the requested ticker or day."""
 
     module = "attack"
 

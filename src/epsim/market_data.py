@@ -20,14 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (
-    AlignmentError,
-    ConfigurationError,
-    CsvParseError,
-    EmptyInputError,
-    EpsimError,
-    ValidationError,
-)
+from .errors import ConfigurationError, EpsimError, MarketDataError
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
@@ -67,20 +60,18 @@ def feature_matrix(bars, features: tuple[str, ...]) -> np.ndarray:
     return every[:, columns]
 
 
-def validate_bar(bar: Bar) -> None:
-    """Raise ValidationError (naming the date) if the bar is inconsistent."""
+def validate_bar(bar: Bar, path) -> None:
+    """Raise MarketDataError, naming ``path`` and the date, if the bar is
+    inconsistent."""
+    day = bar.date.isoformat()
     if not (bar.open > 0 and bar.high > 0 and bar.low > 0 and bar.close > 0):
-        raise ValidationError(f"non-positive price on {bar.date.isoformat()}")
+        raise MarketDataError(f"{path}: non-positive price on {day}")
     if bar.volume < 0:
-        raise ValidationError(f"negative volume on {bar.date.isoformat()}")
+        raise MarketDataError(f"{path}: negative volume on {day}")
     if bar.low > min(bar.open, bar.close):
-        raise ValidationError(
-            f"low {bar.low} above open/close on {bar.date.isoformat()}"
-        )
+        raise MarketDataError(f"{path}: low {bar.low} above open/close on {day}")
     if bar.high < max(bar.open, bar.close):
-        raise ValidationError(
-            f"high {bar.high} below open/close on {bar.date.isoformat()}"
-        )
+        raise MarketDataError(f"{path}: high {bar.high} below open/close on {day}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +84,7 @@ class StockSeries:
     def __post_init__(self):
         for prev, cur in zip(self.bars, self.bars[1:]):
             if cur.date <= prev.date:
-                raise ValidationError(
+                raise MarketDataError(
                     f"{self.ticker}: dates not strictly increasing at "
                     f"{cur.date.isoformat()}"
                 )
@@ -185,51 +176,54 @@ def open_csv(path, error: type[EpsimError]):
         raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _finite(raw: str, col: str, line_no: int) -> float:
+def _finite(raw: str, col: str, where: str) -> float:
     raw = raw.strip()
     try:
         value = float(raw)
     except ValueError as exc:
-        raise CsvParseError(f"line {line_no}: bad {col} value {raw!r}") from exc
+        raise MarketDataError(f"{where}: bad {col} value {raw!r}") from exc
     if not math.isfinite(value):
-        raise CsvParseError(f"line {line_no}: non-finite {col} value {raw!r}")
+        raise MarketDataError(f"{where}: non-finite {col} value {raw!r}")
     return value
 
 
-def _diagnose_row(raw, line_no: int, n_fields: int, i_date: int, columns) -> Bar | None:
+def _diagnose_row(
+    path, raw, line_no: int, n_fields: int, i_date: int, columns
+) -> Bar | None:
     """Parse one row field by field: the bar, None for a blank row, or the
-    error naming the line (or, for an inconsistent bar, the date)."""
+    error naming the path and the line (or, for an inconsistent bar, the
+    date)."""
     if not raw or all(not cell.strip() for cell in raw):
         return None
+    where = f"{path}: line {line_no}"
     if len(raw) < n_fields:
-        raise CsvParseError(f"line {line_no}: expected {n_fields} fields, got {len(raw)}")
+        raise MarketDataError(f"{where}: expected {n_fields} fields, got {len(raw)}")
     try:
         date = parse_date(raw[i_date].strip())
     except ValueError as exc:
-        raise CsvParseError(f"line {line_no}: bad date {raw[i_date]!r}: {exc}") from exc
-    bar = Bar(date, *(_finite(raw[i], c, line_no) for c, i in columns))
-    validate_bar(bar)
+        raise MarketDataError(f"{where}: bad date {raw[i_date]!r}: {exc}") from exc
+    bar = Bar(date, *(_finite(raw[i], c, where) for c, i in columns))
+    validate_bar(bar, path)
     return bar
 
 
 def load_csv(path, ticker: str) -> StockSeries:
     """Load and validate one ticker's OHLCV history.
 
-    Returns a date-sorted series. Raises:
-      CsvParseError    - malformed row, with its line number
-      ValidationError  - OHLC inconsistency, naming the date
-      EmptyInputError  - file with no data rows
+    Returns a date-sorted series. Raises MarketDataError naming ``path``
+    and, for a malformed row, its line number; for an inconsistent bar or a
+    duplicate date, the date; or that the file has no data rows.
     """
-    with open_csv(path, CsvParseError) as fh:
+    with open_csv(path, MarketDataError) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyInputError(f"{path}: empty file") from None
+            raise MarketDataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
-            raise CsvParseError(f"{path}: header missing columns {missing}")
+            raise MarketDataError(f"{path}: header missing columns {missing}")
         n_fields = len(header)
         i_date = header.index("Date")
         columns = [(c, header.index(c)) for c in CSV_COLUMNS[1:]]
@@ -260,16 +254,16 @@ def load_csv(path, ticker: str) -> StockSeries:
             if ok:
                 bars.append(Bar(date, o, h, lo, c, v))
             else:
-                bar = _diagnose_row(raw, line_no, n_fields, i_date, columns)
+                bar = _diagnose_row(path, raw, line_no, n_fields, i_date, columns)
                 if bar is not None:
                     bars.append(bar)
 
     if not bars:
-        raise EmptyInputError(f"{path}: no data rows")
+        raise MarketDataError(f"{path}: no data rows")
     bars.sort(key=lambda b: b.date)
     for prev, cur in zip(bars, bars[1:]):
         if cur.date == prev.date:
-            raise ValidationError(f"duplicate date {cur.date.isoformat()}")
+            raise MarketDataError(f"{path}: duplicate date {cur.date.isoformat()}")
     return StockSeries(ticker=ticker, bars=tuple(bars))
 
 
@@ -300,16 +294,16 @@ def align_calendar(series_set) -> Dataset:
     """
     series_list = list(series_set)
     if not series_list:
-        raise AlignmentError("no series to align")
+        raise MarketDataError("no series to align")
     for s in series_list:
         if not s.bars:
-            raise AlignmentError(f"{s.ticker}: empty series")
+            raise MarketDataError(f"{s.ticker}: empty series")
 
     common = set(series_list[0].dates())
     for s in series_list[1:]:
         common &= set(s.dates())
     if not common:
-        raise AlignmentError(
+        raise MarketDataError(
             "empty calendar intersection across tickers "
             + ", ".join(sorted(s.ticker for s in series_list))
         )

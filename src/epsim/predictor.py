@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_FEATURES, PredictorConfig  # noqa: F401  (re-exported from their old home)
-from .errors import (
-    EvaluationError,
-    FitError,
-    PredictionImportError,
-    WindowError,
-)
+from .errors import PredictorError
 from .market_data import Dataset, StockSeries, feature_matrix, open_csv, parse_date
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
@@ -118,7 +113,7 @@ class RidgePredictor:
         Pure function of the window: identical bars give identical output.
         """
         if len(bars) != self.config.window:
-            raise WindowError(
+            raise PredictorError(
                 f"{self.ticker}: expected {self.config.window} bars, "
                 f"got {len(bars)}"
             )
@@ -140,7 +135,7 @@ def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
     n = len(series.bars)
     w = config.window
     if n < w + 1:
-        raise FitError(
+        raise PredictorError(
             f"{series.ticker}: need at least window+1 = {w + 1} train days, "
             f"got {n}"
         )
@@ -173,12 +168,12 @@ def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
     try:
         coef = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
-        raise FitError(
+        raise PredictorError(
             f"{series.ticker}: singular normal matrix with "
             f"ridge_lambda={config.ridge_lambda}; use a nonzero ridge_lambda"
         ) from exc
     if not np.all(np.isfinite(coef)):
-        raise FitError(
+        raise PredictorError(
             f"{series.ticker}: non-finite coefficients with "
             f"ridge_lambda={config.ridge_lambda}; use a nonzero ridge_lambda"
         )
@@ -223,14 +218,14 @@ def import_predictions(path, calendar, ticker: str) -> PredictionSeries:
     """
     cal_index = {d: i for i, d in enumerate(calendar)}
     entries: dict[int, float] = {}
-    with open_csv(path, PredictionImportError) as fh:
+    with open_csv(path, PredictorError) as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
-            raise PredictionImportError(f"{path}: empty file") from None
+            raise PredictorError(f"{path}: empty file") from None
         if "Date" not in header or "Prediction" not in header:
-            raise PredictionImportError(
+            raise PredictorError(
                 f"{path}: header must name Date and Prediction, got {header}"
             )
         d_idx, p_idx = header.index("Date"), header.index("Prediction")
@@ -241,26 +236,26 @@ def import_predictions(path, calendar, ticker: str) -> PredictionSeries:
                 date = parse_date(raw[d_idx].strip())
                 value = float(raw[p_idx].strip())
             except (ValueError, IndexError) as exc:
-                raise PredictionImportError(
+                raise PredictorError(
                     f"{path}: line {line_no}: {exc}"
                 ) from exc
             if not math.isfinite(value):
-                raise PredictionImportError(
+                raise PredictorError(
                     f"{path}: line {line_no}: non-finite prediction "
                     f"{raw[p_idx].strip()!r}"
                 )
             if date not in cal_index:
-                raise PredictionImportError(
+                raise PredictorError(
                     f"{path}: date {date.isoformat()} outside the calendar"
                 )
             day = cal_index[date]
             if day in entries:
-                raise PredictionImportError(
+                raise PredictorError(
                     f"{path}: duplicate date {date.isoformat()}"
                 )
             entries[day] = value
     if not entries:
-        raise PredictionImportError(f"{path}: no prediction rows")
+        raise PredictorError(f"{path}: no prediction rows")
     return PredictionSeries(ticker=ticker, entries=entries)
 
 
@@ -272,14 +267,14 @@ def prediction_errors(
 
     days = list(day_range)
     if not days:
-        raise EvaluationError("empty evaluation range")
+        raise PredictorError("empty evaluation range")
     closes = actual.closes()
     errs = np.empty(len(days), dtype=np.float64)
     for i, t in enumerate(days):
         if t not in predictions.entries:
-            raise EvaluationError(f"no prediction for day {t}")
+            raise PredictorError(f"no prediction for day {t}")
         if not 0 <= t < len(closes):
-            raise EvaluationError(f"day {t} outside the series")
+            raise PredictorError(f"day {t} outside the series")
         errs[i] = predictions.entries[t] - closes[t]
     return errs
 
@@ -302,7 +297,7 @@ def fit_report(
     """Out-of-sample RMSE of a fitted predictor over the test partition."""
     preds = predict_test_series(predictor, full_series, test_start)
     if not preds.entries:
-        raise EvaluationError(f"{predictor.ticker}: empty test partition")
+        raise PredictorError(f"{predictor.ticker}: empty test partition")
     test_series = StockSeries(full_series.ticker, full_series.bars[test_start:])
     rmse = evaluate_rmse(preds, test_series, sorted(preds.entries))
     return FitReport(

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .config import CostModel
-from .errors import MetricError, SimulationSetupError, ZeroVolatilityWarning
+from .errors import TradeEngineError, ZeroVolatilityWarning
 from .market_data import Dataset
 from .predictor import PredictionSeries
 from .strategy import Signal, StrategyConfig, generate_signals, shift_signals
@@ -73,7 +73,7 @@ def execute_signal(
     if signal is Signal.HOLD:
         return None
     if day_close <= 0:
-        raise SimulationSetupError(f"{ticker}: non-positive close {day_close}")
+        raise TradeEngineError(f"{ticker}: non-positive close {day_close}")
 
     budget = cost_model.position_fraction * state.total_value()
 
@@ -141,7 +141,7 @@ def cumulative_returns(daily_returns) -> list[float]:
 
     returns = np.asarray(list(daily_returns), dtype=np.float64)
     if returns.size == 0:
-        raise MetricError("cumulative_returns needs at least one return")
+        raise TradeEngineError("cumulative_returns needs at least one return")
     return [float(v) for v in np.cumprod(1.0 + returns) - 1.0]
 
 
@@ -155,7 +155,7 @@ def sharpe_ratio(daily_returns, cost_model: CostModel) -> float:
 
     returns = np.asarray(list(daily_returns), dtype=np.float64)
     if returns.size < 2:
-        raise MetricError("sharpe_ratio needs at least 2 returns")
+        raise TradeEngineError("sharpe_ratio needs at least 2 returns")
     excess = returns - cost_model.risk_free_daily()
     std = float(np.std(excess, ddof=1))
     if std == 0.0:
@@ -274,9 +274,9 @@ def resume_signals(
     tickers = test.tickers()
     for tk in tickers:
         if tk not in signals:
-            raise SimulationSetupError(f"no signal sequence for {tk}")
+            raise TradeEngineError(f"no signal sequence for {tk}")
         if len(signals[tk]) != n:
-            raise SimulationSetupError(
+            raise TradeEngineError(
                 f"{tk}: {len(signals[tk])} signals for a {n}-day calendar"
             )
 
@@ -355,14 +355,14 @@ def strategy_signals(
     from its forecasts, which must all fall inside the calendar."""
     n = test.n_days()
     if n == 0:
-        raise SimulationSetupError("empty test calendar")
+        raise TradeEngineError("empty test calendar")
     signals: dict[str, list[Signal]] = {}
     for tk in test.tickers():
         if tk not in predictions:
-            raise SimulationSetupError(f"no predictions for {tk}")
+            raise TradeEngineError(f"no predictions for {tk}")
         bad = [d for d in predictions[tk].entries if not 0 <= d < n]
         if bad:
-            raise SimulationSetupError(
+            raise TradeEngineError(
                 f"{tk}: prediction days {sorted(bad)[:5]} outside the "
                 f"{n}-day test calendar"
             )

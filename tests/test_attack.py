@@ -18,7 +18,7 @@ from epsim.attack import (
     run_targeted,
     sweep_indiscriminate,
 )
-from epsim.errors import AttackSetupError
+from epsim.errors import AttackSetupError, ConfigurationError
 from epsim.predictor import predict_test_series
 from epsim.strategy import StrategyConfig
 
@@ -111,11 +111,13 @@ class TestApplyEp:
         assert apply_ep(series, StdDevMode(omega=omega, ddof=ddof), t) == want
 
     def test_mode_validation(self):
-        with pytest.raises(AttackSetupError):
+        with pytest.raises(ConfigurationError, match="attack: omega must be >= 2, got 1"):
             StdDevMode(omega=1)
-        with pytest.raises(AttackSetupError):
+        with pytest.raises(ConfigurationError, match="attack: ddof must be 0 or 1, got 2"):
+            StdDevMode(omega=5, ddof=2)
+        with pytest.raises(ConfigurationError, match=r"attack: drop_fraction must be in \(0,1\)"):
             OverestimateMode(drop_fraction=0.0)
-        with pytest.raises(AttackSetupError):
+        with pytest.raises(ConfigurationError, match=r"attack: drop_fraction must be in \(0,1\)"):
             OverestimateMode(drop_fraction=1.0)
 
 
@@ -265,7 +267,7 @@ class TestSweep:
         context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
         with pytest.raises(AttackSetupError):
             sweep_indiscriminate(context, ticker="AAA", omegas=[])
-        with pytest.raises(AttackSetupError, match="omega must be >= 2"):
+        with pytest.raises(ConfigurationError, match="omega must be >= 2"):
             sweep_indiscriminate(context, ticker="AAA", omegas=[5, 1])
 
     def test_unknown_ticker_fails_before_any_cell(self, rng):
@@ -273,6 +275,28 @@ class TestSweep:
         context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
         with pytest.raises(AttackSetupError, match="no predictor for attacked ticker 'ZZZ'"):
             sweep_indiscriminate(context, ticker="ZZZ", omegas=[5])
+
+    @pytest.mark.parametrize(
+        "omegas, days, message",
+        [
+            ([5, 8, 5], None, r"modes: each mode once, \['omega=5'\] repeated"),
+            ([5], [3, 4, 3, 4, 6], r"days: each day once, \[3, 4\] repeated"),
+        ],
+        ids=["omega", "day"],
+    )
+    def test_repeated_omega_or_day_fails_before_any_cell(
+        self, rng, monkeypatch, omegas, days, message
+    ):
+        # a repeated cell would weigh twice in any fraction taken over the cells
+        dataset, test_start, predictors = make_world(rng, n=60)
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
+
+        def no_cell(ep):
+            raise AssertionError("ran a cell despite a repeated omega or day")
+
+        monkeypatch.setattr(context, "outcome", no_cell)
+        with pytest.raises(AttackSetupError, match=message):
+            sweep_indiscriminate(context, ticker="AAA", omegas=omegas, days=days)
 
 
 class TestTargeted:
@@ -319,6 +343,17 @@ class TestTargeted:
         context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
         with pytest.raises(AttackSetupError, match="no predictor for attacked ticker 'ZZZ'"):
             run_targeted(context, ticker="ZZZ", days=[5], scenario="conceal")
+
+    def test_repeated_day_fails_before_any_cell(self, rng, monkeypatch):
+        dataset, test_start, predictors = make_world(rng, n=60)
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
+
+        def no_cell(ep):
+            raise AssertionError("ran a cell despite a repeated day")
+
+        monkeypatch.setattr(context, "outcome", no_cell)
+        with pytest.raises(AttackSetupError, match=r"days: each day once, \[7\] repeated"):
+            run_targeted(context, ticker="AAA", days=[7, 7, 7], scenario="conceal")
 
     def test_infeasible_day_recorded(self, rng):
         dataset, test_start, predictors = make_world(rng, n=60)

@@ -6,14 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epsim.errors import (
-    AlignmentError,
-    ConfigurationError,
-    CsvParseError,
-    EmptyInputError,
-    ValidationError,
-    WindowError,
-)
+from epsim.errors import ConfigurationError, MarketDataError, PredictorError
 from epsim.market_data import (
     CSV_COLUMNS,
     Bar,
@@ -37,6 +30,12 @@ def write_lines(path, lines):
 
 HEADER = "Date,Open,High,Low,Close,Volume"
 
+# The two kinds of row fault: a malformed row, named by its line, and an
+# inconsistent bar, named by its date. Both raise MarketDataError; the
+# parametrized ids keep the names the two kinds' classes had before the data
+# errors were merged into that one class.
+PARSE, INCONSISTENT = "CsvParseError", "ValidationError"
+
 
 class TestLoadCsv:
     def test_two_row_file(self, tmp_path):
@@ -58,7 +57,7 @@ class TestLoadCsv:
     def test_low_above_open_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         write_lines(path, [HEADER, "2020-01-02,10,14,13,11,1000"])
-        with pytest.raises(ValidationError, match="2020-01-02"):
+        with pytest.raises(MarketDataError, match="2020-01-02"):
             load_csv(path, "T")
 
     def test_malformed_row_names_line(self, tmp_path):
@@ -67,31 +66,31 @@ class TestLoadCsv:
             path,
             [HEADER, "2020-01-02,10,12,9,11,1000", "2020-01-03,10,12,9,oops,1000"],
         )
-        with pytest.raises(CsvParseError, match="line 3"):
+        with pytest.raises(MarketDataError, match="line 3"):
             load_csv(path, "T")
 
     def test_bad_date_names_line(self, tmp_path):
         path = tmp_path / "t.csv"
         write_lines(path, [HEADER, "01/02/2020,10,12,9,11,1000"])
-        with pytest.raises(CsvParseError, match="line 2"):
+        with pytest.raises(MarketDataError, match="line 2"):
             load_csv(path, "T")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(MarketDataError, match="empty file"):
             load_csv(path, "T")
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
         write_lines(path, [HEADER])
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(MarketDataError, match="no data rows"):
             load_csv(path, "T")
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "t.csv"
         write_lines(path, ["Date,Open,High,Low,Close", "2020-01-02,10,12,9,11"])
-        with pytest.raises(CsvParseError, match="Volume"):
+        with pytest.raises(MarketDataError, match="Volume"):
             load_csv(path, "T")
 
     def test_adj_close_skipped_and_rows_sorted(self, tmp_path):
@@ -114,84 +113,85 @@ class TestLoadCsv:
             path,
             [HEADER, "2020-01-02,10,12,9,11,1000", "2020-01-02,10,12,9,11,1000"],
         )
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(MarketDataError, match="duplicate"):
             load_csv(path, "T")
 
     @pytest.mark.parametrize(
-        "row, error, message",
+        "row, kind, message",
         [
-            ("2020-01-03,x,12,9,11,1000", CsvParseError, "line 5: bad Open value 'x'"),
-            ("2020-01-03,10,x,9,11,1000", CsvParseError, "line 5: bad High value 'x'"),
-            ("2020-01-03,10,12,x,11,1000", CsvParseError, "line 5: bad Low value 'x'"),
-            ("2020-01-03,10,12,9, x ,1000", CsvParseError, "line 5: bad Close value 'x'"),
-            ("2020-01-03,10,12,9,11,", CsvParseError, "line 5: bad Volume value ''"),
+            ("2020-01-03,x,12,9,11,1000", PARSE, "line 5: bad Open value 'x'"),
+            ("2020-01-03,10,x,9,11,1000", PARSE, "line 5: bad High value 'x'"),
+            ("2020-01-03,10,12,x,11,1000", PARSE, "line 5: bad Low value 'x'"),
+            ("2020-01-03,10,12,9, x ,1000", PARSE, "line 5: bad Close value 'x'"),
+            ("2020-01-03,10,12,9,11,", PARSE, "line 5: bad Volume value ''"),
             (
                 "2020-01-03,10,12,9, nan ,1000",
-                CsvParseError,
+                PARSE,
                 "line 5: non-finite Close value 'nan'",
             ),
-            ("2020-01-03,10,inf,9,11,1000", CsvParseError, "line 5: non-finite High value 'inf'"),
+            ("2020-01-03,10,inf,9,11,1000", PARSE, "line 5: non-finite High value 'inf'"),
             (
                 "2020-01-03,10,12,9,11,-inf",
-                CsvParseError,
+                PARSE,
                 "line 5: non-finite Volume value '-inf'",
             ),
-            ("2020-01-03,10,12,9,11", CsvParseError, "line 5: expected 6 fields, got 5"),
+            ("2020-01-03,10,12,9,11", PARSE, "line 5: expected 6 fields, got 5"),
             (
                 "01/03/2020,10,12,9,11,1000",
-                CsvParseError,
+                PARSE,
                 "line 5: bad date '01/03/2020': Invalid isoformat string: '01/03/2020'",
             ),
             # the first fault in the order length, date, Open .. Volume is named
-            ("2020-01-03,x,12,9,y,1000", CsvParseError, "line 5: bad Open value 'x'"),
+            ("2020-01-03,x,12,9,y,1000", PARSE, "line 5: bad Open value 'x'"),
             (
                 "nope,x,12,9,11,1000",
-                CsvParseError,
+                PARSE,
                 "line 5: bad date 'nope': Invalid isoformat string: 'nope'",
             ),
             # forms Python 3.11+ date.fromisoformat reads but YYYY-MM-DD is not
             (
                 "20200103,10,12,9,11,1000",
-                CsvParseError,
+                PARSE,
                 "line 5: bad date '20200103': Invalid isoformat string: '20200103'",
             ),
             (
                 "2020-W01-5,10,12,9,11,1000",
-                CsvParseError,
+                PARSE,
                 "line 5: bad date '2020-W01-5': Invalid isoformat string: '2020-W01-5'",
             ),
-            ("nope,x", CsvParseError, "line 5: expected 6 fields, got 2"),
-            ("2020-01-03,0,12,9,11,1000", ValidationError, "non-positive price on 2020-01-03"),
-            ("2020-01-03,10,12,9,11,-1", ValidationError, "negative volume on 2020-01-03"),
+            ("nope,x", PARSE, "line 5: expected 6 fields, got 2"),
+            ("2020-01-03,0,12,9,11,1000", INCONSISTENT, "non-positive price on 2020-01-03"),
+            ("2020-01-03,10,12,9,11,-1", INCONSISTENT, "negative volume on 2020-01-03"),
             (
                 "2020-01-03,10,14,13,11,1000",
-                ValidationError,
+                INCONSISTENT,
                 "low 13.0 above open/close on 2020-01-03",
             ),
             (
                 "2020-01-03,10,12,10,9.5,1000",
-                ValidationError,
+                INCONSISTENT,
                 "low 10.0 above open/close on 2020-01-03",
             ),
             (
                 "2020-01-03,10,10.5,9,11,1000",
-                ValidationError,
+                INCONSISTENT,
                 "high 10.5 below open/close on 2020-01-03",
             ),
             (
                 "2020-01-03,12,11.5,9,11,1000",
-                ValidationError,
+                INCONSISTENT,
                 "high 11.5 below open/close on 2020-01-03",
             ),
         ],
     )
-    def test_rejected_row_message(self, tmp_path, row, error, message):
+    def test_rejected_row_message(self, tmp_path, row, kind, message):
         # the blank and whitespace-only rows are skipped but still counted
         path = tmp_path / "t.csv"
         write_lines(path, [HEADER, "2020-01-02,10,12,9,11,1000", "", " , ,", row])
-        with pytest.raises(error) as excinfo:
+        with pytest.raises(MarketDataError) as excinfo:
             load_csv(path, "T")
-        assert str(excinfo.value) == message
+        assert str(excinfo.value) == f"{path}: {message}"
+        assert message.startswith("line 5: ") == (kind == PARSE)
 
     def test_row_shorter_than_header_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -199,9 +199,9 @@ class TestLoadCsv:
             path,
             ["Date,Open,High,Low,Close,Volume,Adj Close", "2020-01-02,10,12,9,11,1000"],
         )
-        with pytest.raises(CsvParseError) as excinfo:
+        with pytest.raises(MarketDataError) as excinfo:
             load_csv(path, "T")
-        assert str(excinfo.value) == "line 2: expected 7 fields, got 6"
+        assert str(excinfo.value) == f"{path}: line 2: expected 7 fields, got 6"
 
     def test_padded_values_and_extra_columns_accepted(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -286,14 +286,14 @@ class TestLoadCsvDifferential:
         raw = next(csv.reader([line]), [])
         columns = [(c, names.index(c)) for c in CSV_COLUMNS[1:]]
         try:
-            want = _diagnose_row(raw, 2, len(names), names.index("Date"), columns)
-        except (CsvParseError, ValidationError) as exc:
+            want = _diagnose_row(path, raw, 2, len(names), names.index("Date"), columns)
+        except MarketDataError as exc:
             with pytest.raises(type(exc)) as excinfo:
                 load_csv(path, "T")
             assert str(excinfo.value) == str(exc)
             return
         if want is None:
-            with pytest.raises(EmptyInputError):
+            with pytest.raises(MarketDataError, match="no data rows"):
                 load_csv(path, "T")
             return
         assert [repr(b) for b in load_csv(path, "T").bars] == [repr(want)]
@@ -319,11 +319,11 @@ class TestAlignCalendar:
     def test_disjoint_ranges_error_lists_tickers(self):
         a = series_from_closes("AAA", [1, 2], start=dt.date(2020, 1, 1))
         b = series_from_closes("BBB", [1, 2], start=dt.date(2021, 1, 1))
-        with pytest.raises(AlignmentError, match="AAA, BBB"):
+        with pytest.raises(MarketDataError, match="AAA, BBB"):
             align_calendar([a, b])
 
     def test_empty_series_rejected(self):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(MarketDataError, match="A: empty series"):
             align_calendar([StockSeries("A", ())])
 
 
@@ -395,7 +395,7 @@ class TestWindow:
 
     def test_insufficient_history(self):
         predictor, s, _ = self.fitted([1, 2, 3, 4, 5], 3)
-        with pytest.raises(WindowError):
+        with pytest.raises(PredictorError, match="expected 3 bars, got 2"):
             predictor.predict_window(s.bars[:2])
 
     @given(data=st.data())
@@ -418,13 +418,13 @@ class TestWindow:
 class TestInvariants:
     def test_series_rejects_unsorted_dates(self):
         bars = series_from_closes("A", [1, 2]).bars
-        with pytest.raises(ValidationError):
+        with pytest.raises(MarketDataError, match="dates not strictly increasing"):
             StockSeries("A", (bars[1], bars[0]))
 
     def test_strictly_positive_prices_enforced_at_load(self, tmp_path):
         path = tmp_path / "t.csv"
         write_lines(path, [HEADER, "2020-01-02,0,12,0,11,1000"])
-        with pytest.raises(ValidationError):
+        with pytest.raises(MarketDataError, match="non-positive price on 2020-01-02"):
             load_csv(path, "T")
 
     def test_split_spec_bounds(self):

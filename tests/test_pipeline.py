@@ -86,6 +86,19 @@ def write_universe(tmp_path, rng, n=200, tickers=TICKERS, attack=None, **extra):
     return path
 
 
+def forbid_commands(monkeypatch, reason: str) -> None:
+    """Make every command's work fail the test: the CLI must stop first."""
+    from epsim import files, pipeline
+
+    def no_run(*args, **kwargs):
+        raise AssertionError(f"ran despite {reason}")
+
+    for module, name in ((files, "cmd_ingest"), (files, "cmd_report"),
+                         (pipeline, "cmd_fit"), (pipeline, "cmd_backtest"),
+                         (pipeline, "cmd_attack")):
+        monkeypatch.setattr(module, name, no_run)
+
+
 class TestRunConfig:
     def test_round_trip_is_lossless_and_idempotent(self, tmp_path, rng):
         path = write_universe(
@@ -933,10 +946,19 @@ class TestCli:
             ({"ticker": "AAA", "mode": "conceal", "days": [-1]}, ["--mode", "conceal"]),
             ({"ticker": "AAA", "mode": "conceal", "days": [TEST_DAY_COMPACT]}, []),
             ({"ticker": "AAA", "mode": "conceal", "days": [TEST_DAY_WEEK]}, []),
+            (
+                {"ticker": "AAA", "mode": "stddev", "days": "all"},
+                ["--ticker", "AAA", "--ticker", "BBB"],
+            ),
+            (
+                {"ticker": "AAA", "mode": "conceal", "days": [3]},
+                ["--mode", "conceal", "--mode", "overestimate"],
+            ),
         ],
         ids=[
             "ticker", "ticker-flag", "empty-ticker-flag", "bool-day", "day-past-window",
-            "negative-day", "compact-date", "week-date",
+            "negative-day", "compact-date", "week-date", "ticker-flag-twice",
+            "mode-flag-twice",
         ],
     )
     def test_bad_attack_target_fails_before_compute(
@@ -1091,15 +1113,7 @@ class TestCli:
     def test_out_naming_a_file_fails_before_compute(
         self, tmp_path, rng, capsys, monkeypatch, command
     ):
-        from epsim import files, pipeline
-
-        def no_run(*args, **kwargs):
-            raise AssertionError("ran despite an --out that is a file")
-
-        for module, name in ((files, "cmd_ingest"), (files, "cmd_report"),
-                             (pipeline, "cmd_fit"), (pipeline, "cmd_backtest"),
-                             (pipeline, "cmd_attack")):
-            monkeypatch.setattr(module, name, no_run)
+        forbid_commands(monkeypatch, "an --out that is a file")
         cfg_path = write_universe(
             tmp_path, rng, n=130, attack={"ticker": "AAA", "mode": "stddev", "days": "all"}
         )
@@ -1113,6 +1127,48 @@ class TestCli:
         assert capsys.readouterr().err == f"error [config]: --out {out} is not a directory\n"
         assert sorted(tmp_path.rglob("*")) == before
         assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            (command, bad)
+            for command in (
+                ["ingest"], ["fit"], ["backtest"], ["attack", "sweep"],
+                ["attack", "targeted", "--mode", "conceal"], ["report"],
+            )
+            for bad in ("config-twice", "out-twice", "out-empty")
+            if not (command == ["report"] and bad == "config-twice")
+        ],
+        ids=lambda p: p if isinstance(p, str) else " ".join(p[:2]),
+    )
+    def test_option_given_twice_or_empty_out_fails_before_compute(
+        self, tmp_path, rng, capsys, monkeypatch, command, bad
+    ):
+        # an option that takes one value does not keep its last value, and an
+        # empty --out does not fall back to output_dir (or, for report, crash)
+        forbid_commands(monkeypatch, "a repeated option or an empty --out")
+        cfg_path = write_universe(
+            tmp_path, rng, n=130, attack={"ticker": "AAA", "mode": "stddev", "days": "all"}
+        )
+        cells = tmp_path / "cells.csv"
+        cells.write_text(CELLS_HEAD + "3,omega=5,0.5,1.0,,1.0,1.0\n")
+        inputs = [str(cells)] if command == ["report"] else ["--config", str(cfg_path)]
+        missing, out, other = (str(tmp_path / name) for name in ("missing.json", "a", "b"))
+        if bad == "config-twice":
+            argv = [*command, "--config", missing, *inputs, "--out", out]
+            want = f"--config given twice ({missing!r}, then {str(cfg_path)!r})"
+        elif bad == "out-twice":
+            argv = [*command, *inputs, "--out", out, "--out", other]
+            want = f"--out given twice ({out!r}, then {other!r})"
+        else:
+            argv = [*command, *inputs, "--out", ""]
+            want = "--out must name a directory, got ''"
+        if bad != "out-empty":
+            want += "; it takes one value"
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error [config]: {want}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_out_under_a_file_fails_before_compute(self, tmp_path, rng, capsys):
         cfg_path = write_universe(tmp_path, rng, n=130)
@@ -1188,6 +1244,32 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error [config]: tickers: each ticker once, ['AAA'] repeated\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind", ["malformed-field", "inconsistent-bar", "duplicate-date"]
+    )
+    def test_bad_data_row_names_its_file(self, tmp_path, rng, capsys, kind):
+        # with many tickers, only the path says which data file is bad
+        cfg_path = write_universe(tmp_path, rng, n=100)
+        csv_path = tmp_path / "data" / "BBB.csv"
+        lines = csv_path.read_text().splitlines()
+        day, previous = lines[5].split(",")[0], lines[4].split(",")[0]
+        if kind == "malformed-field":
+            fields = lines[5].split(",")
+            fields[1] = "x" + fields[1]
+            lines[5] = ",".join(fields)
+            want = f"line 6: bad Open value {fields[1]!r}"
+        elif kind == "inconsistent-bar":
+            lines[5] = f"{day},10,12,11.5,11,1000"
+            want = f"low 11.5 above open/close on {day}"
+        else:
+            lines[5] = previous + lines[5][len(day):]
+            want = f"duplicate date {previous}"
+        csv_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error [market_data]: {csv_path}: {want}\n"
         assert not out.exists()
 
     def test_ingest_runs_without_numpy(self, tmp_path, rng):
@@ -1418,3 +1500,32 @@ class TestLazyInit:
         assert trade_engine.CostModel is config.CostModel
         for mode in ("StdDevMode", "ConcealMode", "OverestimateMode", "CustomMode"):
             assert getattr(attack, mode) is getattr(config, mode)
+
+
+class TestErrorTags:
+    def test_one_error_class_per_cli_tag(self):
+        # the CLI prints ``error [<module>]``: each tag is exactly one class,
+        # and every class lives in epsim.errors
+        import importlib
+        import inspect
+        import pkgutil
+
+        from epsim.errors import EpsimError
+
+        for info in pkgutil.iter_modules(epsim.__path__):
+            module = importlib.import_module(f"epsim.{info.name}")
+            defined = [
+                name for name, value in vars(module).items()
+                if inspect.isclass(value) and issubclass(value, BaseException)
+                and value.__module__ == module.__name__
+            ]
+            assert info.name == "errors" or not defined, (info.name, defined)
+        classes, todo = [], [EpsimError]
+        while todo:
+            for cls in todo.pop().__subclasses__():
+                classes.append(cls)
+                todo.append(cls)
+        assert all(cls.__module__ == "epsim.errors" for cls in classes), classes
+        assert sorted(cls.module for cls in classes) == sorted(
+            ["market_data", "config", "predictor", "trade_engine", "attack", "report"]
+        )

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsim.errors import (
-    EvaluationError,
-    FitError,
-    PredictionImportError,
-)
+from epsim.errors import ConfigurationError, PredictorError
 from epsim.market_data import FEATURE_NAMES, SplitSpec, align_calendar, split
 from epsim.predictor import (
     PredictionSeries,
@@ -96,21 +92,21 @@ class TestFitBaseline:
         assert rmse_fit < rmse_naive
 
     def test_singular_at_zero_lambda_advises_regularization(self):
-        with pytest.raises(FitError, match="nonzero ridge_lambda"):
+        with pytest.raises(PredictorError, match="nonzero ridge_lambda"):
             fit_single([10.0] * 20, window=3, features=("close",), ridge_lambda=0.0)
 
     def test_too_short_train_rejected(self):
-        with pytest.raises(FitError, match="window\\+1"):
+        with pytest.raises(PredictorError, match="window\\+1"):
             fit_single([10.0, 11.0, 12.0], window=3, features=("close",))
 
     def test_config_validation(self):
-        with pytest.raises(FitError):
+        with pytest.raises(ConfigurationError, match="predictor: features must be nonempty"):
             PredictorConfig(features=())
-        with pytest.raises(FitError):
+        with pytest.raises(ConfigurationError, match=r"predictor: unknown features \['vwap'\]"):
             PredictorConfig(features=("close", "vwap"))
-        with pytest.raises(FitError):
+        with pytest.raises(ConfigurationError, match="predictor: ridge_lambda must be >= 0"):
             PredictorConfig(ridge_lambda=-1.0)
-        with pytest.raises(FitError):
+        with pytest.raises(ConfigurationError, match="predictor: window must be >= 1, got 0"):
             PredictorConfig(window=0)
 
 
@@ -198,7 +194,7 @@ class TestImportPredictions:
         calendar = trading_dates(3)
         path = tmp_path / "p.csv"
         self.write(path, ["2031-12-31,100"])
-        with pytest.raises(PredictionImportError, match="2031-12-31"):
+        with pytest.raises(PredictorError, match="2031-12-31"):
             import_predictions(path, calendar, "T")
 
     def test_duplicate_date_rejected(self, tmp_path):
@@ -206,7 +202,7 @@ class TestImportPredictions:
         path = tmp_path / "p.csv"
         d = calendar[0].isoformat()
         self.write(path, [f"{d},100", f"{d},101"])
-        with pytest.raises(PredictionImportError, match="duplicate"):
+        with pytest.raises(PredictorError, match="duplicate"):
             import_predictions(path, calendar, "T")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
@@ -214,7 +210,7 @@ class TestImportPredictions:
         calendar = trading_dates(3)
         path = tmp_path / "p.csv"
         self.write(path, [f"{calendar[0].isoformat()},100", f"{calendar[1].isoformat()},{value}"])
-        with pytest.raises(PredictionImportError, match=f"line 3: non-finite prediction '{value}'"):
+        with pytest.raises(PredictorError, match=f"line 3: non-finite prediction '{value}'"):
             import_predictions(path, calendar, "T")
 
     @pytest.mark.parametrize("form", ["%Y%m%d", "%G-W%V-%u"], ids=["compact", "week"])
@@ -225,7 +221,7 @@ class TestImportPredictions:
         date = calendar[1].strftime(form)
         self.write(path, [f"{calendar[0].isoformat()},100", f"{date},101"])
         with pytest.raises(
-            PredictionImportError, match=f"line 3: Invalid isoformat string: '{date}'"
+            PredictorError, match=f"line 3: Invalid isoformat string: '{date}'"
         ):
             import_predictions(path, calendar, "T")
 
@@ -250,12 +246,12 @@ class TestEvaluateRmse:
 
     def test_empty_range_rejected(self):
         series = series_from_closes("T", [10.0])
-        with pytest.raises(EvaluationError):
+        with pytest.raises(PredictorError, match="empty evaluation range"):
             evaluate_rmse(PredictionSeries("T", {0: 10.0}), series, [])
 
     def test_uncovered_day_rejected(self):
         series = series_from_closes("T", [10.0, 11.0])
-        with pytest.raises(EvaluationError):
+        with pytest.raises(PredictorError, match="no prediction for day 1"):
             evaluate_rmse(PredictionSeries("T", {0: 10.0}), series, range(2))
 
     def test_fit_report_shape(self, rng):

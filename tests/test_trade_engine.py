@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsim.errors import (
-    ConfigurationError,
-    MetricError,
-    SimulationSetupError,
-    ZeroVolatilityWarning,
-)
+from epsim.errors import ConfigurationError, TradeEngineError, ZeroVolatilityWarning
 from epsim.predictor import PredictionSeries
 from epsim.strategy import Signal, StrategyConfig
 from epsim.trade_engine import (
@@ -138,12 +133,12 @@ class TestRunSignals:
 
     def test_signal_length_mismatch_rejected(self):
         test = dataset_from_closes({"A": [100.0, 101.0]})
-        with pytest.raises(SimulationSetupError):
+        with pytest.raises(TradeEngineError, match="A: 1 signals for a 2-day calendar"):
             run_signals(test, {"A": sig("b")}, COSTS)
 
     def test_missing_ticker_rejected(self):
         test = dataset_from_closes({"A": [100.0, 101.0]})
-        with pytest.raises(SimulationSetupError):
+        with pytest.raises(TradeEngineError, match="no signal sequence for A"):
             run_signals(test, {}, COSTS)
 
     @given(
@@ -236,13 +231,13 @@ class TestRunSimulation:
 
     def test_missing_predictions_rejected(self):
         test = dataset_from_closes({"A": [100.0] * 5})
-        with pytest.raises(SimulationSetupError):
+        with pytest.raises(TradeEngineError, match="no predictions for A"):
             run_simulation(test, {}, StrategyConfig(), COSTS)
 
     def test_out_of_range_prediction_day_rejected(self):
         test = dataset_from_closes({"A": [100.0] * 5})
         preds = {"A": PredictionSeries("A", {7: 100.0})}
-        with pytest.raises(SimulationSetupError):
+        with pytest.raises(TradeEngineError, match=r"A: prediction days \[7\] outside"):
             run_simulation(test, preds, StrategyConfig(), COSTS)
 
     def test_shift_means_day_zero_never_trades(self, rng):
@@ -264,7 +259,7 @@ class TestMetrics:
         got = cumulative_returns([0.10, 0.10])
         assert got[0] == pytest.approx(0.10, abs=1e-12)
         assert got[1] == pytest.approx(0.21, abs=1e-12)
-        with pytest.raises(MetricError):
+        with pytest.raises(TradeEngineError, match="needs at least one return"):
             cumulative_returns([])
 
     def test_cumulative_matches_oracle(self, rng):
@@ -292,7 +287,7 @@ class TestMetrics:
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_sharpe_needs_two_returns(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(TradeEngineError, match="needs at least 2 returns"):
             sharpe_ratio([0.01], COSTS)
 
     def test_risk_free_conversion_is_geometric(self):
