@@ -10,13 +10,26 @@ so any divergence from the baseline is caused solely by that one forecast.
 That locality is what makes a cell cheap. :class:`AttackContext` computes,
 once per run, each ticker's scaled features, clean forecasts, forecast
 errors and unshifted signals, and the baseline run with its portfolio state
-before each day. A cell then recomputes the one forecast the perturbation
-reaches and regenerates only the attacked ticker's signal days that forecast
-can move (:func:`epsim.strategy.reach`). When they match the baseline's, the
-cell returns the baseline unchanged; otherwise it resumes the baseline from
-the first day whose executed signal differs and rejoins it once the
-portfolio is back in the baseline's exact state
-(:func:`epsim.trade_engine.resume_signals`).
+before each day; for an attacked ticker it also builds, on first use, the
+trailing sigma of every day for each (omega, ddof) and a decision screen.
+A cell recomputes the one forecast the perturbation reaches, as the exact
+dot product, and then takes one of three routes:
+
+* **screened**: the forecast lies inside the interval of values that keeps
+  every signal of the entry's reach (:func:`epsim.strategy.reach`), by more
+  than a relative margin (:func:`epsim.strategy.stable_intervals`); the
+  cell returns the baseline without regenerating a signal;
+* **memo hit**: otherwise the reach's signal days are regenerated; when
+  they match the baseline's, the cell returns the baseline; when they
+  differ, a protocol call's memo, keyed by the ticker, the first changed
+  day and the new signals up to the last changed day, may already hold the
+  attacked run of that same change;
+* **resumed**: else the baseline resumes from the first day whose executed
+  signal differs and rejoins it once the portfolio is back in the
+  baseline's exact state (:func:`epsim.trade_engine.resume_signals`).
+
+Every route gives the bits a full rerun gives, so the result files are the
+ones a cell computed from scratch would write.
 
 Magnitude modes:
 
@@ -45,7 +58,14 @@ from .predictor import (
     prediction_errors,
     rmse,
 )
-from .strategy import StrategyConfig, generate_signals, reach, shift_signals
+from .strategy import (
+    StrategyConfig,
+    generate_signals,
+    reach,
+    shift_signals,
+    sliding_windows,
+    stable_intervals,
+)
 from .trade_engine import (
     CostModel,
     SignalRun,
@@ -115,7 +135,8 @@ class AttackResult:
 
 def apply_ep(series: StockSeries, mode: EpMode, at: int) -> float:
     """The perturbed close for the bar at index ``at`` of ``series``; only
-    that value changes."""
+    that value changes. (:meth:`AttackContext.perturbed_close` reads a
+    ``StdDevMode``'s sigma from a table with these bits.)"""
     if not 0 <= at < len(series.bars):
         raise AttackSetupError(
             f"{series.ticker}: day index {at} outside the series"
@@ -153,19 +174,22 @@ def perturbed_prediction_entry(
     test_start: int,
     ep: EpSpec,
     scaled: np.ndarray | None = None,
+    perturbed_close: float | None = None,
 ) -> tuple[int | None, float | None, float, float]:
     """Recompute the single forecast whose window ends on the attacked day.
 
     Returns (entry_day, perturbed_entry, perturbed_close, clean_close). On
     the last day no forecast reads the attacked close, and entry_day and
     perturbed_entry are None. ``scaled`` is
-    ``predictor.scale(full_series.bars)`` when the caller already has it.
-    The forecast equals ``predict_window`` over the window with the attacked
-    bar's close replaced.
+    ``predictor.scale(full_series.bars)`` and ``perturbed_close`` is
+    :func:`apply_ep`'s value when the caller already has them. The forecast
+    equals ``predict_window`` over the window with the attacked bar's close
+    replaced.
     """
     w = predictor.config.window
     a = test_start + ep.day
-    perturbed_close = apply_ep(full_series, ep.mode, a)
+    if perturbed_close is None:
+        perturbed_close = apply_ep(full_series, ep.mode, a)
     clean_close = full_series.bars[a].close
     if a + 1 >= len(full_series.bars):
         return None, None, perturbed_close, clean_close
@@ -208,8 +232,11 @@ class AttackContext:
     Holds each ticker's min-max-scaled features (full series), clean test
     forecasts, their error vector and RMSE and the unshifted baseline
     signals, and the baseline run with the portfolio state before each of
-    its days. One context serves any number of cells and protocol calls:
-    :meth:`outcome` never changes what it holds.
+    its days. An attacked ticker's decision screen
+    (:func:`epsim.strategy.stable_intervals`) and each attacked (ticker,
+    omega, ddof)'s trailing sigma of every day are built on first use. One
+    context serves any number of cells and protocol calls: what a cell
+    returns never depends on the cells before it.
     """
 
     def __init__(
@@ -248,9 +275,89 @@ class AttackContext:
             days = sorted(preds.entries)
             self.errors[tk] = (days, prediction_errors(preds, self.test.series[tk], days))
         self.rmse_clean = {tk: rmse(errs) for tk, (_, errs) in self.errors.items()}
+        self._intervals: dict[str, tuple[list[float], list[float]]] = {}
+        self._sigmas: dict[tuple[str, int, int], tuple[list[float], list[bool]]] = {}
 
-    def outcome(self, ep: EpSpec) -> tuple[SimulationResult, AttackOutcome]:
-        """The attacked run and its impact record for one perturbation."""
+    def perturbed_close(self, ep: EpSpec) -> float:
+        """:func:`apply_ep`'s value for the attacked bar, a ``StdDevMode``'s
+        sigma read from the ticker's table of every day's trailing sigma."""
+        mode = ep.mode
+        at = self.test_start + ep.day
+        series = self.dataset.series[ep.ticker]
+        if not isinstance(mode, StdDevMode) or not mode.omega - 1 <= at < len(series.bars):
+            return apply_ep(series, mode, at)
+        key = (ep.ticker, mode.omega, mode.ddof)
+        if key not in self._sigmas:
+            # row i: the omega closes ending at index i + omega - 1
+            windows = sliding_windows(series.closes(), mode.omega)
+            self._sigmas[key] = (
+                windows.std(axis=1, ddof=mode.ddof).tolist(),
+                (windows.min(axis=1) == windows.max(axis=1)).tolist(),
+            )
+        sigma, constant = self._sigmas[key]
+        i = at - mode.omega + 1
+        clean = series.bars[at].close
+        return clean if constant[i] else clean + 2.0 * sigma[i]
+
+    def keeps_signals(self, ticker: str, entry_day: int, entry: float) -> bool:
+        """Whether the decision screen shows that forecast entry
+        ``entry_day`` set to ``entry`` leaves every signal of ``ticker`` as
+        the baseline has it. False means the screen cannot tell."""
+        if ticker not in self._intervals:
+            self._intervals[ticker] = stable_intervals(
+                self.test.series[ticker],
+                self.predictions[ticker],
+                self.strategy_config,
+                self.test.n_days(),
+            )
+        lo, hi = self._intervals[ticker]
+        return lo[entry_day] < entry < hi[entry_day]
+
+    def _changed_run(
+        self, ticker: str, entry_day: int, entry: float, memo: dict | None
+    ) -> tuple[SimulationResult, int | None]:
+        """The attacked run and its first divergence day when forecast entry
+        ``entry_day`` is ``entry``: the reach's signals regenerated, and the
+        baseline resumed from the first changed day unless ``memo`` already
+        holds the run of the same signal change."""
+        n = self.test.n_days()
+        days = reach(self.strategy_config, entry_day, n)
+        raw = self.raw_signals[ticker]
+        patch = generate_signals(
+            self.test.series[ticker],
+            self.predictions[ticker].with_entry(entry_day, entry),
+            self.strategy_config,
+            n,
+            days,
+        )
+        changed = [
+            i for i, (new, old) in enumerate(zip(patch, raw[days.start : days.stop]))
+            if new is not old
+        ]
+        if not changed:
+            return self.baseline, None
+        # the attacked signals are the baseline's with this span replaced
+        key = (ticker, days.start + changed[0], tuple(patch[changed[0] : changed[-1] + 1]))
+        if memo is not None and key in memo:
+            return memo[key]
+        signals = dict(self.baseline_run.signals)
+        signals[ticker] = shift_signals(raw[: days.start] + patch + raw[days.stop :])
+        run = resume_signals(self.test, signals, self.cost_model, self.baseline_run)
+        found = (
+            run.result,
+            None if run is self.baseline_run else _first_divergence(self.baseline_run, run),
+        )
+        if memo is not None:
+            memo[key] = found
+        return found
+
+    def outcome(
+        self, ep: EpSpec, memo: dict | None = None
+    ) -> tuple[SimulationResult, AttackOutcome]:
+        """The attacked run and its impact record for one perturbation.
+
+        ``memo``, a dict shared by the cells of one protocol call, keeps the
+        attacked run of each signal change already simulated."""
         if ep.ticker not in self.predictors:
             raise AttackSetupError(f"no predictor for attacked ticker {ep.ticker!r}")
         n = self.test.n_days()
@@ -259,39 +366,27 @@ class AttackContext:
                 f"attacked day {ep.day} outside the {n}-day test window"
             )
 
-        test_series = self.test.series[ep.ticker]
         entry_day, entry, perturbed_close, clean_close = perturbed_prediction_entry(
             self.predictors[ep.ticker],
             self.dataset.series[ep.ticker],
             self.test_start,
             ep,
             self.scaled[ep.ticker],
+            self.perturbed_close(ep),
         )
-        run = self.baseline_run
+        attacked, first_divergence = self.baseline, None
         rmse_clean = rmse_attacked = self.rmse_clean[ep.ticker]
         if entry_day is not None:
-            days = reach(self.strategy_config, entry_day, n)
-            raw = self.raw_signals[ep.ticker]
-            patch = generate_signals(
-                test_series,
-                self.predictions[ep.ticker].with_entry(entry_day, entry),
-                self.strategy_config,
-                n,
-                days,
-            )
-            if patch != raw[days.start : days.stop]:
-                signals = dict(run.signals)
-                signals[ep.ticker] = shift_signals(
-                    raw[: days.start] + patch + raw[days.stop :]
+            if not self.keeps_signals(ep.ticker, entry_day, entry):
+                attacked, first_divergence = self._changed_run(
+                    ep.ticker, entry_day, entry, memo
                 )
-                run = resume_signals(self.test, signals, self.cost_model, run)
             forecast_days, errs = self.errors[ep.ticker]
             errs = errs.copy()
             errs[bisect.bisect_left(forecast_days, entry_day)] = (
-                entry - test_series.bars[entry_day].close
+                entry - self.test.series[ep.ticker].bars[entry_day].close
             )
             rmse_attacked = rmse(errs)
-        attacked = run.result
 
         baseline = self.baseline
         cr_base = baseline.final_cumulative_return()
@@ -307,11 +402,7 @@ class AttackContext:
             cr_baseline=cr_base,
             cr_attacked=cr_att,
             cr_ratio=_cr_ratio(cr_att, cr_base),
-            first_divergence_day=(
-                None
-                if run is self.baseline_run
-                else _first_divergence(self.baseline_run, run)
-            ),
+            first_divergence_day=first_divergence,
         )
         return attacked, outcome
 
@@ -344,10 +435,11 @@ def _run_cells(context: AttackContext, kind: str, ticker: str, days, modes) -> A
             raise AttackSetupError(f"{what}s: each {what} once, {repeated} repeated")
     outcomes: list[AttackOutcome] = []
     errors: list[CellError] = []
+    memo: dict = {}  # one protocol call's signal changes and their runs
     for day in days:
         for mode in modes:
             try:
-                outcomes.append(context.outcome(EpSpec(ticker, day, mode))[1])
+                outcomes.append(context.outcome(EpSpec(ticker, day, mode), memo)[1])
             except AttackSetupError as exc:
                 errors.append(CellError(day=day, label=mode.label, message=str(exc)))
     return AttackResult(kind, tuple(outcomes), context.baseline, tuple(errors))

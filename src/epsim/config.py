@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, PredictorError
 from .market_data import FEATURE_NAMES, SplitSpec
 
 # attack.mode -> the ``epsim attack`` submode that runs it
@@ -49,6 +49,15 @@ class PredictorConfig:
         if self.ridge_lambda < 0:
             raise ConfigurationError(
                 f"predictor: ridge_lambda must be >= 0, got {self.ridge_lambda}"
+            )
+
+    def require_train_days(self, ticker: str, n_train: int) -> None:
+        """Fail unless ``n_train`` train days hold one window and its next
+        close, the least a fit needs. ``ingest`` checks this without fitting."""
+        if n_train < self.window + 1:
+            raise PredictorError(
+                f"{ticker}: need at least window+1 = {self.window + 1} train days, "
+                f"got {n_train}"
             )
 
 

@@ -90,7 +90,7 @@ def _check_schema_line(path, fh, expected_schema: str) -> None:
 
 def read_schema_csv(path, expected_schema: str) -> list[dict]:
     """Read a schema-tagged CSV; refuses missing or mismatched versions."""
-    with open(path, newline="") as fh:
+    with open_csv(path, ReportError) as fh:
         _check_schema_line(path, fh, expected_schema)
         return list(csv.DictReader(fh))
 
@@ -253,6 +253,9 @@ def cmd_ingest(config: RunConfig, out_dir) -> dict:
     dataset = align_calendar(series)
     train, _ = split(dataset, config.split)
     test_start = train.n_days()
+    if config.predictor_kind == "baseline":  # the check fit makes, before any fit
+        for tk in train.tickers():
+            config.predictor.require_train_days(tk, test_start)
     report = {
         "schema": INGEST_SCHEMA,
         "tickers": list(config.tickers),

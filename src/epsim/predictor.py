@@ -134,11 +134,7 @@ def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
 
     n = len(series.bars)
     w = config.window
-    if n < w + 1:
-        raise PredictorError(
-            f"{series.ticker}: need at least window+1 = {w + 1} train days, "
-            f"got {n}"
-        )
+    config.require_train_days(series.ticker, n)
 
     raw = feature_matrix(series.bars, config.features)  # (n, F)
     scalers = {
@@ -163,7 +159,8 @@ def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
     )
     y = y_scaled[w:]
 
-    gram = X.T @ X + config.ridge_lambda * np.eye(d)
+    gram = X.T @ X
+    gram.flat[:: d + 1] += config.ridge_lambda  # the diagonal, with no d x d identity
     rhs = X.T @ y
     try:
         coef = np.linalg.solve(gram, rhs)

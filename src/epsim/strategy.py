@@ -14,7 +14,9 @@ executed decision never touches data from its own trading day.
 Reach: every rule above reads a bounded stretch of forecasts, so a change to
 one forecast entry can move only a few signal days (:func:`reach`), and
 :func:`generate_signals` can regenerate just those days (``days``) with the
-same per-day arithmetic a full pass uses.
+same per-day arithmetic a full pass uses. Each reach day compares a linear
+function of that entry with a threshold, so :func:`stable_intervals` can
+give every entry day the interval of values that moves no signal at all.
 
 All functions here are pure over immutable inputs.
 """
@@ -22,12 +24,15 @@ All functions here are pure over immutable inputs.
 from __future__ import annotations
 
 import enum
-import math
+from typing import TYPE_CHECKING
 
 from .config import STRATEGY_KINDS, StrategyConfig  # noqa: F401  (re-exported from their old home)
 from .errors import ConfigurationError
 from .market_data import StockSeries
 from .predictor import PredictionSeries
+
+if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
+    import numpy as np
 
 
 class Signal(enum.Enum):
@@ -36,22 +41,21 @@ class Signal(enum.Enum):
     HOLD = "hold"
 
 
-def _prediction_mean(entries: dict[int, float], end: int, length: int):
-    """Mean of entries for days end-length+1 .. end, or None if any missing."""
+def _prediction_mean(values: list, end: int, length: int):
+    """Mean of values[end-length+1 .. end], or None if any is missing."""
     total = 0.0
-    for d in range(end - length + 1, end + 1):
-        v = entries.get(d)
+    for v in values[end - length + 1 : end + 1]:
         if v is None:
             return None
         total += v
     return total / length
 
 
-def _short_above_long(entries: dict[int, float], t: int, config: StrategyConfig):
-    """Whether day t's short mean exceeds its long mean (None if either is
-    undefined)."""
-    short = _prediction_mean(entries, t, config.ma_short)
-    long = _prediction_mean(entries, t, config.ma_long)
+def _short_above_long(values: list, t: int, config: StrategyConfig):
+    """Whether the short mean ending at values[t] exceeds the long one (None
+    if either is undefined)."""
+    short = _prediction_mean(values, t, config.ma_short)
+    long = _prediction_mean(values, t, config.ma_long)
     if short is None or long is None:
         return None
     return short > long
@@ -71,13 +75,18 @@ def ma_crossover_signals(
     With ``days``, the edge state is seeded from day ``days.start - 1``.
     """
     days = range(n_days) if days is None else days
-    entries = predictions.entries
+    # every entry a mean reads, from the long mean of day days.start - 1 on:
+    # values[i] is day first + i's (None if missing)
+    first = days.start - config.ma_long
+    values = [predictions.entries.get(d) for d in range(first, days.stop)]
     signals = [Signal.HOLD] * len(days)
     prev_above = (
-        _short_above_long(entries, days.start - 1, config) if days.start > 0 else None
+        _short_above_long(values, days.start - 1 - first, config)
+        if days.start > 0
+        else None
     )
     for i, t in enumerate(days):
-        above = _short_above_long(entries, t, config)
+        above = _short_above_long(values, t - first, config)
         if above is not None and prev_above is not None and above != prev_above:
             signals[i] = Signal.BUY if above else Signal.SELL
         prev_above = above
@@ -121,6 +130,43 @@ def roc_signals(
     return signals
 
 
+def sliding_windows(values: np.ndarray, length: int) -> np.ndarray:
+    """A read-only view whose row i is ``values[i : i + length]`` (a 1-D
+    float64 array at least ``length`` long). Each row reduces to the bits
+    the same slice reduces to. (``as_strided`` rather than
+    ``sliding_window_view``, whose checks cost more than a short band.)"""
+    from numpy.lib.stride_tricks import as_strided
+
+    step = values.strides[0]
+    return as_strided(values, (len(values) - length + 1, length), (step, step), writeable=False)
+
+
+def bollinger_band(closes: np.ndarray, config: StrategyConfig, days: range):
+    """The band of each day of ``days``, as two arrays (lower, upper).
+
+    Day t's band is mean +/- bb_width * sample std of ``closes[t - bb_period
+    : t]``, the closes ending the day before; it is NaN where that window
+    does not exist. The windows' means and variances are taken in one pass,
+    each with the arithmetic of ``window.mean()`` and ``((window - mean) **
+    2).sum() / (bb_period - 1)``, so every edge has the bits a per-day
+    computation gives (``tests/oracles.py`` keeps that form).
+    """
+    import numpy as np
+
+    p = config.bb_period
+    lower = np.full(len(days), np.nan)
+    upper = lower.copy()
+    first, last = max(days.start, p), min(days.stop - 1, len(closes))
+    if first <= last:
+        windows = sliding_windows(closes[first - p : last], p)  # row i: day first + i
+        mean = np.add.reduce(windows, axis=1) / p  # what mean(axis=1) computes
+        var = np.add.reduce((windows - mean[:, None]) ** 2, axis=1) / (p - 1)
+        half = config.bb_width * np.sqrt(var)
+        lower[first - days.start : last - days.start + 1] = mean - half
+        upper[first - days.start : last - days.start + 1] = mean + half
+    return lower, upper
+
+
 def bollinger_signals(
     prices: StockSeries,
     predictions: PredictionSeries,
@@ -130,27 +176,21 @@ def bollinger_signals(
 ) -> list[Signal]:
     """Buy/sell when the day's forecast exits the trailing close band.
 
-    The band is mean +/- width * sample std of the bb_period closes ending
-    the day before the decision day, so it contains only realized prices.
-    Band edges are non-strict: a forecast exactly on an edge is Hold.
+    The band (:func:`bollinger_band`) is built from the bb_period closes
+    ending the day before the decision day, so it contains only realized
+    prices. Band edges are non-strict: a forecast exactly on an edge is Hold,
+    and so is a forecast on a day without a band (NaN edges).
     """
     days = range(n_days) if days is None else days
-    closes = prices.closes()
+    lower, upper = (edge.tolist() for edge in bollinger_band(prices.closes(), config, days))
     signals = [Signal.HOLD] * len(days)
-    p = config.bb_period
     for i, t in enumerate(days):
-        if t - p < 0 or t > len(closes):
-            continue
         value = predictions.entries.get(t)
         if value is None:
             continue
-        window = closes[t - p : t]
-        mean = float(window.mean())
-        var = float(((window - mean) ** 2).sum()) / (p - 1)
-        half = config.bb_width * math.sqrt(var)
-        if value > mean + half:
+        if value > upper[i]:
             signals[i] = Signal.BUY
-        elif value < mean - half:
+        elif value < lower[i]:
             signals[i] = Signal.SELL
     return signals
 
@@ -203,3 +243,99 @@ def reach(config: StrategyConfig, entry_day: int, n: int) -> range:
         last = entry_day
     stop = min(last + 1, n)
     return range(min(entry_day, stop), stop)
+
+
+# Relative margin of the decision screen; see :func:`stable_intervals`.
+SCREEN_MARGIN = 1e-9
+
+
+def _entry_array(predictions: PredictionSeries, n_days: int) -> np.ndarray:
+    """The forecast entries of days 0 .. n_days-1, NaN where there is none."""
+    import numpy as np
+
+    values = np.full(n_days, np.nan)
+    for day, value in predictions.entries.items():
+        if 0 <= day < n_days:
+            values[day] = value
+    return values
+
+
+def _breakpoints(
+    prices: StockSeries, entries: np.ndarray, config: StrategyConfig
+) -> np.ndarray:
+    """Row e: the values of forecast entry e at which a day of ``reach(config,
+    e, n)`` can change its signal, NaN where a day has none.
+
+    Each rule compares a linear function of the entry with a threshold, so a
+    reach day's decision can change at one value of the entry:
+
+    * MA crossover: day t in [e, e + ma_long - 1] tests short - long > 0,
+      which is D_t + b (x - x_e) for the clean difference D_t and b =
+      1/ma_short - 1/ma_long while e is in the short mean, -1/ma_long after;
+      day e + ma_long only reads day e + ma_long - 1's test;
+    * Bollinger bands: the band edges of day e;
+    * ROC on forecasts: the two entries whose ROC equals a threshold; ROC on
+      closes reads no forecast and has none.
+    """
+    import numpy as np
+
+    n = len(entries)
+    if config.kind == "ma_crossover":
+        short_n, long_n = config.ma_short, config.ma_long
+        diff = np.full(n + long_n, np.nan)  # NaN past day n - 1: no such day
+        if n >= long_n:
+            short = sliding_windows(entries, short_n).mean(axis=1)
+            long = sliding_windows(entries, long_n).mean(axis=1)
+            diff[long_n - 1 : n] = short[long_n - short_n :] - long
+        k = np.arange(long_n)
+        slope = np.where(k < short_n, 1.0 / short_n, 0.0) - 1.0 / long_n
+        return entries[:, None] - diff[np.arange(n)[:, None] + k] / slope
+    if config.kind == "bollinger_bands":
+        return np.column_stack(bollinger_band(prices.closes(), config, range(n)))
+    if not config.roc_use_predictions:
+        return np.empty((n, 0))
+    closes = prices.closes()
+    ref = np.arange(n) - config.roc_lookback
+    base = np.full(n, np.nan)
+    has_ref = (ref >= 0) & (ref < len(closes))
+    base[has_ref] = closes[ref[has_ref]]
+    return np.column_stack(
+        [base + base * (threshold / 100.0)
+         for threshold in (config.roc_buy_threshold, config.roc_sell_threshold)]
+    )
+
+
+def stable_intervals(
+    prices: StockSeries,
+    predictions: PredictionSeries,
+    config: StrategyConfig,
+    n_days: int,
+) -> tuple[list[float], list[float]]:
+    """Per day e, bounds (lo[e], hi[e]) such that forecast entry e set to
+    any value strictly between them leaves every signal generated from
+    ``predictions`` as it is.
+
+    Between two neighbouring breakpoints every reach day's decision is
+    constant, so the interval is the gap around the clean entry. Breakpoints
+    are computed in floating point and can sit a rounding error away from
+    where the per-day arithmetic of :func:`generate_signals` flips, so the
+    gap is narrowed on each side by ``SCREEN_MARGIN`` times the largest
+    magnitude among the forecasts and closes, far more than that error; a
+    day whose clean entry is not inside the narrowed gap, or that has no
+    entry, gets an empty interval (inf, -inf). This is the margin of an
+    affine classifier (DeepFool, arXiv:1511.04599), used only to screen.
+    """
+    import numpy as np
+
+    entries = _entry_array(predictions, n_days)
+    points = _breakpoints(prices, entries, config)
+    clean = entries[:, None]
+    below = np.where(points <= clean, points, -np.inf).max(axis=1, initial=-np.inf)
+    above = np.where(points > clean, points, np.inf).min(axis=1, initial=np.inf)
+    scale = max(np.nanmax(np.abs(entries), initial=0.0), np.abs(prices.closes()).max(initial=0.0))
+    lo = below + SCREEN_MARGIN * scale
+    hi = above - SCREEN_MARGIN * scale
+    empty = ~((lo < entries) & (entries < hi))
+    lo[empty] = np.inf
+    hi[empty] = -np.inf
+    return lo.tolist(), hi.tolist()

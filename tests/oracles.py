@@ -102,6 +102,20 @@ def bollinger_oracle(closes, entries: dict, period, width, n) -> list[str]:
     return out
 
 
+def bollinger_band_per_day(closes, period: int, width: float, t: int):
+    """Day t's band (lower, upper) from its own window, with the numpy
+    arithmetic ``bollinger_signals`` once ran day by day; None on a day
+    without a full window. The reference for ``strategy.bollinger_band``'s
+    one-pass table, which must have these bits."""
+    if t - period < 0 or t > len(closes):
+        return None
+    window = closes[t - period : t]
+    mean = float(window.mean())
+    var = float(((window - mean) ** 2).sum()) / (period - 1)
+    half = width * math.sqrt(var)
+    return mean - half, mean + half
+
+
 def accounting_oracle(closes_by_ticker: dict, signals_by_ticker: dict, cost) -> dict:
     """Hand-stepped portfolio accounting for pre-shifted signal streams.
 

@@ -2,16 +2,22 @@
 
 Every cell of :class:`epsim.attack.AttackContext` must equal, bit for bit,
 what a full rerun gives: the same outcome (``cr_ratio`` compared NaN-aware),
-the same attacked ledger and returns, the same first divergence day.
+the same attacked ledger and returns, the same first divergence day. Each
+table a cell reads instead of computing (the sigma table, the decision
+screen, the memo of signal changes) is also checked against the plain path
+it replaces.
 """
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsim import attack, strategy
 from epsim.attack import (
     AttackContext,
     AttackOutcome,
@@ -20,6 +26,7 @@ from epsim.attack import (
     EpSpec,
     OverestimateMode,
     StdDevMode,
+    apply_ep,
     perturbed_prediction_entry,
     run_targeted,
     sweep_indiscriminate,
@@ -27,10 +34,16 @@ from epsim.attack import (
 from epsim.errors import AttackSetupError
 from epsim.market_data import Dataset
 from epsim.predictor import PredictorConfig, fit_baseline
-from epsim.strategy import STRATEGY_KINDS, Signal, StrategyConfig
+from epsim.strategy import (
+    STRATEGY_KINDS,
+    Signal,
+    StrategyConfig,
+    generate_signals,
+    stable_intervals,
+)
 from epsim.trade_engine import CostModel, DayStart, resume_signals, run_signals
 
-from conftest import dataset_from_closes, make_world, random_series
+from conftest import dataset_from_closes, make_world, random_series, random_walk_closes
 from oracles import attack_oracle
 
 pytestmark = pytest.mark.filterwarnings(
@@ -326,3 +339,197 @@ class TestResume:
         assert not start.matches(5.0, {"A": 1, "B": 2}, 9.5)
         with_zero = DayStart(cash=5.0, holdings={"A": 0, "B": 2}, prev_value=9.0, n_trades=0)
         assert not with_zero.matches(5.0, {"B": 2}, 9.0)
+
+
+def regenerated(context, ticker, entry_day, entry):
+    """The ticker's unshifted signals regenerated over the whole calendar
+    with one forecast entry changed: the plain path the screen replaces."""
+    return generate_signals(
+        context.test.series[ticker],
+        context.predictions[ticker].with_entry(entry_day, entry),
+        context.strategy_config,
+        context.test.n_days(),
+    )
+
+
+def probe_entries(context, ticker, entry_day, bounds):
+    """Values for one forecast entry: the clean one, relative steps away from
+    it, and values a few ulps and about a margin either side of each finite
+    edge of the day's screen interval."""
+    clean = context.predictions[ticker].entries[entry_day]
+    values = [clean]
+    for step in (1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 5e-2, 0.2):
+        values += [clean * (1 + step), clean * (1 - step)]
+    for edge in bounds:
+        if math.isfinite(edge):
+            for direction in (math.inf, -math.inf):
+                x = edge
+                for _ in range(3):
+                    x = math.nextafter(x, direction)
+                    values.append(x)
+            values += [edge * (1 + 1e-9), edge * (1 - 1e-9)]
+    return values
+
+
+SCREENED_STRATEGIES = {
+    "ma_crossover": StrategyConfig(kind="ma_crossover", ma_short=3, ma_long=8),
+    "bollinger_bands": StrategyConfig(kind="bollinger_bands", bb_period=6, bb_width=1.0),
+    "roc_forecasts": StrategyConfig(
+        kind="rate_of_change", roc_lookback=3, roc_buy_threshold=0.5, roc_sell_threshold=-0.5
+    ),
+    "roc_closes": StrategyConfig(kind="rate_of_change", roc_use_predictions=False),
+}
+
+
+class TestDecisionScreen:
+    @pytest.mark.parametrize("name", sorted(SCREENED_STRATEGIES))
+    def test_screen_agrees_with_regeneration_on_both_branches(self, rng, name):
+        # a screened entry must regenerate the baseline's signals; the
+        # probes must reach both branches, and for a strategy that reads
+        # forecasts, entries the screen passes on that do change a signal
+        config = SCREENED_STRATEGIES[name]
+        world = make_world(rng, tickers=("AAA", "BBB"), n=160, vol=3.0)
+        context = AttackContext(*world, config, CostModel())
+        n = context.test.n_days()
+        counts = {"screened": 0, "exact": 0, "exact_changed": 0}
+        for tk in ("AAA", "BBB"):
+            lo, hi = stable_intervals(context.test.series[tk], context.predictions[tk], config, n)
+            raw = context.raw_signals[tk]
+            for day in sorted(context.predictions[tk].entries):
+                for x in probe_entries(context, tk, day, (lo[day], hi[day])):
+                    same = regenerated(context, tk, day, x) == raw
+                    if context.keeps_signals(tk, day, x):
+                        counts["screened"] += 1
+                        assert same, (tk, day, x)
+                    else:
+                        counts["exact"] += 1
+                        counts["exact_changed"] += not same
+        assert counts["screened"] > 0
+        if name == "roc_closes":  # no signal reads a forecast
+            assert counts["exact"] == 0
+        else:
+            assert counts["exact_changed"] > 0
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_screened_entries_keep_every_signal(self, data):
+        world, config, costs = data.draw(worlds())
+        context = AttackContext(*world, config, costs)
+        n = context.test.n_days()
+        for tk in sorted(context.predictions):
+            lo, hi = stable_intervals(context.test.series[tk], context.predictions[tk], config, n)
+            days = sorted(context.predictions[tk].entries)
+            for day in data.draw(st.lists(st.sampled_from(days), min_size=1, max_size=4)):
+                for x in probe_entries(context, tk, day, (lo[day], hi[day])):
+                    if context.keeps_signals(tk, day, x):
+                        assert regenerated(context, tk, day, x) == context.raw_signals[tk]
+
+    def test_entries_within_the_margin_of_an_edge_take_the_exact_path(self, rng):
+        # MA breakpoints come from window means summed pairwise, while the
+        # signals sum each window in order, so a breakpoint can sit a few
+        # ulps from where the signal flips. Entries just inside an interval
+        # left unnarrowed that do change a signal exist in this world; the
+        # margin must send every one of them to the exact path.
+        config = SCREENED_STRATEGIES["ma_crossover"]
+        world = make_world(rng, tickers=("AAA", "BBB"), n=160, vol=2.0)
+        context = AttackContext(*world, config, CostModel())
+        n = context.test.n_days()
+        witnesses = []
+        for tk in ("AAA", "BBB"):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(strategy, "SCREEN_MARGIN", 0.0)
+                lo, hi = stable_intervals(
+                    context.test.series[tk], context.predictions[tk], config, n
+                )
+            for day in sorted(context.predictions[tk].entries):
+                for edge, inward in ((lo[day], math.inf), (hi[day], -math.inf)):
+                    x = edge
+                    for _ in range(16 if math.isfinite(edge) else 0):
+                        x = math.nextafter(x, inward)
+                        if regenerated(context, tk, day, x) != context.raw_signals[tk]:
+                            witnesses.append((tk, day, x))
+        assert witnesses
+        for tk, day, x in witnesses:
+            assert not context.keeps_signals(tk, day, x), (tk, day, x)
+
+
+class TestSigmaTable:
+    def test_sigma_table_has_the_per_slice_bits(self):
+        # StdDevMode cells read sigma from a per-ticker table built in one
+        # pass; apply_ep takes np.std of the slice. A flat stretch gives
+        # constant windows, whose np.std is not always 0 (for three closes
+        # of 100.1 it is 1.7e-14) but whose perturbation is none; omegas
+        # past the history give infeasible days, which must fail with
+        # apply_ep's message.
+        rng = np.random.default_rng(7)
+        closes = random_walk_closes(rng, 160, vol=2.0)
+        closes[100:115] = 100.1
+        assert np.std(closes[100:103], ddof=1) != 0.0
+        dataset = dataset_from_closes(
+            {"AAA": closes, "BBB": random_walk_closes(rng, 160, start=50.0, vol=0.3)}
+        )
+        predictors = fit_baseline(dataset.slice(0, 60), PredictorConfig(window=10))
+        context = AttackContext(dataset, 60, predictors, StrategyConfig(), CostModel())
+        seen = {"flat": 0, "infeasible": 0, "checked": 0}
+        for tk in ("AAA", "BBB"):
+            series = dataset.series[tk]
+            for omega in (2, 3, 5, 13, 61, 70):
+                for ddof in (0, 1):
+                    for day in range(context.test.n_days()):
+                        ep = EpSpec(tk, day, StdDevMode(omega=omega, ddof=ddof))
+                        try:
+                            want = apply_ep(series, ep.mode, 60 + day)
+                        except AttackSetupError as exc:
+                            seen["infeasible"] += 1
+                            with pytest.raises(AttackSetupError, match=re.escape(str(exc))):
+                                context.perturbed_close(ep)
+                            continue
+                        seen["checked"] += 1
+                        seen["flat"] += want == series.bars[60 + day].close
+                        assert context.perturbed_close(ep).hex() == want.hex()
+        assert seen["flat"] > 0 and seen["infeasible"] > 0
+
+
+class TestMemo:
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_memo_on_equals_memo_off_cell_by_cell(self, rng, kind, monkeypatch):
+        # a sweep shares one memo across its cells; each cell alone runs
+        # without one. Every outcome must match and the sweep must resume
+        # fewer runs than its cells alone do. With MA and ROC, some day has
+        # omegas whose runs differ, so a memo keyed on (ticker, day) would
+        # hand one omega's run to another. (A Bollinger cell changes one
+        # day's signal, and a larger close only moves it one way, so two
+        # omegas of a day rarely differ.)
+        world = make_world(rng, tickers=("AAA", "BBB", "CCC"), n=160, window=5, vol=3.0)
+        config = StrategyConfig(
+            kind=kind,
+            ma_short=2,
+            ma_long=6,
+            roc_lookback=2,
+            roc_buy_threshold=0.3,
+            roc_sell_threshold=-0.3,
+            bb_period=5,
+            bb_width=0.5,
+        )
+        context = AttackContext(*world, config, CostModel(position_fraction=0.5))
+        resumes = {"memo": 0, "alone": 0}
+        phase = "memo"
+        resume = attack.resume_signals
+
+        def counting(*args, **kwargs):
+            resumes[phase] += 1
+            return resume(*args, **kwargs)
+
+        monkeypatch.setattr(attack, "resume_signals", counting)
+        sweep = sweep_indiscriminate(context, "AAA", [2, 4, 8, 16, 32, 64])
+        phase = "alone"
+        runs_by_day: dict[int, set] = {}
+        for outcome in sweep.outcomes:
+            assert_same_outcome(outcome, context.outcome(outcome.ep)[1])
+            if outcome.first_divergence_day is not None:
+                runs_by_day.setdefault(outcome.ep.day, set()).add(
+                    (outcome.sharpe_attacked, outcome.cr_attacked, outcome.first_divergence_day)
+                )
+        assert 0 < resumes["memo"] < resumes["alone"]
+        if kind != "bollinger_bands":
+            assert any(len(runs) > 1 for runs in runs_by_day.values())

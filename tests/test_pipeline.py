@@ -536,6 +536,15 @@ class TestResultWriter:
         assert (tmp_path / "ledger.csv").read_bytes() == LEDGER_CSV.encode()
         assert (tmp_path / "metrics.csv").read_bytes() == METRICS_CSV.encode()
 
+    def test_schema_csv_is_read_as_utf8(self, tmp_path):
+        # like every other reader: a byte that is not UTF-8 is a report
+        # error naming the file, whatever the locale's encoding
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(b"\xff# schema: epsim/metrics/v1\nday\n0\n")
+        with pytest.raises(ReportError) as caught:
+            read_schema_csv(path, "epsim/metrics/v1")
+        assert str(caught.value).startswith(f"{path}: not UTF-8 text: ")
+
 
 class TestAttackWriter:
     def test_sweep_files_are_byte_exact(self, tmp_path):
@@ -1286,6 +1295,29 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         report = "ingest_report.json"
         assert (tmp_path / "b" / report).read_bytes() == (tmp_path / "a" / report).read_bytes()
+
+    def test_ingest_fails_as_fit_does_on_too_few_train_days(self, tmp_path, rng, capsys):
+        # 100 days, 80 of them train: a 80-day predictor window needs 81.
+        # split.window (20) fits, so only the predictor's own check can fail,
+        # and ingest makes it before writing anything, without numpy.
+        cfg_path = write_universe(
+            tmp_path, rng, n=100, predictor={"kind": "baseline", "window": 80}
+        )
+        want = "error [predictor]: AAA: need at least window+1 = 81 train days, got 80\n"
+        for command in ("ingest", "fit", "backtest"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == want
+            assert not out.exists()
+        script = (
+            "import runpy, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "runpy.run_module('epsim.cli', run_name='__main__')\n"
+        )
+        out = tmp_path / "no_numpy"
+        proc = _python(script, "ingest", "--config", str(cfg_path), "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (1, want)
+        assert not out.exists()
 
     def test_report_runs_without_numpy(self, tmp_path, rng):
         # report's quantiles are computed without numpy: with the import made

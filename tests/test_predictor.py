@@ -165,6 +165,17 @@ class TestDeterminismAndScaling:
         predictor = fit_baseline(align_calendar([series]), config)["T"]
         assert predictor.coef.tobytes() == ridge_coef_oracle(predictor, series).tobytes()
 
+    @pytest.mark.parametrize("ridge_lambda", [1e-3, 0.5])
+    def test_in_place_diagonal_has_the_identity_forms_bits(self, rng, ridge_lambda):
+        # the fit adds ridge_lambda to the Gram matrix's diagonal in place;
+        # the oracle adds ridge_lambda * np.eye(d). At the benchmark's size
+        # (a 50-day window of 5 features, d = 250) both give the same bits.
+        config = PredictorConfig(window=50, ridge_lambda=ridge_lambda)
+        for i in range(4):
+            series = random_series(rng, "T", 320, start=40.0 + 30 * i, vol=0.8 + 0.5 * i)
+            predictor = fit_baseline(align_calendar([series]), config)["T"]
+            assert predictor.coef.tobytes() == ridge_coef_oracle(predictor, series).tobytes()
+
     def test_scalers_come_from_train_only(self, rng):
         series = random_series(rng, "T", 200)
         ds = dataset_from_closes({"T": [b.close for b in series.bars]})

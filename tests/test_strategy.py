@@ -9,6 +9,7 @@ from epsim.strategy import (
     STRATEGY_KINDS,
     Signal,
     StrategyConfig,
+    bollinger_band,
     bollinger_signals,
     generate_signals,
     ma_crossover_signals,
@@ -18,7 +19,7 @@ from epsim.strategy import (
 )
 
 from conftest import random_series, series_from_closes
-from oracles import bollinger_oracle, ma_crossover_oracle, roc_oracle
+from oracles import bollinger_band_per_day, bollinger_oracle, ma_crossover_oracle, roc_oracle
 
 DEFAULTS = StrategyConfig()
 
@@ -182,6 +183,40 @@ class TestBollinger:
             signals = bollinger_signals(series, preds(values), DEFAULTS, 50)
             oracle = bollinger_oracle(closes, preds(values).entries, 20, 2.0, 50)
             assert as_strings(signals) == oracle
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_closes=st.integers(2, 400),
+        extra_days=st.integers(0, 3),
+        period=st.one_of(st.integers(2, 12), st.integers(2, 300)),
+        width=st.sampled_from([0.5, 1.0, 2.0, 2.7]),
+        step=st.sampled_from([0.01, 1.0, 5.0]),
+    )
+    def test_band_table_has_the_per_day_bits(
+        self, seed, n_closes, extra_days, period, width, step
+    ):
+        # the one-pass table against each day's own window: every edge
+        # equal bit for bit, NaN exactly where a day has no window, and a
+        # table over part of the calendar equal to that part of the whole.
+        # Periods reach past 128, where numpy's pairwise sum splits.
+        rng = np.random.default_rng(seed)
+        closes = np.round(np.maximum(100 + np.cumsum(rng.normal(0, step, n_closes)), 1.0), 4)
+        closes.flags.writeable = False
+        config = StrategyConfig(kind="bollinger_bands", bb_period=period, bb_width=width)
+        n_days = n_closes + extra_days
+        lower, upper = bollinger_band(closes, config, range(n_days))
+        for t in range(n_days):
+            want = bollinger_band_per_day(closes, period, width, t)
+            if want is None:
+                assert np.isnan(lower[t]) and np.isnan(upper[t])
+            else:
+                assert (lower[t].hex(), upper[t].hex()) == (want[0].hex(), want[1].hex())
+        start = int(rng.integers(0, n_days))
+        days = range(start, int(rng.integers(start, n_days)) + 1)
+        part = bollinger_band(closes, config, days)
+        for edge, whole in zip(part, (lower, upper)):
+            assert edge.tobytes() == whole[days.start : days.stop].tobytes()
 
 
 class TestShift:
