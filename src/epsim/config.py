@@ -53,7 +53,8 @@ class PredictorConfig:
 
     def require_train_days(self, ticker: str, n_train: int) -> None:
         """Fail unless ``n_train`` train days hold one window and its next
-        close, the least a fit needs. ``ingest`` checks this without fitting."""
+        close, the least a fit needs. :func:`epsim.files.plan` checks this
+        for every command, before any fit."""
         if n_train < self.window + 1:
             raise PredictorError(
                 f"{ticker}: need at least window+1 = {self.window + 1} train days, "

@@ -1,5 +1,6 @@
-"""Result file formats: the writer of every result file, and the two commands
-that fit no model, ``ingest`` and ``report``, which read them back.
+"""epsim's file formats: the reader of imported forecasts, :func:`plan`,
+which checks a run's inputs for every command, the writer of every result
+file, and the two commands that fit no model, ``ingest`` and ``report``.
 
 Every output file declares a schema version (a ``schema`` field in JSON, a
 leading ``# schema: ...`` comment line in CSV); the report command refuses
@@ -21,12 +22,12 @@ import math
 import os
 from typing import TYPE_CHECKING
 
-from .errors import ReportError
-from .market_data import align_calendar, load_csv, open_csv, split
+from .errors import ConfigurationError, PredictorError, ReportError
+from .market_data import Dataset, align_calendar, load_csv, open_csv, parse_date, split
 
 if TYPE_CHECKING:
     from .attack import AttackResult
-    from .config import CostModel, PredictorConfig, RunConfig
+    from .config import AttackConfig, CostModel, PredictorConfig, RunConfig
     from .predictor import FitReport
     from .trade_engine import SimulationResult
 
@@ -242,20 +243,141 @@ def write_sweep_files(result: AttackResult, out_dir) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# ingest
+# the input plan and ingest
+
+
+def read_forecasts(path, calendar) -> dict[int, float]:
+    """Externally generated forecasts (CSV header ``Date,Prediction``),
+    keyed by each date's index in ``calendar``.
+
+    Every date must belong to the calendar; duplicates and non-finite
+    values (``nan``, ``inf``) are rejected, naming the line.
+    """
+    cal_index = {d: i for i, d in enumerate(calendar)}
+    entries: dict[int, float] = {}
+    with open_csv(path, PredictorError) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise PredictorError(f"{path}: empty file") from None
+        if "Date" not in header or "Prediction" not in header:
+            raise PredictorError(
+                f"{path}: header must name Date and Prediction, got {header}"
+            )
+        d_idx, p_idx = header.index("Date"), header.index("Prediction")
+        for line_no, raw in enumerate(reader, start=2):
+            if not raw or all(not cell.strip() for cell in raw):
+                continue
+            try:
+                date = parse_date(raw[d_idx].strip())
+                value = float(raw[p_idx].strip())
+            except (ValueError, IndexError) as exc:
+                raise PredictorError(f"{path}: line {line_no}: {exc}") from exc
+            if not math.isfinite(value):
+                raise PredictorError(
+                    f"{path}: line {line_no}: non-finite prediction "
+                    f"{raw[p_idx].strip()!r}"
+                )
+            if date not in cal_index:
+                raise PredictorError(
+                    f"{path}: date {date.isoformat()} outside the calendar"
+                )
+            day = cal_index[date]
+            if day in entries:
+                raise PredictorError(f"{path}: duplicate date {date.isoformat()}")
+            entries[day] = value
+    if not entries:
+        raise PredictorError(f"{path}: no prediction rows")
+    return entries
+
+
+def _attack_days(attack: AttackConfig, test_calendar) -> list[int]:
+    """The test-day indices ``attack.days`` names, each once, in increasing order."""
+    n = len(test_calendar)
+    if attack.days == "all":
+        return list(range(n))
+    cal_index = {d: i for i, d in enumerate(test_calendar)}
+    days: list[int] = []
+    for entry in attack.days:
+        if isinstance(entry, int):
+            if not 0 <= entry < n:
+                raise ConfigurationError(
+                    f"attack.days: day {entry} outside the {n}-day test window"
+                )
+            days.append(entry)
+        else:
+            try:
+                date = parse_date(str(entry))
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"attack.days: {entry!r} is neither an index nor an ISO date"
+                ) from exc
+            if date not in cal_index:
+                raise ConfigurationError(
+                    f"attack.days: {date.isoformat()} not in the test calendar"
+                )
+            days.append(cal_index[date])
+    return sorted(set(days))
+
+
+@dataclasses.dataclass(frozen=True)
+class Plan:
+    """A run's inputs, checked against its config by :func:`plan`."""
+
+    dataset: Dataset
+    test_start: int
+    # imported ticker -> {test day: forecast}; empty for a baseline predictor
+    forecasts: dict[str, dict[int, float]]
+    # the test days ``attack.days`` names, sorted; None without an attack block
+    attack_days: list[int] | None
+
+
+def plan(config: RunConfig, dataset: Dataset) -> Plan:
+    """Check ``config`` against its aligned ``dataset``: every data-dependent
+    check of any command, in one order, so each command that reads a bad
+    input fails with the same first error, before any fit:
+
+    1. the train partition against ``split.window``;
+    2. for a baseline predictor, each ticker's train days against
+       ``predictor.window + 1``;
+    3. each imported forecast file, read against the test calendar;
+    4. ``attack.days``, resolved to test-day indices, and for a ``stddev``
+       attack each omega against the history up to the last attacked day.
+    """
+    train, _ = split(dataset, config.split)
+    test_start = train.n_days()
+    if config.predictor_kind == "baseline":  # the check fit makes
+        for tk in train.tickers():
+            config.predictor.require_train_days(tk, test_start)
+    test_calendar = dataset.calendar[test_start:]
+    forecasts = {}
+    if config.predictor_kind == "import":
+        forecasts = {
+            tk: read_forecasts(config.resolve(config.import_files[tk]), test_calendar)
+            for tk in sorted(config.tickers)
+        }
+    days = None
+    if config.attack is not None:
+        days = _attack_days(config.attack, test_calendar)
+        history = test_start + days[-1] + 1  # closes up to the last attacked day
+        for omega in config.attack.omegas if config.attack.mode == "stddev" else ():
+            if omega > history:
+                raise ConfigurationError(
+                    f"attack.omegas: omega={omega} needs {omega} closes ending on an "
+                    f"attacked day; the last, test day {days[-1]}, has {history}"
+                )
+    return Plan(dataset, test_start, forecasts, days)
 
 
 def cmd_ingest(config: RunConfig, out_dir) -> dict:
+    """Load and plan the run (:func:`plan`), then write ``ingest_report.json``."""
     # The same load as pipeline.load_dataset, which the benchmark's tracer
     # counts through pipeline.load_csv; this copy goes when ROADMAP item 1
     # drops the tracer's name pins.
     series = [load_csv(config.csv_path(tk), tk) for tk in config.tickers]
     dataset = align_calendar(series)
-    train, _ = split(dataset, config.split)
-    test_start = train.n_days()
-    if config.predictor_kind == "baseline":  # the check fit makes, before any fit
-        for tk in train.tickers():
-            config.predictor.require_train_days(tk, test_start)
+    test_start = plan(config, dataset).test_start
     report = {
         "schema": INGEST_SCHEMA,
         "tickers": list(config.tickers),

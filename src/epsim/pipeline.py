@@ -1,31 +1,34 @@
 """Pipeline orchestration: the commands that fit a model (``fit``,
-``backtest``, ``attack``). Each loads the data, fits or imports the
-forecasts, builds what it runs and hands the result to a writer in
-:mod:`epsim.files`.
+``backtest``, ``attack``). Each loads the data and checks it against the
+config with :func:`epsim.files.plan`, fits or imports the forecasts, builds
+what it runs and hands the result to a writer in :mod:`epsim.files`.
 
-The run configuration lives in :mod:`epsim.config`, the file formats, their
-writers and the ``ingest`` and ``report`` commands in :mod:`epsim.files`;
-both load none of the engine. ``attack`` is imported only by the code that
+The run configuration lives in :mod:`epsim.config`; the file formats, the
+input plan, the writers and the ``ingest`` and ``report`` commands in
+:mod:`epsim.files`. Both load none of the engine. This module reads no file
+and resolves no day itself. ``attack`` is imported only by the code that
 runs an attack, so ``fit`` and ``backtest`` do not load it.
 """
 
 from __future__ import annotations
 
-from .config import AttackConfig, RunConfig
-from .errors import AttackSetupError, ConfigurationError
+from . import files
+from .config import RunConfig
+from .errors import ConfigurationError
 from .files import (
+    Plan,
     cmd_ingest,  # noqa: F401  (looked up here by perfbench/tracing.py)
     cmd_report,  # noqa: F401  (looked up here by perfbench/tracing.py)
     write_fit_reports,
     write_result_files,
     write_sweep_files,
 )
-from .market_data import Dataset, align_calendar, load_csv, parse_date, split
+from .market_data import align_calendar, load_csv
 from .predictor import (
     FitReport,
+    PredictionSeries,
     fit_baseline,
     fit_report,
-    import_predictions,
     predict_test_series,
 )
 from .trade_engine import SimulationResult, run_simulation
@@ -35,29 +38,22 @@ from .trade_engine import SimulationResult, run_simulation
 # pipeline assembly
 
 
-def load_dataset(config: RunConfig) -> tuple[Dataset, int]:
-    """Ingest, align, and locate the train/test cut (returns test start)."""
+def load_dataset(config: RunConfig) -> Plan:
+    """Load and align the CSVs and check them against ``config``
+    (:func:`epsim.files.plan`)."""
     series = [load_csv(config.csv_path(tk), tk) for tk in config.tickers]
-    dataset = align_calendar(series)
-    train, _ = split(dataset, config.split)
-    return dataset, train.n_days()
+    return files.plan(config, align_calendar(series))
 
 
-def build_predictions(config: RunConfig, dataset: Dataset, test_start: int):
-    """Per-ticker prediction series for the test window: imported, or
-    forecast by baseline predictors fitted on the train window."""
-    test_calendar = dataset.calendar[test_start:]
+def build_predictions(config: RunConfig, plan: Plan):
+    """Per-ticker prediction series for the test window: the plan's imported
+    forecasts, or those of baseline predictors fitted on the train window."""
     if config.predictor_kind == "import":
-        return {
-            tk: import_predictions(
-                config.resolve(config.import_files[tk]), test_calendar, tk
-            )
-            for tk in sorted(config.tickers)
-        }
-    train = dataset.slice(0, test_start)
+        return {tk: PredictionSeries(tk, days) for tk, days in plan.forecasts.items()}
+    train = plan.dataset.slice(0, plan.test_start)
     predictors = fit_baseline(train, config.predictor)
     return {
-        tk: predict_test_series(predictors[tk], dataset.series[tk], test_start)
+        tk: predict_test_series(predictors[tk], plan.dataset.series[tk], plan.test_start)
         for tk in sorted(config.tickers)
     }
 
@@ -69,11 +65,11 @@ def build_predictions(config: RunConfig, dataset: Dataset, test_start: int):
 def cmd_fit(config: RunConfig, out_dir) -> list[FitReport]:
     if config.predictor_kind != "baseline":
         raise ConfigurationError("fit requires predictor.kind = baseline")
-    dataset, test_start = load_dataset(config)
-    train = dataset.slice(0, test_start)
+    plan = load_dataset(config)
+    train = plan.dataset.slice(0, plan.test_start)
     predictors = fit_baseline(train, config.predictor)
     reports = [
-        fit_report(predictors[tk], dataset.series[tk], test_start)
+        fit_report(predictors[tk], plan.dataset.series[tk], plan.test_start)
         for tk in sorted(predictors)
     ]
     write_fit_reports(reports, config.predictor, out_dir)
@@ -81,42 +77,12 @@ def cmd_fit(config: RunConfig, out_dir) -> list[FitReport]:
 
 
 def cmd_backtest(config: RunConfig, out_dir) -> SimulationResult:
-    dataset, test_start = load_dataset(config)
-    predictions = build_predictions(config, dataset, test_start)
-    test = dataset.slice(test_start)
+    plan = load_dataset(config)
+    predictions = build_predictions(config, plan)
+    test = plan.dataset.slice(plan.test_start)
     result = run_simulation(test, predictions, config.strategy, config.costs)
     write_result_files(result, config.costs, out_dir)
     return result
-
-
-def _attack_days(attack: AttackConfig, dataset: Dataset, test_start: int) -> list[int]:
-    """The test-day indices ``attack.days`` names, each once, in increasing order."""
-    n = dataset.n_days() - test_start
-    if attack.days == "all":
-        return list(range(n))
-    test_calendar = dataset.calendar[test_start:]
-    cal_index = {d: i for i, d in enumerate(test_calendar)}
-    days: list[int] = []
-    for entry in attack.days:
-        if isinstance(entry, int):
-            if not 0 <= entry < n:
-                raise ConfigurationError(
-                    f"attack.days: day {entry} outside the {n}-day test window"
-                )
-            days.append(entry)
-        else:
-            try:
-                date = parse_date(str(entry))
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"attack.days: {entry!r} is neither an index nor an ISO date"
-                ) from exc
-            if date not in cal_index:
-                raise ConfigurationError(
-                    f"attack.days: {date.isoformat()} not in the test calendar"
-                )
-            days.append(cal_index[date])
-    return sorted(set(days))
 
 
 def cmd_attack(config: RunConfig, out_dir) -> dict:
@@ -132,12 +98,12 @@ def cmd_attack(config: RunConfig, out_dir) -> dict:
             "needed to recompute the perturbed forecast)"
         )
     atk = config.attack
-    dataset, test_start = load_dataset(config)
-    days = _attack_days(atk, dataset, test_start)
-    train = dataset.slice(0, test_start)
+    plan = load_dataset(config)
+    days = plan.attack_days
+    train = plan.dataset.slice(0, plan.test_start)
     predictors = fit_baseline(train, config.predictor)
     context = attack_mod.AttackContext(
-        dataset, test_start, predictors, config.strategy, config.costs
+        plan.dataset, plan.test_start, predictors, config.strategy, config.costs
     )
     if atk.mode == "stddev":
         result = attack_mod.sweep_indiscriminate(
@@ -147,16 +113,5 @@ def cmd_attack(config: RunConfig, out_dir) -> dict:
         result = attack_mod.run_targeted(
             context, atk.ticker, days, atk.mode, drop_fraction=atk.drop_fraction
         )
-    _require_outcomes(result)
     return write_sweep_files(result, out_dir)
 
-
-def _require_outcomes(result) -> None:
-    """An attack in which no cell produced an outcome has nothing to report."""
-    if result.outcomes:
-        return
-    detail = f"{len(result.errors)} cell errors"
-    if result.errors:
-        e = result.errors[0]
-        detail += f"; first: day {e.day} {e.label}: {e.message}"
-    raise AttackSetupError(f"no attack cell produced an outcome ({detail})")

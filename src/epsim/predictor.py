@@ -2,9 +2,9 @@
 
 The built-in baseline is a ridge-regularized linear autoregression solved in
 closed form (normal equations), so fitting and prediction are deterministic
-and reproducible bit-for-bit. Externally generated forecasts can be imported
-from CSV (header ``Date,Prediction``) instead, honoring a model-agnostic
-predictor contract.
+and reproducible bit-for-bit. Externally generated forecasts are read from CSV
+(header ``Date,Prediction``) by :func:`epsim.files.read_forecasts` instead,
+honoring a model-agnostic predictor contract; this module reads no file.
 
 Scaling discipline: per-feature min-max parameters are learned on the train
 partition only and shared across window positions; the regression target (the
@@ -14,14 +14,13 @@ exactly window * n_features coefficients and no intercept.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_FEATURES, PredictorConfig  # noqa: F401  (re-exported from their old home)
 from .errors import PredictorError
-from .market_data import Dataset, StockSeries, feature_matrix, open_csv, parse_date
+from .market_data import Dataset, StockSeries, feature_matrix
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
@@ -204,56 +203,6 @@ def predict_test_series(
         for a in range(max(test_start, w), len(full_series.bars))
     }
     return PredictionSeries(ticker=full_series.ticker, entries=entries)
-
-
-def import_predictions(path, calendar, ticker: str) -> PredictionSeries:
-    """Load externally generated forecasts (CSV header ``Date,Prediction``).
-
-    Every date must belong to the calendar; duplicates and non-finite
-    values (``nan``, ``inf``) are rejected, naming the line. Entries are
-    keyed by the date's index in the calendar.
-    """
-    cal_index = {d: i for i, d in enumerate(calendar)}
-    entries: dict[int, float] = {}
-    with open_csv(path, PredictorError) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise PredictorError(f"{path}: empty file") from None
-        if "Date" not in header or "Prediction" not in header:
-            raise PredictorError(
-                f"{path}: header must name Date and Prediction, got {header}"
-            )
-        d_idx, p_idx = header.index("Date"), header.index("Prediction")
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            try:
-                date = parse_date(raw[d_idx].strip())
-                value = float(raw[p_idx].strip())
-            except (ValueError, IndexError) as exc:
-                raise PredictorError(
-                    f"{path}: line {line_no}: {exc}"
-                ) from exc
-            if not math.isfinite(value):
-                raise PredictorError(
-                    f"{path}: line {line_no}: non-finite prediction "
-                    f"{raw[p_idx].strip()!r}"
-                )
-            if date not in cal_index:
-                raise PredictorError(
-                    f"{path}: date {date.isoformat()} outside the calendar"
-                )
-            day = cal_index[date]
-            if day in entries:
-                raise PredictorError(
-                    f"{path}: duplicate date {date.isoformat()}"
-                )
-            entries[day] = value
-    if not entries:
-        raise PredictorError(f"{path}: no prediction rows")
-    return PredictionSeries(ticker=ticker, entries=entries)
 
 
 def prediction_errors(

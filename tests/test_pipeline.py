@@ -53,6 +53,58 @@ TEST_DAY = trading_dates(150)[127]
 TEST_DAY_COMPACT = TEST_DAY.strftime("%Y%m%d")
 TEST_DAY_WEEK = "{}-W{:02d}-{}".format(*TEST_DAY.isocalendar())
 
+# One bad input per case, in a 100-day world of 80 train and 20 test days:
+# (config changes, the last row of AAA's imported forecasts or None for a
+# baseline predictor, the error line every command that reads it prints).
+# A bad row is formatted with the test days' dates; the error with {preds},
+# the path of AAA's forecasts.
+_TRAIN_DAY = trading_dates(100)[5].isoformat()
+_FIRST_TEST_DAY = trading_dates(100)[80].isoformat()
+BAD_INPUTS = {
+    "short-train": (
+        {"predictor": {"kind": "baseline", "window": 80}}, None,
+        "error [predictor]: AAA: need at least window+1 = 81 train days, got 80",
+    ),
+    "short-train-and-attack-day": (
+        {"predictor": {"kind": "baseline", "window": 80}, "attack": {"days": [9999]}},
+        None,
+        "error [predictor]: AAA: need at least window+1 = 81 train days, got 80",
+    ),
+    "attack-day-index": (
+        {"attack": {"days": [9999]}}, None,
+        "error [config]: attack.days: day 9999 outside the 20-day test window",
+    ),
+    "attack-date-outside-calendar": (
+        {"attack": {"days": ["2131-12-31"]}}, None,
+        "error [config]: attack.days: 2131-12-31 not in the test calendar",
+    ),
+    "attack-date-in-train": (
+        {"attack": {"days": [_TRAIN_DAY]}}, None,
+        f"error [config]: attack.days: {_TRAIN_DAY} not in the test calendar",
+    ),
+    "import-date-outside-calendar": (
+        {}, "2131-12-31,100",
+        "error [predictor]: {preds}: date 2131-12-31 outside the calendar",
+    ),
+    "import-date-in-train": (
+        {}, f"{_TRAIN_DAY},100",
+        f"error [predictor]: {{preds}}: date {_TRAIN_DAY} outside the calendar",
+    ),
+    "import-non-finite": (
+        {}, "{19},nan",
+        "error [predictor]: {preds}: line 21: non-finite prediction 'nan'",
+    ),
+    "import-duplicate-date": (
+        {}, "{0},100",
+        f"error [predictor]: {{preds}}: duplicate date {_FIRST_TEST_DAY}",
+    ),
+    "infeasible-omega": (
+        {"attack": {"omegas": [5, 101]}}, None,
+        "error [config]: attack.omegas: omega=101 needs 101 closes ending on an "
+        "attacked day; the last, test day 19, has 100",
+    ),
+}
+
 
 def _python(script: str, *args: str, env=None) -> subprocess.CompletedProcess:
     """Run ``script`` in a fresh interpreter that imports this epsim."""
@@ -1214,33 +1266,46 @@ class TestCli:
         assert not out.exists()
 
     def test_cli_attack_with_no_outcome_fails(self, tmp_path, rng, capsys):
+        # an omega longer than the history up to the last attacked day would
+        # give no cell an outcome: the plan rejects it before any fit
         cfg_path = write_universe(
             tmp_path, rng, n=150, attack={"ticker": "AAA", "mode": "stddev", "days": "all"}
         )
         out = tmp_path / "out"
         code = main(
             ["attack", "sweep", "--config", str(cfg_path), "--out", str(out),
-             "--omega", "100000"]
+             "--omega", "5", "--omega", "151"]
         )
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error [attack]: no attack cell produced an outcome (30 cell errors")
-        assert not (out / "sweep_cells.csv").exists()
-        assert not (out / "sweep_summary.json").exists()
+        assert capsys.readouterr().err == (
+            "error [config]: attack.omegas: omega=151 needs 151 closes ending on an "
+            "attacked day; the last, test day 29, has 150\n"
+        )
+        assert not out.exists()
 
-    def test_cli_attack_with_some_cell_errors_succeeds(self, tmp_path, rng, capsys):
+    @pytest.mark.parametrize(
+        "omegas, n_errors",
+        [
+            ((5, 125), 4),  # omega=125 needs 125 closes: days 0-3 lack them
+            ((150,), 29),  # 150 closes end on the last test day only
+        ],
+        ids=["some-days-short", "last-day-only"],
+    )
+    def test_cli_attack_with_some_cell_errors_succeeds(
+        self, tmp_path, rng, capsys, omegas, n_errors
+    ):
         cfg_path = write_universe(
             tmp_path, rng, n=150, attack={"ticker": "AAA", "mode": "stddev", "days": "all"}
         )
         out = tmp_path / "out"
+        flags = [arg for omega in omegas for arg in ("--omega", str(omega))]
         code = main(
-            ["attack", "sweep", "--config", str(cfg_path), "--out", str(out),
-             "--omega", "5", "--omega", "125"]
+            ["attack", "sweep", "--config", str(cfg_path), "--out", str(out), *flags]
         )
         assert code == 0
         summary = json.loads((out / "sweep_summary.json").read_text())
-        assert summary["n_errors"] == 4  # omega=125 needs 125 closes: days 0-3 lack them
-        assert summary["n_outcomes"] == 2 * 30 - 4
+        assert summary["n_errors"] == n_errors
+        assert summary["n_outcomes"] == len(omegas) * 30 - n_errors
 
     def test_cli_duplicate_tickers_rejected(self, tmp_path, rng, capsys):
         cfg_path = write_universe(tmp_path, rng, n=100, tickers=("AAA", "BBB"))
@@ -1296,18 +1361,40 @@ class TestCli:
         report = "ingest_report.json"
         assert (tmp_path / "b" / report).read_bytes() == (tmp_path / "a" / report).read_bytes()
 
-    def test_ingest_fails_as_fit_does_on_too_few_train_days(self, tmp_path, rng, capsys):
-        # 100 days, 80 of them train: a 80-day predictor window needs 81.
-        # split.window (20) fits, so only the predictor's own check can fail,
-        # and ingest makes it before writing anything, without numpy.
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_bad_input_fails_alike_in_every_command(self, tmp_path, rng, capsys, case):
+        # every command that reads the input fails with ingest's line and
+        # writes nothing, and ingest makes the check without numpy
+        changes, bad_row, want = BAD_INPUTS[case]
+        attack = {"ticker": "AAA", "mode": "stddev", "days": "all", "omegas": [5]}
         cfg_path = write_universe(
-            tmp_path, rng, n=100, predictor={"kind": "baseline", "window": 80}
+            tmp_path, rng, n=100, attack={**attack, **changes.get("attack", {})},
+            predictor=changes.get("predictor", {"kind": "baseline", "window": 20}),
         )
-        want = "error [predictor]: AAA: need at least window+1 = 81 train days, got 80\n"
-        for command in ("ingest", "fit", "backtest"):
-            out = tmp_path / command
-            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
-            assert capsys.readouterr().err == want
+        commands = [["ingest"], ["fit"], ["backtest"], ["attack", "sweep"]]
+        if "omegas" not in changes.get("attack", {}):
+            commands.append(["attack", "targeted", "--mode", "conceal"])
+        if bad_row is not None:  # AAA's forecasts end with the bad row
+            test_days = [d.isoformat() for d in trading_dates(100)[80:]]
+            for tk in TICKERS:
+                rows = [f"{d},{100 + i}" for i, d in enumerate(test_days)]
+                if tk == "AAA":
+                    rows[-1] = bad_row.format(*test_days)
+                (tmp_path / f"{tk}.preds.csv").write_text(
+                    "Date,Prediction\n" + "\n".join(rows) + "\n"
+                )
+            raw = json.loads(cfg_path.read_text())
+            raw["predictor"] = {
+                "kind": "import", "files": {tk: f"{tk}.preds.csv" for tk in TICKERS}
+            }
+            cfg_path.write_text(json.dumps(raw))
+            commands = [["ingest"], ["backtest"]]  # fit and attack need a baseline
+            want = want.format(preds=tmp_path / "AAA.preds.csv")
+        want = f"{want}\n"
+        for i, command in enumerate(commands):
+            out = tmp_path / f"out{i}"
+            assert main([*command, "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert (command, capsys.readouterr().err) == (command, want)
             assert not out.exists()
         script = (
             "import runpy, sys\n"

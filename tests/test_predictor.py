@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsim.errors import ConfigurationError, PredictorError
+from epsim.files import read_forecasts
 from epsim.market_data import FEATURE_NAMES, SplitSpec, align_calendar, split
 from epsim.predictor import (
     PredictionSeries,
@@ -13,7 +14,6 @@ from epsim.predictor import (
     evaluate_rmse,
     fit_baseline,
     fit_report,
-    import_predictions,
     predict_test_series,
 )
 
@@ -191,6 +191,8 @@ class TestDeterminismAndScaling:
 
 
 class TestImportPredictions:
+    """Imported forecasts, read by ``epsim.files.read_forecasts``."""
+
     def write(self, path, rows):
         path.write_text("Date,Prediction\n" + "\n".join(rows) + "\n")
 
@@ -198,15 +200,15 @@ class TestImportPredictions:
         calendar = trading_dates(5)
         path = tmp_path / "p.csv"
         self.write(path, [f"{d.isoformat()},{100 + i}" for i, d in enumerate(calendar)])
-        preds = import_predictions(path, calendar, "T")
-        assert preds.entries == {i: 100.0 + i for i in range(5)}
+        entries = read_forecasts(path, calendar)
+        assert entries == {i: 100.0 + i for i in range(5)}
 
     def test_unknown_date_named_in_error(self, tmp_path):
         calendar = trading_dates(3)
         path = tmp_path / "p.csv"
         self.write(path, ["2031-12-31,100"])
         with pytest.raises(PredictorError, match="2031-12-31"):
-            import_predictions(path, calendar, "T")
+            read_forecasts(path, calendar)
 
     def test_duplicate_date_rejected(self, tmp_path):
         calendar = trading_dates(3)
@@ -214,7 +216,7 @@ class TestImportPredictions:
         d = calendar[0].isoformat()
         self.write(path, [f"{d},100", f"{d},101"])
         with pytest.raises(PredictorError, match="duplicate"):
-            import_predictions(path, calendar, "T")
+            read_forecasts(path, calendar)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_value_names_the_line(self, tmp_path, value):
@@ -222,7 +224,7 @@ class TestImportPredictions:
         path = tmp_path / "p.csv"
         self.write(path, [f"{calendar[0].isoformat()},100", f"{calendar[1].isoformat()},{value}"])
         with pytest.raises(PredictorError, match=f"line 3: non-finite prediction '{value}'"):
-            import_predictions(path, calendar, "T")
+            read_forecasts(path, calendar)
 
     @pytest.mark.parametrize("form", ["%Y%m%d", "%G-W%V-%u"], ids=["compact", "week"])
     def test_non_iso_date_names_the_line(self, tmp_path, form):
@@ -234,14 +236,14 @@ class TestImportPredictions:
         with pytest.raises(
             PredictorError, match=f"line 3: Invalid isoformat string: '{date}'"
         ):
-            import_predictions(path, calendar, "T")
+            read_forecasts(path, calendar)
 
     def test_partial_coverage_is_allowed(self, tmp_path):
         calendar = trading_dates(10)
         path = tmp_path / "p.csv"
         self.write(path, [f"{calendar[4].isoformat()},50"])
-        preds = import_predictions(path, calendar, "T")
-        assert preds.entries == {4: 50.0}
+        entries = read_forecasts(path, calendar)
+        assert entries == {4: 50.0}
 
 
 class TestEvaluateRmse:
