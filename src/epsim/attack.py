@@ -44,12 +44,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import ConcealMode, CustomMode, OverestimateMode, StdDevMode
 from .errors import AttackSetupError
-from .market_data import Dataset, StockSeries
+from .market_data import Dataset, Record, StockSeries
 from .predictor import (
     PredictionSeries,
     RidgePredictor,
@@ -82,17 +81,17 @@ if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
 EpMode = StdDevMode | ConcealMode | OverestimateMode | CustomMode
 
 
-@dataclass(frozen=True)
-class EpSpec:
-    """A fully described perturbation: which stock, which test day, how big."""
+class EpSpec(Record):
+    """A fully described perturbation: which stock, which test day
+    (test-window index), how big."""
 
-    ticker: str
-    day: int  # test-window index
-    mode: EpMode
+    __slots__ = _fields = ("ticker", "day", "mode")
+
+    def __init__(self, ticker: str, day: int, mode: EpMode):
+        self._set(locals())
 
 
-@dataclass(frozen=True)
-class AttackOutcome:
+class AttackOutcome(NamedTuple):
     ep: EpSpec
     perturbed_value: float
     clean_value: float
@@ -115,15 +114,13 @@ class AttackOutcome:
         return (self.cr_attacked - self.cr_baseline) * 100.0
 
 
-@dataclass(frozen=True)
-class CellError:
+class CellError(NamedTuple):
     day: int
     label: str
     message: str
 
 
-@dataclass(frozen=True)
-class AttackResult:
+class AttackResult(NamedTuple):
     """Every cell of one attack run and the one baseline they are measured
     against. ``kind`` is ``"sweep"``, ``"conceal"`` or ``"overestimate"``."""
 

@@ -16,7 +16,6 @@ process state, so tests and the benchmark's in-process passes call it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import os
 import sys
@@ -123,14 +122,15 @@ def main(argv=None) -> int:
                 raise ConfigurationError(
                     "attack targeted takes no --omega: it sets attack sweep's windows"
                 )
-            overrides = {} if config.attack is None else dataclasses.asdict(config.attack)
+            overrides = {} if config.attack is None else config.attack._asdict()
             flags = {"ticker": args.ticker, "omegas": args.omega, "mode": args.mode}
             overrides.update({k: v for k, v in flags.items() if v is not None})
             modes = [m for m, s in ATTACK_SUBMODES.items() if s == args.submode]
             if len(modes) == 1:  # a submode with one mode needs no attack.mode
                 overrides.setdefault("mode", modes[0])
-            config = dataclasses.replace(
-                config, attack=AttackConfig.from_dict(overrides)
+            # the constructor checks the attacked ticker against the config's
+            config = RunConfig(
+                **{**config._asdict(), "attack": AttackConfig.from_dict(overrides)}
             )
             if config.attack.mode not in modes:
                 raise ConfigurationError(

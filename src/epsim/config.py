@@ -1,28 +1,29 @@
-"""Run configuration: the strict JSON config and the dataclasses it builds.
+"""Run configuration: the strict JSON config and the records it builds.
 
 Configuration is strict JSON: unknown keys are rejected loudly, because the
 attack experiments are parameter-sensitive and a typo silently falling back
 to a default would corrupt baseline/attacked comparisons.
 
-Each config section is a frozen dataclass that checks its own values and
-raises :class:`ConfigurationError` for a bad one: the predictor's, the
-strategy's, the cost model and the attack modes, each of which also carries
-the ``label`` its cells are written under. They live
-here, not beside the code that uses them, so that reading and checking a
-config loads none of the engine; ``predictor``, ``strategy``,
-``trade_engine`` and ``attack`` import them back under their old names.
+Each config section is an immutable record
+(:class:`epsim.market_data.Record`) that checks its own values and raises
+:class:`ConfigurationError` for a bad one: the predictor's, the strategy's,
+the cost model and the attack modes, each of which also carries the
+``label`` its cells are written under. The attack block, checked by
+:meth:`AttackConfig.from_dict`, is a named tuple. They live here, not beside
+the code that uses them, so that reading and checking a config loads none of
+the engine; ``predictor``, ``strategy``, ``trade_engine`` and ``attack``
+import them back under their old names.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigurationError, PredictorError
-from .market_data import FEATURE_NAMES, SplitSpec
+from .market_data import FEATURE_NAMES, Record, SplitSpec
 
 # attack.mode -> the ``epsim attack`` submode that runs it
 ATTACK_SUBMODES = {"stddev": "sweep", "conceal": "targeted", "overestimate": "targeted"}
@@ -32,23 +33,26 @@ DEFAULT_FEATURES = ("open", "high", "low", "close", "volume")
 STRATEGY_KINDS = ("ma_crossover", "rate_of_change", "bollinger_bands")
 
 
-@dataclass(frozen=True)
-class PredictorConfig:
-    window: int = 50
-    features: tuple[str, ...] = DEFAULT_FEATURES
-    ridge_lambda: float = 1e-3
+class PredictorConfig(Record):
+    __slots__ = _fields = ("window", "features", "ridge_lambda")
 
-    def __post_init__(self):
-        if self.window < 1:
-            raise ConfigurationError(f"predictor: window must be >= 1, got {self.window}")
-        if not self.features:
+    def __init__(
+        self,
+        window: int = 50,
+        features: tuple[str, ...] = DEFAULT_FEATURES,
+        ridge_lambda: float = 1e-3,
+    ):
+        self._set(locals())
+        if window < 1:
+            raise ConfigurationError(f"predictor: window must be >= 1, got {window}")
+        if not features:
             raise ConfigurationError("predictor: features must be nonempty")
-        unknown = [f for f in self.features if f not in FEATURE_NAMES]
+        unknown = [f for f in features if f not in FEATURE_NAMES]
         if unknown:
             raise ConfigurationError(f"predictor: unknown features {unknown}")
-        if self.ridge_lambda < 0:
+        if ridge_lambda < 0:
             raise ConfigurationError(
-                f"predictor: ridge_lambda must be >= 0, got {self.ridge_lambda}"
+                f"predictor: ridge_lambda must be >= 0, got {ridge_lambda}"
             )
 
     def require_train_days(self, ticker: str, n_train: int) -> None:
@@ -62,50 +66,73 @@ class PredictorConfig:
             )
 
 
-@dataclass(frozen=True)
-class StrategyConfig:
-    kind: str = "ma_crossover"
-    ma_short: int = 5
-    ma_long: int = 20
-    roc_lookback: int = 14
-    roc_buy_threshold: float = 1.0
-    roc_sell_threshold: float = -1.0
-    bb_period: int = 20
-    bb_width: float = 2.0
-    # ROC decision value: the day's prediction (default) or the raw close.
-    roc_use_predictions: bool = True
+class StrategyConfig(Record):
+    __slots__ = _fields = (
+        "kind",
+        "ma_short",
+        "ma_long",
+        "roc_lookback",
+        "roc_buy_threshold",
+        "roc_sell_threshold",
+        "bb_period",
+        "bb_width",
+        "roc_use_predictions",
+    )
 
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
+    def __init__(
+        self,
+        kind: str = "ma_crossover",
+        ma_short: int = 5,
+        ma_long: int = 20,
+        roc_lookback: int = 14,
+        roc_buy_threshold: float = 1.0,
+        roc_sell_threshold: float = -1.0,
+        bb_period: int = 20,
+        bb_width: float = 2.0,
+        # ROC decision value: the day's prediction (default) or the raw close.
+        roc_use_predictions: bool = True,
+    ):
+        self._set(locals())
+        if kind not in STRATEGY_KINDS:
             raise ConfigurationError(
-                f"unknown strategy kind {self.kind!r}; expected one of "
-                f"{STRATEGY_KINDS}"
+                f"unknown strategy kind {kind!r}; expected one of {STRATEGY_KINDS}"
             )
-        if not 0 < self.ma_short < self.ma_long:
+        if not 0 < ma_short < ma_long:
             raise ConfigurationError(
-                f"need 0 < ma_short < ma_long, got {self.ma_short}/{self.ma_long}"
+                f"need 0 < ma_short < ma_long, got {ma_short}/{ma_long}"
             )
-        if self.roc_lookback < 1:
+        if roc_lookback < 1:
             raise ConfigurationError("roc_lookback must be >= 1")
-        if self.bb_period < 2:
+        if bb_period < 2:
             raise ConfigurationError("bb_period must be >= 2")
-        if self.bb_width <= 0:
+        if bb_width <= 0:
             raise ConfigurationError("bb_width must be > 0")
 
 
-@dataclass(frozen=True)
-class CostModel:
-    commission_per_share: float = 0.005
-    slippage_per_share: float = 0.02
-    position_fraction: float = 0.10
-    initial_capital: float = 100_000.0
-    risk_free_annual: float = 0.0505
-    trading_days_per_year: int = 252
-    # "per_share": execution price = close +/- slippage_per_share (currency).
-    # "proportional": execution price = close * (1 +/- slippage_per_share).
-    slippage_mode: str = "per_share"
+class CostModel(Record):
+    __slots__ = _fields = (
+        "commission_per_share",
+        "slippage_per_share",
+        "position_fraction",
+        "initial_capital",
+        "risk_free_annual",
+        "trading_days_per_year",
+        "slippage_mode",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        commission_per_share: float = 0.005,
+        slippage_per_share: float = 0.02,
+        position_fraction: float = 0.10,
+        initial_capital: float = 100_000.0,
+        risk_free_annual: float = 0.0505,
+        trading_days_per_year: int = 252,
+        # "per_share": execution price = close +/- slippage_per_share (currency).
+        # "proportional": execution price = close * (1 +/- slippage_per_share).
+        slippage_mode: str = "per_share",
+    ):
+        self._set(locals())
         for name in (
             "commission_per_share",
             "slippage_per_share",
@@ -114,14 +141,14 @@ class CostModel:
         ):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be nonnegative")
-        if not 0 < self.position_fraction <= 1:
+        if not 0 < position_fraction <= 1:
             raise ConfigurationError("position_fraction must be in (0,1]")
-        if self.trading_days_per_year < 1:
+        if trading_days_per_year < 1:
             raise ConfigurationError("trading_days_per_year must be >= 1")
-        if self.slippage_mode not in ("per_share", "proportional"):
+        if slippage_mode not in ("per_share", "proportional"):
             raise ConfigurationError(
                 f"slippage_mode must be per_share or proportional, "
-                f"got {self.slippage_mode!r}"
+                f"got {slippage_mode!r}"
             )
 
     def buy_price(self, close: float) -> float:
@@ -138,16 +165,15 @@ class CostModel:
         return (1.0 + self.risk_free_annual) ** (1.0 / self.trading_days_per_year) - 1.0
 
 
-@dataclass(frozen=True)
-class StdDevMode:
-    omega: int
-    ddof: int = 1  # sample std; set 0 for population std
+class StdDevMode(Record):
+    __slots__ = _fields = ("omega", "ddof")
 
-    def __post_init__(self):
-        if self.omega < 2:
-            raise ConfigurationError(f"attack: omega must be >= 2, got {self.omega}")
-        if self.ddof not in (0, 1):
-            raise ConfigurationError(f"attack: ddof must be 0 or 1, got {self.ddof}")
+    def __init__(self, omega: int, ddof: int = 1):  # ddof 1: sample std, 0: population
+        self._set(locals())
+        if omega < 2:
+            raise ConfigurationError(f"attack: omega must be >= 2, got {omega}")
+        if ddof not in (0, 1):
+            raise ConfigurationError(f"attack: ddof must be 0 or 1, got {ddof}")
 
     @property
     def label(self) -> str:
@@ -155,27 +181,29 @@ class StdDevMode:
         return f"omega={self.omega}"
 
 
-@dataclass(frozen=True)
-class ConcealMode:
+class ConcealMode(Record):
+    __slots__ = ()
     label = "conceal"
 
 
-@dataclass(frozen=True)
-class OverestimateMode:
+class OverestimateMode(Record):
+    __slots__ = _fields = ("drop_fraction",)
     label = "overestimate"
-    drop_fraction: float = 0.10
 
-    def __post_init__(self):
-        if not 0.0 < self.drop_fraction < 1.0:
+    def __init__(self, drop_fraction: float = 0.10):
+        self._set(locals())
+        if not 0.0 < drop_fraction < 1.0:
             raise ConfigurationError(
-                f"attack: drop_fraction must be in (0,1), got {self.drop_fraction}"
+                f"attack: drop_fraction must be in (0,1), got {drop_fraction}"
             )
 
 
-@dataclass(frozen=True)
-class CustomMode:
+class CustomMode(Record):
+    __slots__ = _fields = ("value",)
     label = "custom"
-    value: float
+
+    def __init__(self, value: float):
+        self._set(locals())
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +244,11 @@ def _check_value(where: str, value, default) -> None:
         raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
 
 
-def _section(section: str, cls, given) -> dict:
-    """``given`` checked against the fields of the dataclass ``cls``: no
-    unknown key, and each value of its field's default type. Fields without
-    a default are left to the caller."""
+def _section(section: str, defaults: dict, given) -> dict:
+    """``given`` checked against a section's fields, each mapped to its
+    default: no unknown key, and each value of its field's default type. A
+    field whose default is None is left to the caller."""
     _object(section, given)
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     _reject_unknown(section, given, defaults)
     for key, value in given.items():
         if isinstance(defaults[key], (bool, int, float, str, tuple)):
@@ -230,10 +257,9 @@ def _section(section: str, cls, given) -> dict:
 
 
 def _plain(section) -> dict:
-    """A config dataclass as its JSON section, tuples as lists."""
+    """A config record as its JSON section, tuples as lists."""
     return {
-        k: list(v) if isinstance(v, tuple) else v
-        for k, v in dataclasses.asdict(section).items()
+        k: list(v) if isinstance(v, tuple) else v for k, v in section._asdict().items()
     }
 
 
@@ -241,8 +267,7 @@ def _plain(section) -> dict:
 # the run configuration
 
 
-@dataclass(frozen=True)
-class AttackConfig:
+class AttackConfig(NamedTuple):
     ticker: str
     mode: str  # a key of ATTACK_SUBMODES
     days: str | list  # "all" or a list of day indices / ISO dates
@@ -252,7 +277,7 @@ class AttackConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttackConfig":
-        _section("attack", cls, d)
+        _section("attack", {**dict.fromkeys(cls._fields), **cls._field_defaults}, d)
         mode = d.get("mode")
         if mode not in ATTACK_SUBMODES:
             raise ConfigurationError(
@@ -271,7 +296,8 @@ class AttackConfig:
                 raise ConfigurationError(
                     f"attack.days: {entry!r} is neither a day index nor an ISO date"
                 )
-        cfg = cls(**{**d, "days": days, "omegas": tuple(d.get("omegas", cls.omegas))})
+        omegas = tuple(d.get("omegas", cls._field_defaults["omegas"]))
+        cfg = cls(**{**d, "days": days, "omegas": omegas})
         if not cfg.omegas:
             raise ConfigurationError("attack.omegas must name at least one window")
         repeated = sorted({w for w in cfg.omegas if cfg.omegas.count(w) > 1})
@@ -285,19 +311,20 @@ class AttackConfig:
         return cfg
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    data_dir: str
-    tickers: tuple[str, ...]
-    split: SplitSpec
-    predictor_kind: str  # baseline | import
-    predictor: PredictorConfig
-    import_files: dict[str, str]
-    strategy: StrategyConfig
-    costs: CostModel
-    attack: AttackConfig | None
-    output_dir: str
-    base_dir: str = "."
+class RunConfig(Record):
+    __slots__ = _fields = (
+        "data_dir",
+        "tickers",
+        "split",
+        "predictor_kind",
+        "predictor",
+        "import_files",
+        "strategy",
+        "costs",
+        "attack",
+        "output_dir",
+        "base_dir",
+    )
 
     _KEYS = (
         "data_dir",
@@ -310,11 +337,25 @@ class RunConfig:
         "output_dir",
     )
 
-    def __post_init__(self):
-        if self.attack is not None and self.attack.ticker not in self.tickers:
+    def __init__(
+        self,
+        data_dir: str,
+        tickers: tuple[str, ...],
+        split: SplitSpec,
+        predictor_kind: str,  # baseline | import
+        predictor: PredictorConfig,
+        import_files: dict[str, str],
+        strategy: StrategyConfig,
+        costs: CostModel,
+        attack: AttackConfig | None,
+        output_dir: str,
+        base_dir: str = ".",
+    ):
+        self._set(locals())
+        if attack is not None and attack.ticker not in tickers:
             raise ConfigurationError(
-                f"attack.ticker {self.attack.ticker!r} is not one of the "
-                f"tickers {list(self.tickers)}"
+                f"attack.ticker {attack.ticker!r} is not one of the "
+                f"tickers {list(tickers)}"
             )
 
     @classmethod
@@ -333,21 +374,23 @@ class RunConfig:
         output_dir = d.get("output_dir", "out")
         _check_value("output_dir", output_dir, "")
 
-        split_spec = SplitSpec(**_section("split", SplitSpec, d.get("split", {})))
+        split_spec = SplitSpec(**_section("split", SplitSpec()._asdict(), d.get("split", {})))
 
         pred_d = dict(_object("predictor", d.get("predictor", {})))
         kind = pred_d.pop("kind", "baseline")
         import_files: dict[str, str] = {}
         if kind == "baseline":
-            _section("predictor", PredictorConfig, pred_d)
+            default = PredictorConfig()
+            _section("predictor", default._asdict(), pred_d)
             predictor = PredictorConfig(
                 window=pred_d.get("window", split_spec.window),
-                features=tuple(pred_d.get("features", PredictorConfig.features)),
-                ridge_lambda=float(pred_d.get("ridge_lambda", PredictorConfig.ridge_lambda)),
+                features=tuple(pred_d.get("features", default.features)),
+                ridge_lambda=float(pred_d.get("ridge_lambda", default.ridge_lambda)),
             )
         elif kind == "import":
             _reject_unknown("predictor", pred_d, ("files",))
             import_files = _object("predictor.files", pred_d.get("files", {}))
+            _reject_unknown("predictor.files", import_files, tickers)
             for path in import_files.values():
                 _check_value("predictor.files", path, "")
             missing = [tk for tk in tickers if tk not in import_files]
@@ -373,9 +416,9 @@ class RunConfig:
             predictor=predictor,
             import_files=dict(import_files),
             strategy=StrategyConfig(
-                **_section("strategy", StrategyConfig, d.get("strategy", {}))
+                **_section("strategy", StrategyConfig()._asdict(), d.get("strategy", {}))
             ),
-            costs=CostModel(**_section("costs", CostModel, d.get("costs", {}))),
+            costs=CostModel(**_section("costs", CostModel()._asdict(), d.get("costs", {}))),
             attack=attack_cfg,
             output_dir=output_dir,
             base_dir=base_dir,

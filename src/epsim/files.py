@@ -16,14 +16,13 @@ read their fields.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 import os
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigurationError, PredictorError, ReportError
-from .market_data import Dataset, align_calendar, load_csv, open_csv, parse_date, split
+from .market_data import Dataset, align_calendar, load_csv, open_csv, parse_date
 
 if TYPE_CHECKING:
     from .attack import AttackResult
@@ -133,8 +132,8 @@ def write_fit_reports(
         os.path.join(out_dir, "fit_reports.json"),
         {
             "schema": FIT_SCHEMA,
-            **dataclasses.asdict(predictor_config),
-            "reports": [dataclasses.asdict(r) for r in reports],
+            **predictor_config._asdict(),
+            "reports": [r._asdict() for r in reports],
         },
     )
 
@@ -225,7 +224,7 @@ def write_sweep_files(result: AttackResult, out_dir) -> dict[str, str]:
         "mode": result.kind,
         "n_outcomes": len(result.outcomes),
         "n_errors": len(result.errors),
-        "errors": [dataclasses.asdict(e) for e in result.errors],
+        "errors": [e._asdict() for e in result.errors],
         "baseline": {
             "sharpe_ratio": result.baseline.sharpe_ratio,
             "cumulative_return": result.baseline.final_cumulative_return(),
@@ -321,8 +320,7 @@ def _attack_days(attack: AttackConfig, test_calendar) -> list[int]:
     return sorted(set(days))
 
 
-@dataclasses.dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """A run's inputs, checked against its config by :func:`plan`."""
 
     dataset: Dataset
@@ -338,17 +336,16 @@ def plan(config: RunConfig, dataset: Dataset) -> Plan:
     check of any command, in one order, so each command that reads a bad
     input fails with the same first error, before any fit:
 
-    1. the train partition against ``split.window``;
+    1. the train partition against ``split.window`` (:meth:`SplitSpec.cut`);
     2. for a baseline predictor, each ticker's train days against
        ``predictor.window + 1``;
     3. each imported forecast file, read against the test calendar;
     4. ``attack.days``, resolved to test-day indices, and for a ``stddev``
        attack each omega against the history up to the last attacked day.
     """
-    train, _ = split(dataset, config.split)
-    test_start = train.n_days()
+    test_start = config.split.cut(dataset.n_days())
     if config.predictor_kind == "baseline":  # the check fit makes
-        for tk in train.tickers():
+        for tk in dataset.tickers():
             config.predictor.require_train_days(tk, test_start)
     test_calendar = dataset.calendar[test_start:]
     forecasts = {}

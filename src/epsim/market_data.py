@@ -6,7 +6,8 @@ skipped; unrecognized extra columns are ignored). Dates are ISO-8601
 (YYYY-MM-DD); anything else is rejected rather than guessed.
 
 Series are immutable after construction and safe to share across parallel
-simulation runs.
+simulation runs. :class:`Record` is the base of epsim's immutable types that
+are not named tuples.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
-import functools
 import math
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigurationError, EpsimError, MarketDataError
@@ -74,19 +73,70 @@ def validate_bar(bar: Bar, path) -> None:
         raise MarketDataError(f"{path}: high {bar.high} below open/close on {day}")
 
 
-@dataclass(frozen=True)
-class StockSeries:
+class Record:
+    """An immutable value with named fields, built without generated code:
+    the base of epsim's types that check their values, cache a result or
+    must never equal a tuple. The others are named tuples, whose
+    ``_fields`` and ``_asdict`` a record shares.
+
+    A subclass names its fields in ``_fields``, lists them (and any cache)
+    in ``__slots__`` and stores its arguments in ``__init__`` with
+    ``self._set(locals())``, before it checks them. Two
+    records are equal, and hash alike, when they have one type and equal
+    fields; a record never equals a tuple. The repr is
+    ``Name(field=value, ...)``, and setting or deleting an attribute raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, values: dict) -> None:
+        """Store each field's value from ``values``, a mapping by name."""
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its constructor
+        return type(self), self._values()
+
+
+class StockSeries(Record):
     """Date-ordered OHLCV history for one ticker."""
 
-    ticker: str
-    bars: tuple[Bar, ...]
+    _fields = ("ticker", "bars")
+    __slots__ = _fields + ("_closes",)
 
-    def __post_init__(self):
-        for prev, cur in zip(self.bars, self.bars[1:]):
+    def __init__(self, ticker: str, bars: tuple[Bar, ...]):
+        self._set(locals())
+        for prev, cur in zip(bars, bars[1:]):
             if cur.date <= prev.date:
                 raise MarketDataError(
-                    f"{self.ticker}: dates not strictly increasing at "
-                    f"{cur.date.isoformat()}"
+                    f"{ticker}: dates not strictly increasing at {cur.date.isoformat()}"
                 )
 
     def __len__(self) -> int:
@@ -97,15 +147,15 @@ class StockSeries:
 
     def closes(self) -> np.ndarray:
         """The closes as a read-only float64 array, built on first use."""
-        return self._closes
+        try:
+            return self._closes
+        except AttributeError:
+            import numpy as np
 
-    @functools.cached_property
-    def _closes(self) -> np.ndarray:
-        import numpy as np
-
-        closes = np.array([b.close for b in self.bars], dtype=np.float64)
-        closes.flags.writeable = False
-        return closes
+            closes = np.array([b.close for b in self.bars], dtype=np.float64)
+            closes.flags.writeable = False
+            object.__setattr__(self, "_closes", closes)
+            return closes
 
     def restrict(self, dates: set[dt.date]) -> "StockSeries":
         return StockSeries(
@@ -113,8 +163,7 @@ class StockSeries:
         )
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     """A set of per-ticker series sharing one trading calendar."""
 
     series: dict[str, StockSeries]
@@ -137,20 +186,30 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Record):
     """Temporal train/test cut: first floor(train_fraction * N) days train."""
 
-    train_fraction: float = 0.8
-    window: int = 50
+    __slots__ = _fields = ("train_fraction", "window")
 
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
+    def __init__(self, train_fraction: float = 0.8, window: int = 50):
+        self._set(locals())
+        if not 0.0 < train_fraction < 1.0:
             raise ConfigurationError(
-                f"train_fraction must be in (0,1), got {self.train_fraction}"
+                f"train_fraction must be in (0,1), got {train_fraction}"
             )
-        if self.window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {self.window}")
+        if window < 1:
+            raise ConfigurationError(f"window must be >= 1, got {window}")
+
+    def cut(self, n_days: int) -> int:
+        """The number of train days of an ``n_days`` calendar, checked to
+        hold the window."""
+        n_train = int(math.floor(self.train_fraction * n_days))
+        if n_train < self.window:
+            raise ConfigurationError(
+                f"train partition of {n_train} days is shorter than the "
+                f"{self.window}-day window"
+            )
+        return n_train
 
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -317,12 +376,5 @@ def align_calendar(series_set) -> Dataset:
 
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Temporal cut, no shuffling: train is the first floor(fraction*N) days."""
-    n = dataset.n_days()
-    n_train = int(math.floor(spec.train_fraction * n))
-    if n_train < spec.window:
-        raise ConfigurationError(
-            f"train partition of {n_train} days is shorter than the "
-            f"{spec.window}-day window"
-        )
-    return dataset.slice(0, n_train), dataset.slice(n_train, n)
-
+    n_train = spec.cut(dataset.n_days())
+    return dataset.slice(0, n_train), dataset.slice(n_train)

@@ -15,8 +15,7 @@ exactly window * n_features coefficients and no intercept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import DEFAULT_FEATURES, PredictorConfig  # noqa: F401  (re-exported from their old home)
 from .errors import PredictorError
@@ -26,8 +25,7 @@ if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
 
 
-@dataclass(frozen=True)
-class AffineScaler:
+class AffineScaler(NamedTuple):
     """Min-max scaler. A degenerate range (hi == lo) maps everything to 0
     and inverts back to lo, so constant features never produce NaNs."""
 
@@ -53,8 +51,7 @@ class AffineScaler:
         return self.lo + float(y) * span
 
 
-@dataclass(frozen=True)
-class PredictionSeries:
+class PredictionSeries(NamedTuple):
     """Per-stock next-day close forecasts.
 
     ``entries[t]`` is the predicted close for day t, computed from the window
@@ -71,8 +68,7 @@ class PredictionSeries:
         return PredictionSeries(self.ticker, updated)
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     ticker: str
     rmse_test: float
     n_train: int

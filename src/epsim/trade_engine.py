@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .config import CostModel
 from .errors import TradeEngineError, ZeroVolatilityWarning
@@ -32,8 +32,7 @@ from .predictor import PredictionSeries
 from .strategy import Signal, StrategyConfig, generate_signals, shift_signals
 
 
-@dataclass(frozen=True)
-class TradeRecord:
+class TradeRecord(NamedTuple):
     day: int
     ticker: str
     side: Signal
@@ -123,8 +122,7 @@ def execute_signal(
     )
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     daily_returns: tuple[float, ...]
     cumulative_returns: tuple[float, ...]
     sharpe_ratio: float
@@ -169,8 +167,7 @@ def sharpe_ratio(daily_returns, cost_model: CostModel) -> float:
     return float(np.mean(excess)) / std * annualizer
 
 
-@dataclass(frozen=True)
-class DayStart:
+class DayStart(NamedTuple):
     """Portfolio state before a day's trades, and the ledger length then."""
 
     cash: float
@@ -194,8 +191,7 @@ class DayStart:
         )
 
 
-@dataclass(frozen=True)
-class SignalRun:
+class SignalRun(NamedTuple):
     """A finished run: the signals it executed, its result, the state before
     each of its days (what a later run resumes from) and each day's marks.
 
@@ -311,7 +307,7 @@ def resume_signals(
             ledger.extend(base.result.trade_ledger[joined.n_trades :])
             daily.extend(base.result.daily_returns[t:])
             day_starts.extend(
-                ds if offset == 0 else replace(ds, n_trades=ds.n_trades + offset)
+                ds if offset == 0 else ds._replace(n_trades=ds.n_trades + offset)
                 for ds in base.day_starts[t:]
             )
             prev_value = base.result.final_value

@@ -8,7 +8,6 @@ screen, the memo of signal changes) is also checked against the plain path
 it replaces.
 """
 
-import dataclasses
 import math
 import re
 
@@ -54,13 +53,14 @@ TICKERS = ("AAA", "BBB", "CCC", "DDD")
 
 
 def assert_same_outcome(got: AttackOutcome, want: AttackOutcome):
-    for field in dataclasses.fields(AttackOutcome):
-        a, b = getattr(got, field.name), getattr(want, field.name)
+    assert type(got) is type(want) is AttackOutcome
+    for name in AttackOutcome._fields:
+        a, b = getattr(got, name), getattr(want, name)
         if isinstance(a, float) or isinstance(b, float):
             # repr is bit-exact for floats, tells -0.0 from 0.0, and equates NaNs
-            assert repr(float(a)) == repr(float(b)), field.name
+            assert repr(float(a)) == repr(float(b)), name
         else:
-            assert a == b, field.name
+            assert a == b, name
 
 
 def assert_cell_matches_oracle(context, world, strategy, costs, ep):

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epsim.config import CostModel, RunConfig, StrategyConfig
 from epsim.errors import ConfigurationError, MarketDataError, PredictorError
+from epsim.files import plan
 from epsim.market_data import (
     CSV_COLUMNS,
     Bar,
+    Dataset,
     SplitSpec,
     StockSeries,
     _diagnose_row,
@@ -353,6 +356,29 @@ class TestSplit:
         with pytest.raises(ConfigurationError):
             split(ds, SplitSpec(train_fraction=0.5, window=6))
 
+    def test_plan_cuts_as_split_does_and_builds_no_partition(self, monkeypatch):
+        ds = dataset_from_closes({"A": list(range(1, 11))})
+
+        def config(spec):
+            return RunConfig(
+                "data", ("A",), spec, "baseline", PredictorConfig(window=2), {},
+                StrategyConfig(), CostModel(), None, "out",
+            )
+
+        with pytest.raises(ConfigurationError) as by_split:
+            split(ds, SplitSpec(train_fraction=0.5, window=6))
+
+        def no_slice(*args):
+            raise AssertionError("plan built a partition")
+
+        monkeypatch.setattr(Dataset, "slice", no_slice)
+        with pytest.raises(ConfigurationError) as by_plan:
+            plan(config(SplitSpec(train_fraction=0.5, window=6)), ds)
+        assert str(by_plan.value) == str(by_split.value) == (
+            "train partition of 5 days is shorter than the 6-day window"
+        )
+        assert plan(config(SplitSpec(train_fraction=0.5, window=3)), ds).test_start == 5
+
     @given(
         n=st.integers(min_value=2, max_value=400),
         fraction=st.floats(min_value=0.05, max_value=0.95),
@@ -420,6 +446,8 @@ class TestInvariants:
         bars = series_from_closes("A", [1, 2]).bars
         with pytest.raises(MarketDataError, match="dates not strictly increasing"):
             StockSeries("A", (bars[1], bars[0]))
+        with pytest.raises(MarketDataError, match="dates not strictly increasing"):
+            StockSeries(ticker="A", bars=(bars[0], bars[0]))
 
     def test_strictly_positive_prices_enforced_at_load(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import gc
 import json
 import math
@@ -57,7 +56,8 @@ TEST_DAY_WEEK = "{}-W{:02d}-{}".format(*TEST_DAY.isocalendar())
 # (config changes, the last row of AAA's imported forecasts or None for a
 # baseline predictor, the error line every command that reads it prints).
 # A bad row is formatted with the test days' dates; the error with {preds},
-# the path of AAA's forecasts.
+# the path of AAA's forecasts. A ``files`` change maps more tickers to a
+# forecast file holding the one row given.
 _TRAIN_DAY = trading_dates(100)[5].isoformat()
 _FIRST_TEST_DAY = trading_dates(100)[80].isoformat()
 BAD_INPUTS = {
@@ -97,6 +97,10 @@ BAD_INPUTS = {
     "import-duplicate-date": (
         {}, "{0},100",
         f"error [predictor]: {{preds}}: duplicate date {_FIRST_TEST_DAY}",
+    ),
+    "import-unknown-ticker": (
+        {"files": {"ZZZ": "2131-12-31,100"}}, "{19},119",
+        "error [config]: predictor.files: unrecognized keys ['ZZZ']",
     ),
     "infeasible-omega": (
         {"attack": {"omegas": [5, 101]}}, None,
@@ -576,7 +580,7 @@ class TestResultWriter:
             TradeRecord(1, "AAA", Signal.BUY, 98, 101.27, 0.49, 1.96),
             TradeRecord(2, "BBB", Signal.SELL, 40, 49.98, 0.2, 0.8000000000000114),
         )
-        result = dataclasses.replace(BASELINE, trade_ledger=trades)
+        result = BASELINE._replace(trade_ledger=trades)
         paths = write_result_files(result, CostModel(), tmp_path)
         assert paths == {
             "result": str(tmp_path / "result.json"),
@@ -1387,6 +1391,9 @@ class TestCli:
             raw["predictor"] = {
                 "kind": "import", "files": {tk: f"{tk}.preds.csv" for tk in TICKERS}
             }
+            for tk, row in changes.get("files", {}).items():
+                (tmp_path / f"{tk}.preds.csv").write_text(f"Date,Prediction\n{row}\n")
+                raw["predictor"]["files"][tk] = f"{tk}.preds.csv"
             cfg_path.write_text(json.dumps(raw))
             commands = [["ingest"], ["backtest"]]  # fit and attack need a baseline
             want = want.format(preds=tmp_path / "AAA.preds.csv")
@@ -1444,15 +1451,17 @@ class TestWhatEachCommandLoads:
 
     @staticmethod
     def loaded(*argv: str) -> set[str]:
-        """The epsim and numpy modules left in ``sys.modules`` after one
-        command runs through ``runpy`` in a fresh interpreter."""
+        """The modules one command adds to ``sys.modules`` when it runs
+        through ``runpy`` in a fresh interpreter. Those loaded before, by the
+        interpreter, ``runpy`` or an environment's site hooks, do not count."""
         script = (
             "import runpy, sys\n"
+            "before = set(sys.modules)\n"
             "try:\n"
             "    runpy.run_module('epsim.cli', run_name='__main__')\n"
             "except SystemExit as exc:\n"
             "    assert not exc.code, exc.code\n"
-            "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('epsim', 'numpy')))\n"
+            "print(*sorted(set(sys.modules) - before))\n"
         )
         proc = _python(script, *argv)
         assert proc.returncode == 0, proc.stderr
@@ -1470,19 +1479,25 @@ class TestWhatEachCommandLoads:
             assert main([*command, "--config", str(cfg_path), "--out", str(out)]) == 0
         return cfg_path, out
 
+    @staticmethod
+    def argv(run, command: str, out) -> list[str]:
+        """``command``'s arguments: report reads the fixture's result files."""
+        cfg_path, results = run
+        if command == "report":
+            files = ("result.json", "sweep_summary.json", "sweep_cells.csv")
+            return ["report", *(str(results / f) for f in files), "--out", str(out)]
+        return [*command.split(), "--config", str(cfg_path), "--out", str(out)]
+
     def test_ingest_loads_config_files_and_market_data_only(self, run, tmp_path):
-        cfg_path, _ = run
-        mods = self.loaded("ingest", "--config", str(cfg_path), "--out", str(tmp_path))
+        mods = self.loaded(*self.argv(run, "ingest", tmp_path))
         assert "epsim.files" in mods
-        assert mods <= {
+        assert {m for m in mods if m.split(".")[0] in ("epsim", "numpy")} <= {
             "epsim", "epsim.cli", "epsim.config", "epsim.errors", "epsim.market_data",
             "epsim.files",
         }
 
     def test_report_loads_no_numpy_and_no_engine(self, run, tmp_path):
-        _, out = run
-        files = [str(out / f) for f in ("result.json", "sweep_summary.json", "sweep_cells.csv")]
-        mods = self.loaded("report", *files, "--out", str(tmp_path))
+        mods = self.loaded(*self.argv(run, "report", tmp_path))
         assert "epsim.files" in mods
         assert "numpy" not in mods
         engine = {"predictor", "strategy", "trade_engine", "attack", "pipeline"}
@@ -1490,10 +1505,21 @@ class TestWhatEachCommandLoads:
 
     @pytest.mark.parametrize("command", ["fit", "backtest"])
     def test_fit_and_backtest_do_not_load_attack(self, run, tmp_path, command):
-        cfg_path, _ = run
-        mods = self.loaded(command, "--config", str(cfg_path), "--out", str(tmp_path))
+        mods = self.loaded(*self.argv(run, command, tmp_path))
         assert {"epsim.pipeline", "numpy"} <= mods
         assert "epsim.attack" not in mods
+
+    @pytest.mark.parametrize(
+        "command",
+        ["ingest", "fit", "backtest", "attack sweep", "attack targeted --mode conceal", "report"],
+    )
+    def test_no_command_loads_dataclasses(self, run, tmp_path, command):
+        # epsim's records generate no code at import; ingest and report,
+        # which load no numpy, load none of inspect's imports either
+        mods = self.loaded(*self.argv(run, command, tmp_path))
+        assert "dataclasses" not in mods
+        if command in ("ingest", "report"):
+            assert "inspect" not in mods
 
     def test_engine_loads_no_file_format_module(self):
         # the engine computes results; files writes them
