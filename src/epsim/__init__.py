@@ -34,7 +34,6 @@ _EXPORTS = {
         "AttackConfig",
         "ConcealMode",
         "CostModel",
-        "CustomMode",
         "OverestimateMode",
         "PredictorConfig",
         "RunConfig",

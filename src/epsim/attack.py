@@ -10,8 +10,8 @@ so any divergence from the baseline is caused solely by that one forecast.
 That locality is what makes a cell cheap. :class:`AttackContext` computes,
 once per run, each ticker's scaled features, clean forecasts, forecast
 errors and unshifted signals, and the baseline run with its portfolio state
-before each day; for an attacked ticker it also builds, on first use, the
-trailing sigma of every day for each (omega, ddof) and a decision screen.
+before each day; for an attacked ticker it also builds, on first use, each
+mode's reported close of every day and a decision screen.
 A cell recomputes the one forecast the perturbation reaches, as the exact
 dot product, and then takes one of three routes:
 
@@ -31,13 +31,12 @@ dot product, and then takes one of three routes:
 Every route gives the bits a full rerun gives, so the result files are the
 ones a cell computed from scratch would write.
 
-Magnitude modes:
+Magnitude modes (:mod:`epsim.config`), each building its reported closes:
 
 * ``StdDevMode(omega)``   - clean close + 2 * std of the trailing omega closes
                             (an attacker guessing the model's window length);
 * ``ConcealMode``         - report the previous day's close (hide a drop);
-* ``OverestimateMode``    - report a fixed-fraction drop vs the previous day;
-* ``CustomMode(value)``   - report an explicit value.
+* ``OverestimateMode``    - report a fixed-fraction drop vs the previous day.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import bisect
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .config import ConcealMode, CustomMode, OverestimateMode, StdDevMode
+from .config import ConcealMode, OverestimateMode, StdDevMode
 from .errors import AttackSetupError
 from .market_data import Dataset, Record, StockSeries
 from .predictor import (
@@ -62,7 +61,6 @@ from .strategy import (
     generate_signals,
     reach,
     shift_signals,
-    sliding_windows,
     stable_intervals,
 )
 from .trade_engine import (
@@ -78,7 +76,7 @@ if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
 
 
-EpMode = StdDevMode | ConcealMode | OverestimateMode | CustomMode
+EpMode = StdDevMode | ConcealMode | OverestimateMode
 
 
 class EpSpec(Record):
@@ -131,38 +129,21 @@ class AttackResult(NamedTuple):
 
 
 def apply_ep(series: StockSeries, mode: EpMode, at: int) -> float:
-    """The perturbed close for the bar at index ``at`` of ``series``; only
-    that value changes. (:meth:`AttackContext.perturbed_close` reads a
-    ``StdDevMode``'s sigma from a table with these bits.)"""
+    """The perturbed close for the bar at index ``at`` of ``series``, read
+    from ``mode.reported_closes``; only that value changes."""
+    return _reported_close(series, mode, at, mode.reported_closes(series.closes()))
+
+
+def _reported_close(series: StockSeries, mode: EpMode, at: int, reported: list) -> float:
+    """``reported[at]``, ``mode``'s reported closes of ``series``, or the
+    error for an index outside the series or a day without history."""
     if not 0 <= at < len(series.bars):
         raise AttackSetupError(
             f"{series.ticker}: day index {at} outside the series"
         )
-    clean = series.bars[at].close
-    if isinstance(mode, StdDevMode):
-        if at < mode.omega - 1:
-            raise AttackSetupError(
-                f"{series.ticker}: need {mode.omega} days of history ending "
-                f"at index {at}"
-            )
-        import numpy as np
-
-        trailing = series.closes()[at - mode.omega + 1 : at + 1]
-        if trailing.min() == trailing.max():
-            return clean  # constant window: sigma is exactly 0
-        sigma = float(np.std(trailing, ddof=mode.ddof))
-        return clean + 2.0 * sigma
-    if isinstance(mode, ConcealMode):
-        if at < 1:
-            raise AttackSetupError(f"{series.ticker}: no previous day before index {at}")
-        return series.bars[at - 1].close
-    if isinstance(mode, OverestimateMode):
-        if at < 1:
-            raise AttackSetupError(f"{series.ticker}: no previous day before index {at}")
-        return series.bars[at - 1].close * (1.0 - mode.drop_fraction)
-    if isinstance(mode, CustomMode):
-        return mode.value
-    raise AttackSetupError(f"unknown perturbation mode {mode!r}")
+    if reported[at] is None:
+        raise AttackSetupError(mode.missing_history(series.ticker, at))
+    return reported[at]
 
 
 def perturbed_prediction_entry(
@@ -231,7 +212,7 @@ class AttackContext:
     signals, and the baseline run with the portfolio state before each of
     its days. An attacked ticker's decision screen
     (:func:`epsim.strategy.stable_intervals`) and each attacked (ticker,
-    omega, ddof)'s trailing sigma of every day are built on first use. One
+    mode)'s reported close of every day are built on first use. One
     context serves any number of cells and protocol calls: what a cell
     returns never depends on the cells before it.
     """
@@ -273,28 +254,29 @@ class AttackContext:
             self.errors[tk] = (days, prediction_errors(preds, self.test.series[tk], days))
         self.rmse_clean = {tk: rmse(errs) for tk, (_, errs) in self.errors.items()}
         self._intervals: dict[str, tuple[list[float], list[float]]] = {}
-        self._sigmas: dict[tuple[str, int, int], tuple[list[float], list[bool]]] = {}
+        self._reported: dict[tuple[str, EpMode], list] = {}
 
     def perturbed_close(self, ep: EpSpec) -> float:
-        """:func:`apply_ep`'s value for the attacked bar, a ``StdDevMode``'s
-        sigma read from the ticker's table of every day's trailing sigma."""
-        mode = ep.mode
-        at = self.test_start + ep.day
+        """:func:`apply_ep`'s value, read from the (ticker, mode)'s column."""
         series = self.dataset.series[ep.ticker]
-        if not isinstance(mode, StdDevMode) or not mode.omega - 1 <= at < len(series.bars):
-            return apply_ep(series, mode, at)
-        key = (ep.ticker, mode.omega, mode.ddof)
-        if key not in self._sigmas:
-            # row i: the omega closes ending at index i + omega - 1
-            windows = sliding_windows(series.closes(), mode.omega)
-            self._sigmas[key] = (
-                windows.std(axis=1, ddof=mode.ddof).tolist(),
-                (windows.min(axis=1) == windows.max(axis=1)).tolist(),
-            )
-        sigma, constant = self._sigmas[key]
-        i = at - mode.omega + 1
-        clean = series.bars[at].close
-        return clean if constant[i] else clean + 2.0 * sigma[i]
+        key = (ep.ticker, ep.mode)
+        if key not in self._reported:
+            self._reported[key] = ep.mode.reported_closes(series.closes())
+        return _reported_close(series, ep.mode, self.test_start + ep.day, self._reported[key])
+
+    def require_cells(self, ticker: str, days) -> None:
+        """Fail unless the context has a predictor for ``ticker`` and each of
+        ``days`` is an integer day of the test window."""
+        if ticker not in self.predictors:
+            raise AttackSetupError(f"no predictor for attacked ticker {ticker!r}")
+        n = self.test.n_days()
+        for day in days:
+            if not hasattr(day, "__index__"):  # an int, numpy's included
+                raise AttackSetupError(f"attacked day {day!r} is not an integer")
+            if not 0 <= day < n:
+                raise AttackSetupError(
+                    f"attacked day {day} outside the {n}-day test window"
+                )
 
     def keeps_signals(self, ticker: str, entry_day: int, entry: float) -> bool:
         """Whether the decision screen shows that forecast entry
@@ -355,13 +337,7 @@ class AttackContext:
 
         ``memo``, a dict shared by the cells of one protocol call, keeps the
         attacked run of each signal change already simulated."""
-        if ep.ticker not in self.predictors:
-            raise AttackSetupError(f"no predictor for attacked ticker {ep.ticker!r}")
-        n = self.test.n_days()
-        if not 0 <= ep.day < n:
-            raise AttackSetupError(
-                f"attacked day {ep.day} outside the {n}-day test window"
-            )
+        self.require_cells(ep.ticker, [ep.day])
 
         entry_day, entry, perturbed_close, clean_close = perturbed_prediction_entry(
             self.predictors[ep.ticker],
@@ -419,13 +395,12 @@ def clean_run(
 def _run_cells(context: AttackContext, kind: str, ticker: str, days, modes) -> AttackResult:
     """Attack ``ticker`` on each day with each mode (day-major, mode-minor).
 
-    A ticker the context has no predictor for, or a day or mode given twice
-    (its cells would weigh twice in any fraction taken over them), fails
-    before any cell; a cell that cannot be crafted is recorded as a
-    :class:`CellError` and skipped."""
-    if ticker not in context.predictors:
-        raise AttackSetupError(f"no predictor for attacked ticker {ticker!r}")
+    A ticker the context has no predictor for, a day outside the test
+    window, or a day or mode given twice (its cells would weigh twice in any
+    fraction taken over them), fails before any cell; a cell that cannot be
+    crafted is recorded as a :class:`CellError` and skipped."""
     days = list(days)
+    context.require_cells(ticker, days)
     for what, values in (("day", days), ("mode", [mode.label for mode in modes])):
         if len(set(values)) < len(values):
             repeated = sorted({v for v in values if values.count(v) > 1})

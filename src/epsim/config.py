@@ -7,8 +7,11 @@ to a default would corrupt baseline/attacked comparisons.
 Each config section is an immutable record
 (:class:`epsim.market_data.Record`) that checks its own values and raises
 :class:`ConfigurationError` for a bad one: the predictor's, the strategy's,
-the cost model and the attack modes, each of which also carries the
-``label`` its cells are written under. The attack block, checked by
+the cost model and the attack modes. Each attack mode also carries the
+``label`` its cells are written under and owns its rule: it builds every
+day's reported close from the clean closes (``reported_closes``) and names
+the error for a day without the history its rule needs
+(``missing_history``). The attack block, checked by
 :meth:`AttackConfig.from_dict`, is a named tuple. They live here, not beside
 the code that uses them, so that reading and checking a config loads none of
 the engine; ``predictor``, ``strategy``, ``trade_engine`` and ``attack``
@@ -20,10 +23,13 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigurationError, PredictorError
-from .market_data import FEATURE_NAMES, Record, SplitSpec
+from .market_data import FEATURE_NAMES, Record, SplitSpec, sliding_windows
+
+if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
+    import numpy as np
 
 # attack.mode -> the ``epsim attack`` submode that runs it
 ATTACK_SUBMODES = {"stddev": "sweep", "conceal": "targeted", "overestimate": "targeted"}
@@ -170,6 +176,8 @@ class StdDevMode(Record):
 
     def __init__(self, omega: int, ddof: int = 1):  # ddof 1: sample std, 0: population
         self._set(locals())
+        if not hasattr(omega, "__index__"):  # an int, numpy's included
+            raise ConfigurationError(f"attack: omega must be an integer, got {omega!r}")
         if omega < 2:
             raise ConfigurationError(f"attack: omega must be >= 2, got {omega}")
         if ddof not in (0, 1):
@@ -180,13 +188,43 @@ class StdDevMode(Record):
         """A mode's name in cell errors and in the ``omega_or_mode`` column."""
         return f"omega={self.omega}"
 
+    def reported_closes(self, closes: np.ndarray) -> list[float | None]:
+        """Each day's clean close plus twice the std of the omega closes
+        ending that day, or exactly the clean close where those are all equal
+        (their std need not be 0); None for a day with fewer closes."""
+        if len(closes) < self.omega:
+            return [None] * len(closes)
+        windows = sliding_windows(closes, self.omega)  # row i: day i + omega - 1
+        clean = closes[self.omega - 1 :]
+        reported = clean + 2.0 * windows.std(axis=1, ddof=self.ddof)
+        flat = windows.min(axis=1) == windows.max(axis=1)
+        reported[flat] = clean[flat]
+        return [None] * (self.omega - 1) + reported.tolist()
 
-class ConcealMode(Record):
+    def missing_history(self, ticker: str, at: int) -> str:  # the error for a None day
+        return f"{ticker}: need {self.omega} days of history ending at index {at}"
+
+
+class _PreviousCloseMode(Record):
+    """A mode that reports the previous day's close less ``drop_fraction``
+    of it; None on the first day."""
+
+    __slots__ = ()
+
+    def reported_closes(self, closes: np.ndarray) -> list[float | None]:
+        return [None] + (closes[:-1] * (1.0 - self.drop_fraction)).tolist()
+
+    def missing_history(self, ticker: str, at: int) -> str:
+        return f"{ticker}: no previous day before index {at}"
+
+
+class ConcealMode(_PreviousCloseMode):
     __slots__ = ()
     label = "conceal"
+    drop_fraction = 0.0  # the previous close as it is: a drop hidden
 
 
-class OverestimateMode(Record):
+class OverestimateMode(_PreviousCloseMode):
     __slots__ = _fields = ("drop_fraction",)
     label = "overestimate"
 
@@ -196,14 +234,6 @@ class OverestimateMode(Record):
             raise ConfigurationError(
                 f"attack: drop_fraction must be in (0,1), got {drop_fraction}"
             )
-
-
-class CustomMode(Record):
-    __slots__ = _fields = ("value",)
-    label = "custom"
-
-    def __init__(self, value: float):
-        self._set(locals())
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .config import DEFAULT_FEATURES, PredictorConfig  # noqa: F401  (re-exported from their old home)
 from .errors import PredictorError
-from .market_data import Dataset, StockSeries, feature_matrix
+from .market_data import Dataset, StockSeries, feature_matrix, sliding_windows
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
@@ -125,7 +125,6 @@ def _scale(raw: np.ndarray, scalers: dict, features) -> np.ndarray:
 
 def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
     import numpy as np
-    from numpy.lib.stride_tricks import as_strided
 
     n = len(series.bars)
     w = config.window
@@ -142,16 +141,11 @@ def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
 
     # Row i is the window of days i .. i+w-1 flattened bar by bar, and its
     # target the next day's close; tests/oracles.py keeps the row-by-row loop.
-    # Rows are views into the flattened features, F values apart; the last
-    # ends at (n-w-1)*F + d = (n-1)*F, inside its n*F values. (as_strided
-    # rather than sliding_window_view, whose first call raises a process's
-    # peak RSS by about 0.2 MB.)
-    d = w * len(config.features)
-    flat = scaled.reshape(-1)
-    step = flat.strides[0]
-    X = np.ascontiguousarray(
-        as_strided(flat, (n - w, d), (step * len(config.features), step), writeable=False)
-    )
+    # Every F-th window of the flattened features starts on a bar.
+    n_features = len(config.features)
+    d = w * n_features
+    windows = sliding_windows(scaled.reshape(-1), d)
+    X = np.ascontiguousarray(windows[: (n - w) * n_features : n_features])
     y = y_scaled[w:]
 
     gram = X.T @ X

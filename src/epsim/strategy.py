@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from .config import STRATEGY_KINDS, StrategyConfig  # noqa: F401  (re-exported from their old home)
 from .errors import ConfigurationError
-from .market_data import StockSeries
+from .market_data import StockSeries, sliding_windows
 from .predictor import PredictionSeries
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
@@ -128,17 +128,6 @@ def roc_signals(
         elif roc < config.roc_sell_threshold:
             signals[i] = Signal.SELL
     return signals
-
-
-def sliding_windows(values: np.ndarray, length: int) -> np.ndarray:
-    """A read-only view whose row i is ``values[i : i + length]`` (a 1-D
-    float64 array at least ``length`` long). Each row reduces to the bits
-    the same slice reduces to. (``as_strided`` rather than
-    ``sliding_window_view``, whose checks cost more than a short band.)"""
-    from numpy.lib.stride_tricks import as_strided
-
-    step = values.strides[0]
-    return as_strided(values, (len(values) - length + 1, length), (step, step), writeable=False)
 
 
 def bollinger_band(closes: np.ndarray, config: StrategyConfig, days: range):

@@ -10,6 +10,7 @@ incremental attack engine.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 
 def sample_std(values, ddof: int = 1) -> float:
@@ -180,6 +181,22 @@ def ridge_coef_oracle(predictor, series):
         y[i] = y_scaled[i + w]
     gram = X.T @ X + config.ridge_lambda * np.eye(X.shape[1])
     return np.linalg.solve(gram, X.T @ y)
+
+
+class FixedClose(NamedTuple):
+    """An attack mode that reports ``value`` on every day: the shape every
+    mode has (a ``label``, ``reported_closes`` and ``missing_history``),
+    with no rule of its own. Reporting the clean close makes a null
+    perturbation."""
+
+    value: float
+    label = "custom"
+
+    def reported_closes(self, closes) -> list:
+        return [self.value] * len(closes)
+
+    def missing_history(self, ticker: str, at: int) -> str:
+        raise AssertionError("a fixed close needs no history")
 
 
 def attack_oracle(dataset, test_start, predictors, strategy_config, cost_model, ep):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import epsim
-from epsim.attack import AttackContext, CustomMode, EpSpec, StdDevMode
+from epsim.attack import AttackContext, EpSpec, StdDevMode
 from epsim.config import RunConfig
 from epsim.errors import ZeroVolatilityWarning
 from epsim.files import cmd_report, read_schema_csv
@@ -33,6 +33,7 @@ from epsim.trade_engine import CostModel, cumulative_returns, run_signals, sharp
 
 from conftest import make_world, random_series, series_from_closes
 from oracles import (
+    FixedClose,
     bollinger_oracle,
     cumulative_returns_oracle,
     ma_crossover_oracle,
@@ -143,7 +144,7 @@ def test_null_perturbation_equivalence():
             n_test = dataset.n_days() - test_start
             day = int(rng.integers(0, n_test))
             clean_close = dataset.series["AAA"].bars[test_start + day].close
-            ep = EpSpec("AAA", day, CustomMode(value=clean_close))
+            ep = EpSpec("AAA", day, FixedClose(value=clean_close))
 
             attacked, outcome = AttackContext(
                 dataset, test_start, predictors, strategy, costs

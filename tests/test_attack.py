@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from epsim.attack import (
     AttackContext,
     ConcealMode,
-    CustomMode,
     EpSpec,
     OverestimateMode,
     StdDevMode,
@@ -23,7 +23,7 @@ from epsim.predictor import predict_test_series
 from epsim.strategy import StrategyConfig
 
 from conftest import make_world, series_from_closes
-from oracles import sample_std
+from oracles import FixedClose, sample_std
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::epsim.errors.ZeroVolatilityWarning"
@@ -74,9 +74,9 @@ class TestApplyEp:
         got = apply_ep(series, OverestimateMode(drop_fraction=0.10), 1)
         assert got == pytest.approx(90.0, abs=1e-12)
 
-    def test_custom_value(self):
+    def test_any_mode_reads_its_own_column(self):
         series = series_from_closes("T", [100.0])
-        assert apply_ep(series, CustomMode(value=123.5), 0) == 123.5
+        assert apply_ep(series, FixedClose(value=123.5), 0) == 123.5
 
     def test_insufficient_history_errors(self):
         series = series_from_closes("T", [100.0, 101.0, 102.0])
@@ -175,7 +175,7 @@ class TestAttackedSimulation:
         clean_close = dataset.series["AAA"].bars[test_start + day].close
         attacked, outcome = AttackContext(
             dataset, test_start, predictors, STRAT, COSTS
-        ).outcome(EpSpec("AAA", day, CustomMode(value=clean_close)))
+        ).outcome(EpSpec("AAA", day, FixedClose(value=clean_close)))
         _, baseline = clean_run(dataset, test_start, predictors, STRAT, COSTS)
         assert repr(attacked) == repr(baseline)
         assert outcome.first_divergence_day is None
@@ -261,6 +261,20 @@ class TestSweep:
         infeasible_days = [e.day for e in result.errors]
         assert infeasible_days == [0, 1, 2]
         assert all(o.ep.day >= 3 for o in result.outcomes)
+
+    @pytest.mark.parametrize("omega", [math.nan, 2.5, 30.0, "30"], ids=repr)
+    def test_non_integer_omega_fails_when_its_mode_is_built(self, rng, omega):
+        message = f"attack: omega must be an integer, got {omega!r}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            StdDevMode(omega=omega)
+        dataset, test_start, predictors = make_world(rng, n=60)
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            sweep_indiscriminate(context, ticker="AAA", omegas=[5, omega])
+
+    def test_numpy_integer_omega_is_an_omega(self):
+        assert StdDevMode(omega=np.int64(30)) == StdDevMode(omega=30)
+        assert StdDevMode(omega=np.int32(7), ddof=0).label == "omega=7"
 
     def test_empty_omegas_rejected(self, rng):
         dataset, test_start, predictors = make_world(rng, n=60)
@@ -355,12 +369,38 @@ class TestTargeted:
         with pytest.raises(AttackSetupError, match=r"days: each day once, \[7\] repeated"):
             run_targeted(context, ticker="AAA", days=[7, 7, 7], scenario="conceal")
 
-    def test_infeasible_day_recorded(self, rng):
+    @pytest.mark.parametrize(
+        "days, message",
+        [
+            ([5, 9999, -1], "attacked day 9999 outside the 30-day test window"),
+            ([-5, 10], "attacked day -5 outside the 30-day test window"),
+            ([5, 2.5], "attacked day 2.5 is not an integer"),
+            ([5, "7"], "attacked day '7' is not an integer"),
+        ],
+        ids=["past-end", "negative", "fraction", "text"],
+    )
+    def test_bad_day_fails_before_any_cell(self, rng, monkeypatch, days, message):
+        # a day that is not in the test window fails a sweep or a targeted
+        # run as an unknown ticker does, not as a result of error cells
         dataset, test_start, predictors = make_world(rng, n=60)
         context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
-        result = run_targeted(context, ticker="AAA", days=[-5, 10], scenario="conceal")
-        assert [e.day for e in result.errors] == [-5]
-        assert [o.ep.day for o in result.outcomes] == [10]
+        assert context.test.n_days() == 30
+
+        def no_cell(ep, memo=None):
+            raise AssertionError("ran a cell despite a bad day")
+
+        monkeypatch.setattr(context, "outcome", no_cell)
+        with pytest.raises(AttackSetupError, match=re.escape(message)):
+            sweep_indiscriminate(context, ticker="AAA", omegas=[30], days=days)
+        with pytest.raises(AttackSetupError, match=re.escape(message)):
+            run_targeted(context, ticker="AAA", days=days, scenario="conceal")
+
+    def test_numpy_integer_days_are_days(self, rng):
+        dataset, test_start, predictors = make_world(rng, n=60)
+        context = AttackContext(dataset, test_start, predictors, STRAT, COSTS)
+        result = run_targeted(context, ticker="AAA", days=np.array([3, 29]), scenario="conceal")
+        assert [o.ep.day for o in result.outcomes] == [3, 29]
+        assert result.errors == ()
 
 
 class TestSharedContext:

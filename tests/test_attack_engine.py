@@ -21,11 +21,9 @@ from epsim.attack import (
     AttackContext,
     AttackOutcome,
     ConcealMode,
-    CustomMode,
     EpSpec,
     OverestimateMode,
     StdDevMode,
-    apply_ep,
     perturbed_prediction_entry,
     run_targeted,
     sweep_indiscriminate,
@@ -43,7 +41,7 @@ from epsim.strategy import (
 from epsim.trade_engine import CostModel, DayStart, resume_signals, run_signals
 
 from conftest import dataset_from_closes, make_world, random_series, random_walk_closes
-from oracles import attack_oracle
+from oracles import FixedClose, attack_oracle
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::epsim.errors.ZeroVolatilityWarning"
@@ -130,8 +128,8 @@ def perturbations(draw, world):
                 OverestimateMode,
                 drop_fraction=st.floats(0.01, 0.5, allow_nan=False),
             ),
-            st.just(CustomMode(value=clean_close)),
-            st.builds(CustomMode, value=st.floats(1.0, 400.0, allow_nan=False)),
+            st.just(FixedClose(value=clean_close)),
+            st.builds(FixedClose, value=st.floats(1.0, 400.0, allow_nan=False)),
         )
     )
     return EpSpec(ticker, day, mode)
@@ -155,7 +153,7 @@ class TestDifferential:
         last = dataset.n_days() - test_start - 1
         clean_close = dataset.series["BBB"].bars[test_start + 5].close
         for ep in (
-            EpSpec("BBB", 5, CustomMode(value=clean_close)),
+            EpSpec("BBB", 5, FixedClose(value=clean_close)),
             EpSpec("BBB", last, StdDevMode(omega=5)),
         ):
             attacked, outcome = context.outcome(ep)
@@ -217,7 +215,7 @@ class TestCachedForecasts:
                 assert value == predictor.predict_window(window)
                 assert value == scalar_forecast(predictor, window)
             for day in range(n_test - 1):
-                for mode in (StdDevMode(omega=7), ConcealMode(), CustomMode(3.0)):
+                for mode in (StdDevMode(omega=7), ConcealMode(), FixedClose(3.0)):
                     ep = EpSpec(tk, day, mode)
                     entry_day, entry, perturbed, _ = perturbed_prediction_entry(
                         predictor, dataset.series[tk], test_start, ep, context.scaled[tk]
@@ -237,7 +235,7 @@ class TestCachedForecasts:
         context = AttackContext(
             dataset, test_start, predictors, StrategyConfig(), CostModel()
         )
-        _, outcome = context.outcome(EpSpec("AAA", 10, CustomMode(value=999.0)))
+        _, outcome = context.outcome(EpSpec("AAA", 10, FixedClose(value=999.0)))
         assert outcome.rmse_attacked == outcome.rmse_clean
         assert outcome.first_divergence_day is None
 
@@ -455,12 +453,13 @@ class TestDecisionScreen:
 
 class TestSigmaTable:
     def test_sigma_table_has_the_per_slice_bits(self):
-        # StdDevMode cells read sigma from a per-ticker table built in one
-        # pass; apply_ep takes np.std of the slice. A flat stretch gives
-        # constant windows, whose np.std is not always 0 (for three closes
-        # of 100.1 it is 1.7e-14) but whose perturbation is none; omegas
-        # past the history give infeasible days, which must fail with
-        # apply_ep's message.
+        # StdDevMode cells read their perturbed close from a column of every
+        # day's reported close built in one pass; the reference here takes
+        # np.std of a fresh array of each window's closes. A flat stretch
+        # gives constant windows, whose np.std is not always 0 (for three
+        # closes of 100.1 it is 1.7e-14) but whose perturbation is none;
+        # omegas past the history give infeasible days, which must fail
+        # naming the omega and the index.
         rng = np.random.default_rng(7)
         closes = random_walk_closes(rng, 160, vol=2.0)
         closes[100:115] = 100.1
@@ -472,20 +471,24 @@ class TestSigmaTable:
         context = AttackContext(dataset, 60, predictors, StrategyConfig(), CostModel())
         seen = {"flat": 0, "infeasible": 0, "checked": 0}
         for tk in ("AAA", "BBB"):
-            series = dataset.series[tk]
+            bars = dataset.series[tk].bars
             for omega in (2, 3, 5, 13, 61, 70):
                 for ddof in (0, 1):
                     for day in range(context.test.n_days()):
                         ep = EpSpec(tk, day, StdDevMode(omega=omega, ddof=ddof))
-                        try:
-                            want = apply_ep(series, ep.mode, 60 + day)
-                        except AttackSetupError as exc:
+                        at = 60 + day
+                        if at < omega - 1:
                             seen["infeasible"] += 1
-                            with pytest.raises(AttackSetupError, match=re.escape(str(exc))):
+                            message = f"{tk}: need {omega} days of history ending at index {at}"
+                            with pytest.raises(AttackSetupError, match=re.escape(message)):
                                 context.perturbed_close(ep)
                             continue
+                        fresh = np.array([b.close for b in bars[at - omega + 1 : at + 1]])
+                        want = bars[at].close
+                        if fresh.min() != fresh.max():
+                            want += 2.0 * float(np.std(fresh, ddof=ddof))
                         seen["checked"] += 1
-                        seen["flat"] += want == series.bars[60 + day].close
+                        seen["flat"] += want == bars[at].close
                         assert context.perturbed_close(ep).hex() == want.hex()
         assert seen["flat"] > 0 and seen["infeasible"] > 0
 

@@ -1643,7 +1643,7 @@ class TestLazyInit:
         assert strategy.StrategyConfig is config.StrategyConfig
         assert strategy.STRATEGY_KINDS is config.STRATEGY_KINDS
         assert trade_engine.CostModel is config.CostModel
-        for mode in ("StdDevMode", "ConcealMode", "OverestimateMode", "CustomMode"):
+        for mode in ("StdDevMode", "ConcealMode", "OverestimateMode"):
             assert getattr(attack, mode) is getattr(config, mode)
 
 

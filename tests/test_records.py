@@ -17,7 +17,6 @@ from epsim.config import (
     AttackConfig,
     ConcealMode,
     CostModel,
-    CustomMode,
     OverestimateMode,
     PredictorConfig,
     RunConfig,
@@ -39,7 +38,7 @@ RESULT = SimulationResult((0.0, 0.01), (0.0, 0.01), 1.5, (TRADE,), 101_000.0)
 DAY_START = DayStart(100_000.0, {"AAA": 3}, 100_000.0, 0)
 EP = EpSpec("AAA", 1, StdDevMode(omega=30))
 OUTCOME = AttackOutcome(EP, 12.0, 11.0, 0.5, 0.6, 1.5, 1.4, 0.01, 0.02, 2.0, 1)
-MODES = [StdDevMode(omega=30), ConcealMode(), OverestimateMode(), CustomMode(value=12.5)]
+MODES = [StdDevMode(omega=30), ConcealMode(), OverestimateMode()]
 
 RECORDS = [
     PredictorConfig(),
@@ -84,7 +83,7 @@ def record(request):
 
 def test_every_record_type_is_listed():
     # one example per record type of every module that defines one
-    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 24
+    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 23
 
 
 def test_fields_cannot_be_assigned_or_deleted(record):
