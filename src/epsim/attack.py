@@ -56,15 +56,8 @@ from .predictor import (
     prediction_errors,
     rmse,
 )
-from .strategy import (
-    StrategyConfig,
-    generate_signals,
-    reach,
-    shift_signals,
-    stable_intervals,
-)
+from .strategy import generate_signals, reach, shift_signals, stable_intervals
 from .trade_engine import (
-    CostModel,
     SignalRun,
     SimulationResult,
     resume_signals,
@@ -74,6 +67,8 @@ from .trade_engine import (
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
+
+    from .config import CostModel, StrategyConfig
 
 
 EpMode = StdDevMode | ConcealMode | OverestimateMode

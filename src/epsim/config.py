@@ -14,8 +14,7 @@ the error for a day without the history its rule needs
 (``missing_history``). The attack block, checked by
 :meth:`AttackConfig.from_dict`, is a named tuple. They live here, not beside
 the code that uses them, so that reading and checking a config loads none of
-the engine; ``predictor``, ``strategy``, ``trade_engine`` and ``attack``
-import them back under their old names.
+the engine.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ class StrategyConfig(Record):
         "roc_sell_threshold",
         "bb_period",
         "bb_width",
-        "roc_use_predictions",
     )
 
     def __init__(
@@ -95,8 +93,6 @@ class StrategyConfig(Record):
         roc_sell_threshold: float = -1.0,
         bb_period: int = 20,
         bb_width: float = 2.0,
-        # ROC decision value: the day's prediction (default) or the raw close.
-        roc_use_predictions: bool = True,
     ):
         self._set(locals())
         if kind not in STRATEGY_KINDS:
@@ -253,9 +249,9 @@ def _object(section: str, given) -> dict:
 
 
 def _check_value(where: str, value, default) -> None:
-    """Reject ``value`` unless it has the type of ``default``: a bool must be
-    a bool, an int an int (not a bool) inside the float range, a float any
-    finite number and a str a str. A tuple default asks for a list of values
+    """Reject ``value`` unless it has the type of ``default``: an int must be
+    an int (not a bool) inside the float range, a float any finite number
+    (not a bool) and a str a str. A tuple default asks for a list of values
     of its first item's type."""
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
@@ -264,7 +260,7 @@ def _check_value(where: str, value, default) -> None:
             _check_value(where, item, default[0])
         return
     kinds = (int, float) if type(default) is float else type(default)
-    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise ConfigurationError(
             f"{where} must be of type {type(default).__name__}, got {value!r}"
         )
@@ -281,7 +277,7 @@ def _section(section: str, defaults: dict, given) -> dict:
     _object(section, given)
     _reject_unknown(section, given, defaults)
     for key, value in given.items():
-        if isinstance(defaults[key], (bool, int, float, str, tuple)):
+        if isinstance(defaults[key], (int, float, str, tuple)):
             _check_value(f"{section}.{key}", value, defaults[key])
     return given
 
@@ -373,7 +369,7 @@ class RunConfig(Record):
         tickers: tuple[str, ...],
         split: SplitSpec,
         predictor_kind: str,  # baseline | import
-        predictor: PredictorConfig,
+        predictor: PredictorConfig | None,  # None for import
         import_files: dict[str, str],
         strategy: StrategyConfig,
         costs: CostModel,
@@ -428,7 +424,7 @@ class RunConfig(Record):
                 raise ConfigurationError(
                     f"predictor.files: no prediction file for {missing}"
                 )
-            predictor = PredictorConfig(window=split_spec.window)
+            predictor = None  # imported forecasts: no model to configure
         else:
             raise ConfigurationError(
                 f"predictor.kind must be baseline or import, got {kind!r}"

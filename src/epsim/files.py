@@ -541,8 +541,16 @@ def cmd_report(paths, out_dir) -> list[str]:
     """Summarize result/attack files; returns the printed lines.
 
     Every file is read and checked before ``quantiles.csv`` is written, so a
-    malformed input fails naming its path and writes nothing.
+    malformed input fails naming its path and writes nothing. A file given
+    twice, under any path, fails before any is read: its cells would count
+    twice in the table.
     """
+    seen = set()
+    for path in paths:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ReportError(f"{path}: given twice")
+        seen.add(real)
     lines: list[str] = []
     cell_rows: list[dict] = []
     for path in paths:

@@ -35,8 +35,9 @@ class Bar(NamedTuple):
 
     Invariants (low <= min(open, close), high >= max(open, close), prices > 0,
     volume >= 0) are enforced at ingestion via :func:`validate_bar`, not in the
-    constructor: the attack harness deliberately builds bars whose close has
-    been pushed outside the clean high/low range.
+    constructor: the full-rerun attack oracle in the tests builds bars whose
+    close has been pushed outside the clean high/low range. The attack engine
+    builds no bar; it perturbs the close in the scaled window.
     """
 
     date: dt.date

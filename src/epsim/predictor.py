@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .config import DEFAULT_FEATURES, PredictorConfig  # noqa: F401  (re-exported from their old home)
 from .errors import PredictorError
 from .market_data import Dataset, StockSeries, feature_matrix, sliding_windows
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
+
+    from .config import PredictorConfig
 
 
 class AffineScaler(NamedTuple):

@@ -26,13 +26,14 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING
 
-from .config import STRATEGY_KINDS, StrategyConfig  # noqa: F401  (re-exported from their old home)
 from .errors import ConfigurationError
 from .market_data import StockSeries, sliding_windows
 from .predictor import PredictionSeries
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
+
+    from .config import StrategyConfig
 
 
 class Signal(enum.Enum):
@@ -100,12 +101,12 @@ def roc_signals(
     n_days: int,
     days: range | None = None,
 ) -> list[Signal]:
-    """Threshold the rate of change of the day's decision value.
+    """Threshold the rate of change of the day's forecast.
 
     ROC_t = (v_t - close_{t-lookback}) / close_{t-lookback} * 100, where v_t
-    is the day's prediction (or the raw close when roc_use_predictions is
-    off). Strictly above the buy threshold is Buy, strictly below the sell
-    threshold is Sell, anything else (including boundary values) is Hold.
+    is the day's prediction. Strictly above the buy threshold is Buy,
+    strictly below the sell threshold is Sell, anything else (including
+    boundary values) is Hold, and so is a day without a forecast.
     """
     days = range(n_days) if days is None else days
     closes = prices.closes()
@@ -114,14 +115,9 @@ def roc_signals(
         ref_day = t - config.roc_lookback
         if ref_day < 0 or ref_day >= len(closes):
             continue
-        if config.roc_use_predictions:
-            value = predictions.entries.get(t)
-            if value is None:
-                continue
-        else:
-            if t >= len(closes):
-                continue
-            value = closes[t]
+        value = predictions.entries.get(t)
+        if value is None:
+            continue
         roc = (value - closes[ref_day]) / closes[ref_day] * 100.0
         if roc > config.roc_buy_threshold:
             signals[i] = Signal.BUY
@@ -219,17 +215,11 @@ def reach(config: StrategyConfig, entry_day: int, n: int) -> range:
     moves). MA crossover: the entry is in the long mean (and the shorter
     short mean) on days entry_day .. entry_day + ma_long - 1, and each of
     those days' comparison also sets the next day's edge, so [entry_day,
-    entry_day + ma_long]. Bollinger
-    bands and ROC on forecasts read only the day's own forecast:
-    [entry_day]. ROC on closes reads no forecast: no day. Every signal day
-    outside the range equals its value before the change.
+    entry_day + ma_long]. Bollinger bands and ROC read only the day's own
+    forecast: [entry_day]. Every signal day outside the range equals its
+    value before the change.
     """
-    if config.kind == "ma_crossover":
-        last = entry_day + config.ma_long
-    elif config.kind == "rate_of_change" and not config.roc_use_predictions:
-        return range(0)
-    else:
-        last = entry_day
+    last = entry_day + config.ma_long if config.kind == "ma_crossover" else entry_day
     stop = min(last + 1, n)
     return range(min(entry_day, stop), stop)
 
@@ -263,8 +253,7 @@ def _breakpoints(
       1/ma_short - 1/ma_long while e is in the short mean, -1/ma_long after;
       day e + ma_long only reads day e + ma_long - 1's test;
     * Bollinger bands: the band edges of day e;
-    * ROC on forecasts: the two entries whose ROC equals a threshold; ROC on
-      closes reads no forecast and has none.
+    * ROC: the two entries whose ROC equals a threshold.
     """
     import numpy as np
 
@@ -281,8 +270,6 @@ def _breakpoints(
         return entries[:, None] - diff[np.arange(n)[:, None] + k] / slope
     if config.kind == "bollinger_bands":
         return np.column_stack(bollinger_band(prices.closes(), config, range(n)))
-    if not config.roc_use_predictions:
-        return np.empty((n, 0))
     closes = prices.closes()
     ref = np.arange(n) - config.roc_lookback
     base = np.full(n, np.nan)

@@ -25,11 +25,11 @@ import math
 import warnings
 from typing import NamedTuple
 
-from .config import CostModel
+from .config import CostModel, StrategyConfig
 from .errors import TradeEngineError, ZeroVolatilityWarning
 from .market_data import Dataset
 from .predictor import PredictionSeries
-from .strategy import Signal, StrategyConfig, generate_signals, shift_signals
+from .strategy import Signal, generate_signals, shift_signals
 
 
 class TradeRecord(NamedTuple):

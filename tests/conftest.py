@@ -81,8 +81,9 @@ def make_world(
     drift: float = 0.1,
 ):
     """A fitted multi-ticker universe: (dataset, test_start, predictors)."""
+    from epsim.config import PredictorConfig
     from epsim.market_data import SplitSpec, split
-    from epsim.predictor import PredictorConfig, fit_baseline
+    from epsim.predictor import fit_baseline
 
     dataset = align_calendar(
         [

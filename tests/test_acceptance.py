@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import epsim
-from epsim.attack import AttackContext, EpSpec, StdDevMode
-from epsim.config import RunConfig
+from epsim.attack import AttackContext, EpSpec
+from epsim.config import CostModel, RunConfig, StdDevMode, StrategyConfig
 from epsim.errors import ZeroVolatilityWarning
 from epsim.files import cmd_report, read_schema_csv
 from epsim.market_data import save_csv
@@ -23,13 +23,12 @@ from epsim.pipeline import cmd_attack, cmd_backtest
 from epsim.predictor import PredictionSeries
 from epsim.strategy import (
     Signal,
-    StrategyConfig,
     bollinger_signals,
     generate_signals,
     ma_crossover_signals,
     roc_signals,
 )
-from epsim.trade_engine import CostModel, cumulative_returns, run_signals, sharpe_ratio
+from epsim.trade_engine import cumulative_returns, run_signals, sharpe_ratio
 
 from conftest import make_world, random_series, series_from_closes
 from oracles import (

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 from epsim.attack import (
     AttackContext,
-    ConcealMode,
     EpSpec,
-    OverestimateMode,
-    StdDevMode,
     apply_ep,
     clean_run,
     perturbed_prediction_entry,
@@ -19,8 +16,15 @@ from epsim.attack import (
     sweep_indiscriminate,
 )
 from epsim.errors import AttackSetupError, ConfigurationError
-from epsim.predictor import predict_test_series
-from epsim.strategy import StrategyConfig
+from epsim.config import (
+    ConcealMode,
+    CostModel,
+    OverestimateMode,
+    PredictorConfig,
+    StdDevMode,
+    StrategyConfig,
+)
+from epsim.predictor import fit_baseline, predict_test_series
 
 from conftest import make_world, series_from_closes
 from oracles import FixedClose, sample_std
@@ -31,7 +35,6 @@ pytestmark = pytest.mark.filterwarnings(
 
 STRAT = StrategyConfig()
 
-from epsim.trade_engine import CostModel
 
 COSTS = CostModel()
 
@@ -235,7 +238,6 @@ class TestSweep:
         # sigma = 0 on a constant series, so every cell is a no-op twin of
         # the baseline.
         from epsim.market_data import SplitSpec, align_calendar, split
-        from epsim.predictor import PredictorConfig, fit_baseline
 
         dataset = align_calendar(
             [series_from_closes("AAA", [100.0] * 60)]
@@ -316,7 +318,6 @@ class TestSweep:
 class TestTargeted:
     def test_conceal_of_flat_day_matches_baseline(self):
         from epsim.market_data import SplitSpec, align_calendar, split
-        from epsim.predictor import PredictorConfig, fit_baseline
 
         closes = [100.0 + (i % 7) for i in range(80)]
         closes[45] = closes[44]  # the attacked day repeats the previous close

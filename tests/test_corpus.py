@@ -1,0 +1,34 @@
+"""``tools/corpus.py``, the runner of the "same results" check: a slice of
+its corpus, run twice, prints the same lines, and its rejected inputs fail
+with the exact error lines CI checks and write nothing."""
+
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location("corpus", os.path.join(ROOT, "tools", "corpus.py"))
+corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(corpus)
+
+REJECTED = [
+    "error [config]: attack: omega must be >= 2, got 1\n",
+    "error [config]: attack.days: day 9999 outside the 80-day test window\n",
+    "error [config]: attack.days: day 9999 outside the 80-day test window\n",
+    "error [config]: predictor.files: unrecognized keys ['ZZZ']\n",
+    "error [config]: predictor.files: unrecognized keys ['ZZZ']\n",
+    "error [report]: desk/attack_AAA/sweep_cells.csv: given twice\n",
+]
+
+
+def test_a_slice_reruns_to_the_same_lines(tmp_path):
+    names = ("desk_targeted", "desk_import", "rejected")
+    first = corpus.run_corpus(ROOT, str(tmp_path / "a"), names)
+    second = corpus.run_corpus(ROOT, str(tmp_path / "b"), names)
+    assert [r.line() for r in first] == [r.line() for r in second]
+
+    passing = [r for r in first if r.scenario != "rejected"]
+    assert len(passing) == 6
+    assert all(r.code == 0 and r.stderr == "" and r.files for r in passing)
+    rejected = [r for r in first if r.scenario == "rejected"]
+    assert [r.stderr for r in rejected] == REJECTED
+    assert all(r.code == 1 and r.stdout == "" and not r.files for r in rejected)

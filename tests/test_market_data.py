@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epsim.config import CostModel, RunConfig, StrategyConfig
+from epsim.config import CostModel, PredictorConfig, RunConfig, StrategyConfig
 from epsim.errors import ConfigurationError, MarketDataError, PredictorError
 from epsim.files import plan
 from epsim.market_data import (
@@ -22,7 +22,7 @@ from epsim.market_data import (
     save_csv,
     split,
 )
-from epsim.predictor import PredictorConfig, fit_baseline, predict_test_series
+from epsim.predictor import fit_baseline, predict_test_series
 
 from conftest import dataset_from_closes, series_from_closes, trading_dates
 

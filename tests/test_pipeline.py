@@ -18,12 +18,10 @@ from epsim.attack import (
     AttackOutcome,
     AttackResult,
     CellError,
-    ConcealMode,
     EpSpec,
-    StdDevMode,
 )
 from epsim.cli import main
-from epsim.config import AttackConfig, RunConfig
+from epsim.config import AttackConfig, ConcealMode, CostModel, RunConfig, StdDevMode
 from epsim.errors import ConfigurationError, ReportError
 from epsim.files import (
     cmd_ingest,
@@ -36,7 +34,7 @@ from epsim.files import (
 from epsim.market_data import save_csv
 from epsim.pipeline import cmd_attack, cmd_backtest, cmd_fit
 from epsim.strategy import Signal
-from epsim.trade_engine import CostModel, SimulationResult, TradeRecord
+from epsim.trade_engine import SimulationResult, TradeRecord
 
 from conftest import random_series, trading_dates
 from oracles import quantile_oracle
@@ -271,6 +269,8 @@ class TestCommands:
         raw["predictor"] = {"kind": "import", "files": {"AAA": "preds.csv"}}
         path.write_text(json.dumps(raw))
         cfg = RunConfig.from_file(path)
+        assert cfg.predictor is None  # no model to configure
+        assert cfg.to_dict()["predictor"] == raw["predictor"]
         result = cmd_backtest(cfg, tmp_path / "out")
         assert len(result.daily_returns) == 20
 
@@ -354,6 +354,7 @@ class TestCommands:
         assert [int(r["day"]) for r in rows] == [7]
 
     def test_attack_requires_baseline_predictor(self, tmp_path, rng):
+        # and so does fit: neither reads predictor on an imported-forecast run
         path = write_universe(
             tmp_path,
             rng,
@@ -368,8 +369,10 @@ class TestCommands:
         raw["predictor"] = {"kind": "import", "files": {"AAA": "preds.csv"}}
         path.write_text(json.dumps(raw))
         cfg = RunConfig.from_file(path)
-        with pytest.raises(ConfigurationError, match="baseline"):
-            cmd_attack(cfg, tmp_path / "out")
+        for cmd in (cmd_fit, cmd_attack):
+            with pytest.raises(ConfigurationError, match="baseline"):
+                cmd(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_days_compute_only_those_cells(self, tmp_path, rng, monkeypatch):
         from epsim import attack
@@ -796,6 +799,26 @@ class TestReport:
         assert "cells=1 baseline_sharpe=0.5000 baseline_cr=1.0000%" in printed
         assert (tmp_path / "quantiles.csv").exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    def test_file_given_twice_fails_before_any_read(self, tmp_path, capsys, spelling):
+        # its cells would count twice in the table; the bad JSON after it
+        # must not be reached, and nothing is written
+        cells = tmp_path / "sweep_cells.csv"
+        self.make_cells(cells, [("omega=5", 0.25, 1.1), ("omega=5", -0.5, 0.9)])
+        again = {
+            "same": cells,
+            "dotted": tmp_path / "." / "sweep_cells.csv",
+            "symlink": tmp_path / "link.csv",
+        }[spelling]
+        if spelling == "symlink":
+            again.symlink_to(cells)
+        bad = tmp_path / "result.json"
+        bad.write_text("[")
+        out = tmp_path / "out"
+        assert main(["report", str(cells), str(again), str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error [report]: {again}: given twice\n"
+        assert not out.exists()
+
 
 @st.composite
 def metric_groups(draw):
@@ -1057,7 +1080,7 @@ class TestCli:
             (("attack", "ticker"), 5, []),
             (("strategy", "ma_short"), "5", []),
             (("strategy", "ma_short"), 5.5, []),
-            (("strategy", "roc_use_predictions"), "no", []),
+            (("strategy", "bb_width"), True, []),
             (("costs", "initial_capital"), "x", []),
             (("split", "window"), "x", []),
             (("predictor", "features"), ["close", 1], []),
@@ -1082,7 +1105,7 @@ class TestCli:
         ids=[
             "omegas-str", "omegas-float", "omegas-scalar", "ddof-str", "drop-str",
             "value-str", "attack-ticker-int", "ma_short-str", "ma_short-float",
-            "roc-flag-str", "capital-str", "window-str", "features-int",
+            "bb_width-bool", "capital-str", "window-str", "features-int",
             "predictor-window-0", "features-empty", "ridge-negative",
             "split-list", "costs-null", "tickers-str", "data_dir-int",
             "omegas-empty", "omega-1", "ddof-2", "ddof-bool", "drop-0", "drop-1.5",
@@ -1636,13 +1659,9 @@ class TestLazyInit:
         assert not hasattr(epsim, "no_such_name")
 
     def test_config_sections_keep_their_old_homes(self):
-        from epsim import attack, config, predictor, strategy, trade_engine
+        # attack builds the modes, and demo 02 imports StdDevMode from it
+        from epsim import attack, config
 
-        assert predictor.PredictorConfig is config.PredictorConfig
-        assert predictor.DEFAULT_FEATURES is config.DEFAULT_FEATURES
-        assert strategy.StrategyConfig is config.StrategyConfig
-        assert strategy.STRATEGY_KINDS is config.STRATEGY_KINDS
-        assert trade_engine.CostModel is config.CostModel
         for mode in ("StdDevMode", "ConcealMode", "OverestimateMode"):
             assert getattr(attack, mode) is getattr(config, mode)
 

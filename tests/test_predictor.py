@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsim.config import PredictorConfig
 from epsim.errors import ConfigurationError, PredictorError
 from epsim.files import read_forecasts
 from epsim.market_data import FEATURE_NAMES, SplitSpec, align_calendar, split
 from epsim.predictor import (
     PredictionSeries,
-    PredictorConfig,
     evaluate_rmse,
     fit_baseline,
     fit_report,

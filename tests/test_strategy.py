@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsim.config import STRATEGY_KINDS, StrategyConfig
 from epsim.errors import ConfigurationError
 from epsim.predictor import PredictionSeries
 from epsim.strategy import (
-    STRATEGY_KINDS,
     Signal,
-    StrategyConfig,
     bollinger_band,
     bollinger_signals,
     generate_signals,
@@ -112,13 +111,6 @@ class TestRoc:
         series = series_from_closes("T", [100.0] * 15)
         flat = roc_signals(series, preds([100.0] * 14 + [101.0]), DEFAULTS, 15)
         assert flat[14] is Signal.HOLD
-
-    def test_close_decision_switch(self):
-        closes = [100.0] * 14 + [103.0]
-        series = series_from_closes("T", closes)
-        cfg = StrategyConfig(roc_use_predictions=False)
-        signals = roc_signals(series, preds([100.0] * 15), cfg, 15)
-        assert signals[14] is Signal.BUY  # driven by the close, not the forecast
 
     @given(scale=st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=50, deadline=None)
@@ -304,7 +296,6 @@ def signal_worlds(draw):
         roc_sell_threshold=-0.5,
         bb_period=draw(st.integers(2, 8)),
         bb_width=draw(st.sampled_from([0.5, 1.0, 2.0])),
-        roc_use_predictions=draw(st.booleans()),
     )
     return series, PredictionSeries("T", entries), config, n
 
@@ -340,6 +331,4 @@ class TestReach:
         assert reach(ma, 37, 40) == range(37, 40)
         for kind in ("rate_of_change", "bollinger_bands"):
             assert reach(StrategyConfig(kind=kind), 10, 40) == range(10, 11)
-        on_closes = StrategyConfig(kind="rate_of_change", roc_use_predictions=False)
-        assert len(reach(on_closes, 10, 40)) == 0
         assert len(reach(ma, 40, 40)) == 0

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsim.config import CostModel, StrategyConfig
 from epsim.errors import ConfigurationError, TradeEngineError, ZeroVolatilityWarning
 from epsim.predictor import PredictionSeries
-from epsim.strategy import Signal, StrategyConfig
+from epsim.strategy import Signal
 from epsim.trade_engine import (
-    CostModel,
     PortfolioState,
     cumulative_returns,
     execute_signal,

@@ -1,0 +1,209 @@
+"""Run a fixed corpus of epsim commands and fingerprint everything they do.
+
+Each command runs as ``python -m epsim.cli`` in a fresh process, from the
+tree's own ``src``, with ``OPENBLAS_NUM_THREADS=1`` (result files still
+depend on the BLAS thread count), inside a temporary directory that holds
+the inputs: the benchmark's seed-0 worlds from ``perfbench/gen.py`` and
+configs derived from ``perfbench/workloads.py``. For each command it prints
+one line: the scenario, the argv, the exit code, the SHA-256 of stdout and
+of stderr, and the SHA-256 of each file the command wrote.
+
+Passing scenarios: both benchmark workloads' command lists; a desk
+``backtest`` and ``attack sweep`` under each other strategy and under
+proportional slippage; ``attack targeted`` with each mode, then ``report``;
+``ingest`` and ``backtest`` on imported forecasts (each day's forecast is the
+previous close). The ``rejected`` scenario holds CI's rejected inputs, each
+command once, and a ``report`` given one file twice.
+
+    python tools/corpus.py                      # this tree's lines
+    python tools/corpus.py --against ../other   # only the lines that differ
+
+With ``--against``, both trees run the same corpus and each differing pair
+is printed as ``- <other tree's line>`` and ``+ <this tree's line>``; the
+exit status is 1 if any line differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from gen import write_inputs  # noqa: E402
+from workloads import WORKLOADS, commands, write_config  # noqa: E402
+
+SEED = 0
+DESK = WORKLOADS["desk_sweep"]
+UNIVERSE = WORKLOADS["universe_sweep"]
+
+
+class Run(NamedTuple):
+    """One command's argv, exit code and output streams, and the files it
+    wrote or changed, each path relative to the work directory mapped to
+    its SHA-256."""
+
+    scenario: str
+    argv: tuple[str, ...]
+    code: int
+    stdout: str
+    stderr: str
+    files: dict[str, str]
+
+    def line(self) -> str:
+        written = " ".join(f"{path} {digest}" for path, digest in sorted(self.files.items()))
+        return (
+            f"{self.scenario}: epsim {shlex.join(self.argv)} | exit {self.code} "
+            f"| stdout {_sha(self.stdout.encode())} | stderr {_sha(self.stderr.encode())} "
+            f"| {written or 'no files'}"
+        )
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_json(path: str, config: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(config, fh, indent=2)
+
+
+def prepare(work: str) -> None:
+    """Write every input of the corpus under ``work``."""
+    write_inputs(os.path.join(work, "data_desk"), SEED, DESK.tickers, DESK.n_days)
+    write_inputs(os.path.join(work, "data_universe"), SEED, UNIVERSE.tickers, UNIVERSE.n_days)
+    write_config(DESK, os.path.join(work, "desk.json"), "data_desk")
+    write_config(UNIVERSE, os.path.join(work, "universe.json"), "data_universe")
+    with open(os.path.join(work, "desk.json")) as fh:
+        desk = json.load(fh)
+
+    def variant(name: str, **sections) -> None:
+        _write_json(os.path.join(work, f"desk_{name}.json"), {**desk, **sections})
+
+    for kind in ("bollinger_bands", "rate_of_change"):
+        variant(kind, strategy={"kind": kind})
+    variant("proportional", costs={"slippage_mode": "proportional", "slippage_per_share": 0.001})
+    variant("bad_day", attack={**desk["attack"], "days": [9999]})
+    # a forecast file for a ticker the config does not list: the config is
+    # rejected before any file is opened, so none is written
+    variant(
+        "unknown_files",
+        predictor={"kind": "import", "files": {tk: f"{tk}.preds.csv" for tk in (*DESK.tickers, "ZZZ")}},
+    )
+
+    # imported forecasts: each test day's forecast is the previous close
+    os.makedirs(os.path.join(work, "forecasts"))
+    files = {}
+    for tk in DESK.tickers:
+        with open(os.path.join(work, "data_desk", f"{tk}.csv")) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        n_train = math.floor(desk["split"]["train_fraction"] * len(rows))
+        files[tk] = os.path.join("forecasts", f"{tk}.csv")
+        with open(os.path.join(work, files[tk]), "w") as fh:
+            fh.write("Date,Prediction\n")
+            for a in range(n_train, len(rows)):
+                fh.write(f"{rows[a][0]},{rows[a - 1][4]}\n")
+    variant("import", predictor={"kind": "import", "files": files})
+
+
+def scenarios() -> list[tuple[str, list[list[str]]]]:
+    """(name, argv of each command) in run order; every path is relative
+    to the work directory."""
+    listed = [
+        ("desk_sweep", [argv for _, argv in commands(DESK, "desk.json", "desk")]),
+        ("universe_sweep", [argv for _, argv in commands(UNIVERSE, "universe.json", "universe")]),
+    ]
+    for name in ("bollinger_bands", "rate_of_change", "proportional"):
+        config, out = f"desk_{name}.json", f"desk_{name}"
+        listed.append((f"desk_{name}", [
+            ["backtest", "--config", config, "--out", out],
+            ["attack", "sweep", "--config", config, "--out", out],
+        ]))
+    targeted = []
+    for mode in ("conceal", "overestimate"):
+        out = f"desk_{mode}"
+        targeted += [
+            ["attack", "targeted", "--mode", mode, "--config", "desk.json", "--out", out],
+            ["report", f"{out}/targeted_summary.json", f"{out}/targeted_cells.csv", "--out", out],
+        ]
+    listed.append(("desk_targeted", targeted))
+    listed.append(("desk_import", [
+        [cmd, "--config", "desk_import.json", "--out", "desk_import"]
+        for cmd in ("ingest", "backtest")
+    ]))
+    cells = "desk/attack_AAA/sweep_cells.csv"
+    listed.append(("rejected", [
+        ["attack", "sweep", "--config", "desk.json", "--out", "bad", "--omega", "1"],
+        ["ingest", "--config", "desk_bad_day.json", "--out", "bad"],
+        ["attack", "sweep", "--config", "desk_bad_day.json", "--out", "bad"],
+        ["ingest", "--config", "desk_unknown_files.json", "--out", "bad"],
+        ["backtest", "--config", "desk_unknown_files.json", "--out", "bad"],
+        ["report", cells, cells, "--out", "bad"],
+    ]))
+    return listed
+
+
+def _snapshot(work: str) -> dict[str, str]:
+    hashes = {}
+    for parent, _, names in os.walk(work):
+        for name in names:
+            path = os.path.join(parent, name)
+            with open(path, "rb") as fh:
+                hashes[os.path.relpath(path, work)] = _sha(fh.read())
+    return hashes
+
+
+def run_corpus(tree: str, work: str, names=None) -> list[Run]:
+    """Prepare ``work`` and run the corpus's commands against ``tree``'s
+    ``src``: every scenario, or those ``names`` lists, in corpus order."""
+    prepare(work)
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.path.join(os.path.abspath(tree), "src"),
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONDONTWRITEBYTECODE": "1",  # leave the tree as it is
+    }
+    runs = []
+    before = _snapshot(work)
+    for scenario, argvs in scenarios():
+        if names is not None and scenario not in names:
+            continue
+        for argv in argvs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "epsim.cli", *argv],
+                cwd=work, env=env, capture_output=True, text=True,
+            )
+            after = _snapshot(work)
+            written = {p: h for p, h in after.items() if before.get(p) != h}
+            before = after
+            runs.append(Run(scenario, tuple(argv), proc.returncode, proc.stdout, proc.stderr, written))
+    return runs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="CHECKOUT", help="another epsim tree to compare with")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="epsim-corpus-") as tmp:
+        lines = [run.line() for run in run_corpus(ROOT, os.path.join(tmp, "this"))]
+        if args.against is None:
+            print("\n".join(lines))
+            return 0
+        other = [run.line() for run in run_corpus(args.against, os.path.join(tmp, "other"))]
+    differ = [(a, b) for a, b in zip(other, lines) if a != b]
+    for a, b in differ:
+        print(f"- {a}\n+ {b}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
