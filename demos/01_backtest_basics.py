@@ -43,7 +43,7 @@ with tempfile.TemporaryDirectory(prefix="epsim-demo-") as tmp:
                 )
             )
             date += dt.timedelta(days=1)
-        epsim.save_csv(epsim.StockSeries(ticker, tuple(rows)), workdir / f"{ticker}.csv")
+        epsim.save_csv(epsim.StockSeries.from_bars(ticker, rows), workdir / f"{ticker}.csv")
         print(f"  wrote {ticker}.csv with {len(rows)} bars")
 
     # -------------------------------------------------------------------------

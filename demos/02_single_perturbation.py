@@ -25,7 +25,7 @@ def make_series(ticker, level, drift, vol):
         bars.append(epsim.Bar(date, float(c * 0.999), float(c * 1.012),
                               float(c * 0.988), float(c), 1500.0))
         date += dt.timedelta(days=1)
-    return epsim.StockSeries(ticker, tuple(bars))
+    return epsim.StockSeries.from_bars(ticker, bars)
 
 
 # A 2-stock universe: 500 aligned days, 50:50 split, 10-day model window.
@@ -46,7 +46,7 @@ costs = epsim.CostModel()
 DAY = 103
 ep = EpSpec(ticker="BLU", day=DAY, mode=StdDevMode(omega=50))
 
-clean_close = dataset.series["BLU"].bars[test_start + DAY].close
+clean_close = float(dataset.series["BLU"].closes()[test_start + DAY])
 reported = epsim.apply_ep(dataset.series["BLU"], ep.mode, at=test_start + DAY)
 print("== the perturbation ==")
 print(f"  attacked day        : test day {DAY}")

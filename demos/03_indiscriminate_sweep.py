@@ -25,7 +25,7 @@ def make_series(ticker, level, drift, vol):
         bars.append(epsim.Bar(date, float(c * 0.999), float(c * 1.01),
                               float(c * 0.99), float(c), 900.0))
         date += dt.timedelta(days=1)
-    return epsim.StockSeries(ticker, tuple(bars))
+    return epsim.StockSeries.from_bars(ticker, bars)
 
 
 dataset = epsim.align_calendar(

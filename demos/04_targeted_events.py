@@ -26,7 +26,7 @@ def make_series(ticker, level, drift, vol):
         bars.append(epsim.Bar(date, float(c * 0.999), float(c * 1.012),
                               float(c * 0.988), float(c), 1500.0))
         date += dt.timedelta(days=1)
-    return epsim.StockSeries(ticker, tuple(bars))
+    return epsim.StockSeries.from_bars(ticker, bars)
 
 
 dataset = epsim.align_calendar(
@@ -50,6 +50,7 @@ results = {
     for scenario in ("conceal", "overestimate")
 }
 baseline = results["conceal"].baseline
+closes = dataset.series["BLU"].closes()
 print(f"baseline: Sharpe {baseline.sharpe_ratio:+.3f}, "
       f"CR {baseline.final_cumulative_return():+.2%} over {test.n_days()} days")
 
@@ -78,7 +79,7 @@ for scenario in ("conceal", "overestimate"):
         print("    no day hurt the portfolio under this scenario")
         continue
     for o in ranked:
-        move = o.clean_value / dataset.series["BLU"].bars[test_start + o.ep.day - 1].close - 1.0
+        move = o.clean_value / closes[test_start + o.ep.day - 1] - 1.0
         print(
             f"    day {o.ep.day:3d} (real move {move:+.2%}, reported "
             f"{o.perturbed_value:8.2f} vs clean {o.clean_value:8.2f}): "
@@ -92,8 +93,7 @@ over = results["overestimate"].outcomes
 by_day = {o.ep.day: o for o in over}
 biggest_drop_day = min(
     all_days,
-    key=lambda d: dataset.series["BLU"].bars[test_start + d].close
-    / dataset.series["BLU"].bars[test_start + d - 1].close,
+    key=lambda d: closes[test_start + d] / closes[test_start + d - 1],
 )
 o = by_day[biggest_drop_day]
 print(

@@ -24,7 +24,7 @@ def make_series(ticker, level, drift, vol):
             date += dt.timedelta(days=1)
         bars.append(epsim.Bar(date, c * 0.999, c * 1.011, c * 0.989, float(c), 700.0))
         date += dt.timedelta(days=1)
-    return epsim.StockSeries(ticker, tuple(bars))
+    return epsim.StockSeries.from_bars(ticker, bars)
 
 
 dataset = epsim.align_calendar(

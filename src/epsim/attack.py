@@ -132,7 +132,7 @@ def apply_ep(series: StockSeries, mode: EpMode, at: int) -> float:
 def _reported_close(series: StockSeries, mode: EpMode, at: int, reported: list) -> float:
     """``reported[at]``, ``mode``'s reported closes of ``series``, or the
     error for an index outside the series or a day without history."""
-    if not 0 <= at < len(series.bars):
+    if not 0 <= at < len(series):
         raise AttackSetupError(
             f"{series.ticker}: day index {at} outside the series"
         )
@@ -154,7 +154,7 @@ def perturbed_prediction_entry(
     Returns (entry_day, perturbed_entry, perturbed_close, clean_close). On
     the last day no forecast reads the attacked close, and entry_day and
     perturbed_entry are None. ``scaled`` is
-    ``predictor.scale(full_series.bars)`` and ``perturbed_close`` is
+    ``predictor.scale(full_series)`` and ``perturbed_close`` is
     :func:`apply_ep`'s value when the caller already has them. The forecast
     equals ``predict_window`` over the window with the attacked bar's close
     replaced.
@@ -163,15 +163,15 @@ def perturbed_prediction_entry(
     a = test_start + ep.day
     if perturbed_close is None:
         perturbed_close = apply_ep(full_series, ep.mode, a)
-    clean_close = full_series.bars[a].close
-    if a + 1 >= len(full_series.bars):
+    clean_close = float(full_series.closes()[a])
+    if a + 1 >= len(full_series):
         return None, None, perturbed_close, clean_close
     if a < w - 1:
         raise AttackSetupError(
             f"{full_series.ticker}: no {w}-day model window ends at index {a}"
         )
     if scaled is None:
-        scaled = predictor.scale(full_series.bars)
+        scaled = predictor.scale(full_series)
     window = scaled[a - w + 1 : a + 1].copy()
     for j, f in enumerate(predictor.config.features):
         if f == "close":
@@ -227,7 +227,7 @@ class AttackContext:
         self.cost_model = cost_model
         self.test = dataset.slice(test_start)
         self.scaled = {
-            tk: predictors[tk].scale(dataset.series[tk].bars) for tk in sorted(predictors)
+            tk: predictors[tk].scale(dataset.series[tk]) for tk in sorted(predictors)
         }
         self.predictions = {
             tk: predict_test_series(
@@ -352,7 +352,7 @@ class AttackContext:
             forecast_days, errs = self.errors[ep.ticker]
             errs = errs.copy()
             errs[bisect.bisect_left(forecast_days, entry_day)] = (
-                entry - self.test.series[ep.ticker].bars[entry_day].close
+                entry - float(self.test.series[ep.ticker].closes()[entry_day])
             )
             rmse_attacked = rmse(errs)
 

@@ -88,13 +88,6 @@ def _check_schema_line(path, fh, expected_schema: str) -> None:
         )
 
 
-def read_schema_csv(path, expected_schema: str) -> list[dict]:
-    """Read a schema-tagged CSV; refuses missing or mismatched versions."""
-    with open_csv(path, ReportError) as fh:
-        _check_schema_line(path, fh, expected_schema)
-        return list(csv.DictReader(fh))
-
-
 def _read_cells(path) -> list[dict]:
     """Read an attack cells CSV whose every row has a group label and a
     number (possibly NaN) for each impact metric; a bad row fails with its

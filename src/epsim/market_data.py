@@ -5,9 +5,12 @@ Ingestion format: CSV with a header naming at least
 skipped; unrecognized extra columns are ignored). Dates are ISO-8601
 (YYYY-MM-DD); anything else is rejected rather than guessed.
 
-Series are immutable after construction and safe to share across parallel
-simulation runs. :class:`Record` is the base of epsim's immutable types that
-are not named tuples.
+A series stores its days as columns: a tuple of dates and one immutable
+``bytes`` block of n x 5 float64 values, row-major in ``FEATURE_NAMES``
+order, which ``numpy.frombuffer`` reads without a copy. Series are
+immutable after construction and safe to share across parallel simulation
+runs. :class:`Record` is the base of epsim's immutable types that are not
+named tuples.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import csv
 import datetime as dt
 import math
 import re
+import struct
+from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigurationError, EpsimError, MarketDataError
@@ -25,13 +30,16 @@ if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
 
 FEATURE_NAMES = ("open", "high", "low", "close", "volume")
+_CLOSE = FEATURE_NAMES.index("close")
+ROW_BYTES = 8 * len(FEATURE_NAMES)  # one day of the OHLCV block
+_ROW = struct.Struct(f"{len(FEATURE_NAMES)}d")
 
 CSV_COLUMNS = ("Date", "Open", "High", "Low", "Close", "Volume")
 
 
 class Bar(NamedTuple):
-    """One trading day of a single stock. A named tuple, so it is immutable
-    and cheap to build: ``load_csv`` makes one per row.
+    """One trading day of a single stock, as :attr:`StockSeries.bars` and
+    :meth:`StockSeries.from_bars` give and take it. A series stores no bar.
 
     Invariants (low <= min(open, close), high >= max(open, close), prices > 0,
     volume >= 0) are enforced at ingestion via :func:`validate_bar`, not in the
@@ -46,18 +54,6 @@ class Bar(NamedTuple):
     low: float
     close: float
     volume: float
-
-
-def feature_matrix(bars, features: tuple[str, ...]) -> np.ndarray:
-    """Rows are the given bars, columns follow the requested feature order."""
-    import numpy as np
-
-    columns = [FEATURE_NAMES.index(f) for f in features]
-    every = np.array(
-        [(b.open, b.high, b.low, b.close, b.volume) for b in bars],
-        dtype=np.float64,
-    ).reshape(-1, len(FEATURE_NAMES))
-    return every[:, columns]
 
 
 def sliding_windows(values: np.ndarray, length: int) -> np.ndarray:
@@ -138,41 +134,85 @@ class Record:
 
 
 class StockSeries(Record):
-    """Date-ordered OHLCV history for one ticker."""
+    """Date-ordered OHLCV history for one ticker: ``dates``, a tuple of
+    strictly increasing dates, and ``ohlcv``, a ``bytes`` block of
+    ``len(dates)`` rows of five float64 values (native byte order) in
+    ``FEATURE_NAMES`` order."""
 
-    _fields = ("ticker", "bars")
+    _fields = ("ticker", "dates", "ohlcv")
     __slots__ = _fields + ("_closes",)
 
-    def __init__(self, ticker: str, bars: tuple[Bar, ...]):
+    def __init__(self, ticker: str, dates: tuple[dt.date, ...], ohlcv: bytes):
         self._set(locals())
-        for prev, cur in zip(bars, bars[1:]):
-            if cur.date <= prev.date:
+        if len(ohlcv) != ROW_BYTES * len(dates):
+            raise MarketDataError(
+                f"{ticker}: {len(ohlcv)} bytes of OHLCV for {len(dates)} days"
+            )
+        for prev, cur in zip(dates, dates[1:]):
+            if cur <= prev:
                 raise MarketDataError(
-                    f"{ticker}: dates not strictly increasing at {cur.date.isoformat()}"
+                    f"{ticker}: dates not strictly increasing at {cur.isoformat()}"
                 )
 
-    def __len__(self) -> int:
-        return len(self.bars)
+    @classmethod
+    def from_bars(cls, ticker: str, bars) -> "StockSeries":
+        """The series of ``bars``, each a :class:`Bar`."""
+        bars = tuple(bars)
+        values = array("d", [x for bar in bars for x in bar[1:]])
+        return cls(ticker, tuple(bar[0] for bar in bars), values.tobytes())
 
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(b.date for b in self.bars)
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    @property
+    def bars(self) -> tuple[Bar, ...]:
+        """Each day as a :class:`Bar`, built on each access."""
+        return tuple(
+            Bar(date, *row) for date, row in zip(self.dates, _ROW.iter_unpack(self.ohlcv))
+        )
+
+    def features(self, names) -> np.ndarray:
+        """One row per day and one column per name of ``names`` (each of
+        ``FEATURE_NAMES``), in that order: a new float64 array."""
+        import numpy as np
+
+        block = np.frombuffer(self.ohlcv, dtype=np.float64).reshape(-1, len(FEATURE_NAMES))
+        return block[:, [FEATURE_NAMES.index(f) for f in names]]
 
     def closes(self) -> np.ndarray:
-        """The closes as a read-only float64 array, built on first use."""
+        """The closes as a contiguous read-only float64 array, built on
+        first use."""
         try:
             return self._closes
         except AttributeError:
             import numpy as np
 
-            closes = np.array([b.close for b in self.bars], dtype=np.float64)
+            every = np.frombuffer(self.ohlcv, dtype=np.float64)
+            closes = every[_CLOSE :: len(FEATURE_NAMES)].copy()
             closes.flags.writeable = False
             object.__setattr__(self, "_closes", closes)
             return closes
 
+    def _rows(self, start: int | None, stop: int | None) -> bytes:
+        days = range(len(self.dates))[start:stop]
+        return self.ohlcv[days.start * ROW_BYTES : days.stop * ROW_BYTES]
+
+    def slice(self, start: int, stop: int | None = None) -> "StockSeries":
+        """Days ``start`` up to ``stop``, counted as a tuple slice counts them."""
+        return StockSeries(self.ticker, self.dates[start:stop], self._rows(start, stop))
+
     def restrict(self, dates: set[dt.date]) -> "StockSeries":
+        """The days whose date is in ``dates``."""
+        keep = [i for i, d in enumerate(self.dates) if d in dates]
         return StockSeries(
-            self.ticker, tuple(b for b in self.bars if b.date in dates)
+            self.ticker, tuple(self.dates[i] for i in keep), _take(self.ohlcv, keep)
         )
+
+
+def _take(block: bytes, days) -> bytes:
+    """The rows ``days`` of an OHLCV block, in that order."""
+    rows = memoryview(block)
+    return b"".join(rows[i * ROW_BYTES : (i + 1) * ROW_BYTES] for i in days)
 
 
 class Dataset(NamedTuple):
@@ -188,13 +228,17 @@ class Dataset(NamedTuple):
         return len(self.calendar)
 
     def slice(self, start: int, stop: int | None = None) -> "Dataset":
-        stop = len(self.calendar) if stop is None else stop
+        """Days ``start`` up to ``stop`` of every series. A series on the
+        dataset's calendar shares the sliced calendar's tuple of dates."""
+        calendar = self.calendar[start:stop]
         return Dataset(
             series={
-                tk: StockSeries(tk, s.bars[start:stop])
+                tk: StockSeries(tk, calendar, s._rows(start, stop))
+                if s.dates == self.calendar
+                else s.slice(start, stop)
                 for tk, s in self.series.items()
             },
-            calendar=self.calendar[start:stop],
+            calendar=calendar,
         )
 
 
@@ -238,10 +282,11 @@ def parse_date(text: str) -> dt.date:
 
 @contextlib.contextmanager
 def open_csv(path, error: type[EpsimError]):
-    """``path`` opened for ``csv.reader``. A byte that is not UTF-8, wherever
-    it is read, raises ``error`` naming the path."""
+    """``path`` opened for ``csv.reader``, without the UTF-8 byte-order mark
+    an Excel export starts with. A byte that is not UTF-8, wherever it is
+    read, raises ``error`` naming the path."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
@@ -300,7 +345,8 @@ def load_csv(path, ticker: str) -> StockSeries:
         columns = [(c, header.index(c)) for c in CSV_COLUMNS[1:]]
         i_open, i_high, i_low, i_close, i_volume = (i for _, i in columns)
 
-        bars = []
+        dates = []
+        values = array("d")
         for line_no, raw in enumerate(reader, start=2):
             # One pass for a well-formed row (float() ignores surrounding
             # spaces); any other row is parsed again by _diagnose_row, which
@@ -323,19 +369,25 @@ def load_csv(path, ticker: str) -> StockSeries:
                     and v >= 0.0
                 )
             if ok:
-                bars.append(Bar(date, o, h, lo, c, v))
+                dates.append(date)
+                values.extend((o, h, lo, c, v))
             else:
                 bar = _diagnose_row(path, raw, line_no, n_fields, i_date, columns)
                 if bar is not None:
-                    bars.append(bar)
+                    dates.append(bar.date)
+                    values.extend(bar[1:])
 
-    if not bars:
+    if not dates:
         raise MarketDataError(f"{path}: no data rows")
-    bars.sort(key=lambda b: b.date)
-    for prev, cur in zip(bars, bars[1:]):
-        if cur.date == prev.date:
-            raise MarketDataError(f"{path}: duplicate date {cur.date.isoformat()}")
-    return StockSeries(ticker=ticker, bars=tuple(bars))
+    block = values.tobytes()
+    if any(cur <= prev for prev, cur in zip(dates, dates[1:])):
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        dates = [dates[i] for i in order]
+        for prev, cur in zip(dates, dates[1:]):
+            if cur == prev:
+                raise MarketDataError(f"{path}: duplicate date {cur.isoformat()}")
+        block = _take(block, order)
+    return StockSeries(ticker, tuple(dates), block)
 
 
 def save_csv(series: StockSeries, path) -> None:
@@ -367,21 +419,29 @@ def align_calendar(series_set) -> Dataset:
     if not series_list:
         raise MarketDataError("no series to align")
     for s in series_list:
-        if not s.bars:
+        if not s.dates:
             raise MarketDataError(f"{s.ticker}: empty series")
 
-    common = set(series_list[0].dates())
+    common = set(series_list[0].dates)
     for s in series_list[1:]:
-        common &= set(s.dates())
+        common &= set(s.dates)
     if not common:
         raise MarketDataError(
             "empty calendar intersection across tickers "
             + ", ".join(sorted(s.ticker for s in series_list))
         )
 
+    # every series shares the calendar's tuple of dates
     calendar = tuple(sorted(common))
     return Dataset(
-        series={s.ticker: s.restrict(common) for s in series_list},
+        series={
+            s.ticker: StockSeries(
+                s.ticker,
+                calendar,
+                s.ohlcv if s.dates == calendar else s.restrict(common).ohlcv,
+            )
+            for s in series_list
+        },
         calendar=calendar,
     )
 

@@ -18,7 +18,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PredictorError
-from .market_data import Dataset, StockSeries, feature_matrix, sliding_windows
+from .market_data import Dataset, StockSeries, sliding_windows
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
@@ -89,18 +89,18 @@ class RidgePredictor:
         self.feature_scalers = dict(feature_scalers)
         self.target_scaler = target_scaler
 
-    def scale(self, bars) -> np.ndarray:
-        """Min-max-scaled features of ``bars``: one row per bar, columns in
-        ``config.features`` order."""
+    def scale(self, series: StockSeries) -> np.ndarray:
+        """Min-max-scaled features of ``series``: one row per day, columns
+        in ``config.features`` order."""
         return _scale(
-            feature_matrix(bars, self.config.features),
+            series.features(self.config.features),
             self.feature_scalers,
             self.config.features,
         )
 
     def forecast(self, window_row: np.ndarray) -> float:
         """The close following a window, given as its scaled rows flattened
-        bar by bar (``scale(bars).reshape(-1)``)."""
+        bar by bar (``scale(series).reshape(-1)``)."""
         return self.target_scaler.inverse(float(window_row @ self.coef))
 
     def predict_window(self, bars) -> float:
@@ -113,7 +113,9 @@ class RidgePredictor:
                 f"{self.ticker}: expected {self.config.window} bars, "
                 f"got {len(bars)}"
             )
-        return self.forecast(self.scale(bars).reshape(-1))
+        return self.forecast(
+            self.scale(StockSeries.from_bars(self.ticker, bars)).reshape(-1)
+        )
 
 
 def _scale(raw: np.ndarray, scalers: dict, features) -> np.ndarray:
@@ -127,11 +129,11 @@ def _scale(raw: np.ndarray, scalers: dict, features) -> np.ndarray:
 def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
     import numpy as np
 
-    n = len(series.bars)
+    n = len(series)
     w = config.window
     config.require_train_days(series.ticker, n)
 
-    raw = feature_matrix(series.bars, config.features)  # (n, F)
+    raw = series.features(config.features)  # (n, F)
     scalers = {
         f: AffineScaler.fit(raw[:, j]) for j, f in enumerate(config.features)
     }
@@ -183,15 +185,15 @@ def predict_test_series(
 
     The window for test day t ends at absolute day test_start+t-1, reaching
     back into the train partition for early test days. ``scaled`` is
-    ``predictor.scale(full_series.bars)`` when the caller already has it;
+    ``predictor.scale(full_series)`` when the caller already has it;
     each forecast is the same dot product ``predict_window`` takes.
     """
     w = predictor.config.window
     if scaled is None:
-        scaled = predictor.scale(full_series.bars)
+        scaled = predictor.scale(full_series)
     entries = {
         a - test_start: predictor.forecast(scaled[a - w : a].reshape(-1))
-        for a in range(max(test_start, w), len(full_series.bars))
+        for a in range(max(test_start, w), len(full_series))
     }
     return PredictionSeries(ticker=full_series.ticker, entries=entries)
 
@@ -235,7 +237,7 @@ def fit_report(
     preds = predict_test_series(predictor, full_series, test_start)
     if not preds.entries:
         raise PredictorError(f"{predictor.ticker}: empty test partition")
-    test_series = StockSeries(full_series.ticker, full_series.bars[test_start:])
+    test_series = full_series.slice(test_start)
     rmse = evaluate_rmse(preds, test_series, sorted(preds.entries))
     return FitReport(
         ticker=predictor.ticker,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 
 import numpy as np
@@ -42,13 +43,16 @@ def series_from_closes(
     dates = trading_dates(len(closes), start)
     if volumes is None:
         volumes = [1000.0] * len(closes)
-    return StockSeries(
-        ticker=ticker,
-        bars=tuple(
-            make_bar(d, float(c), float(v))
-            for d, c, v in zip(dates, closes, volumes)
-        ),
+    return StockSeries.from_bars(
+        ticker, (make_bar(d, float(c), float(v)) for d, c, v in zip(dates, closes, volumes))
     )
+
+
+def read_schema_csv(path, expected_schema: str) -> list[dict]:
+    """The rows of a result CSV, after checking its ``# schema:`` line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert fh.readline() == f"# schema: {expected_schema}\n"
+        return list(csv.DictReader(fh))
 
 
 def random_walk_closes(rng: np.random.Generator, n: int, start=100.0, drift=0.0, vol=1.0):

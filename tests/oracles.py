@@ -162,6 +162,69 @@ def accounting_oracle(closes_by_ticker: dict, signals_by_ticker: dict, cost) -> 
     return {"values": values, "trades": trades, "cash": cash, "holdings": holdings}
 
 
+def load_csv_oracle(path):
+    """The bars of one OHLCV CSV as ``load_csv`` read them when a series
+    held a ``Bar`` per day: its row loop verbatim, returning the sorted bars
+    instead of a series. The reference for the columnar loader, which must
+    give the same bars or raise the same message."""
+    import csv
+
+    from epsim.errors import MarketDataError
+    from epsim.market_data import CSV_COLUMNS, Bar, _diagnose_row, open_csv, parse_date
+
+    with open_csv(path, MarketDataError) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MarketDataError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        missing = [c for c in CSV_COLUMNS if c not in header]
+        if missing:
+            raise MarketDataError(f"{path}: header missing columns {missing}")
+        n_fields = len(header)
+        i_date = header.index("Date")
+        columns = [(c, header.index(c)) for c in CSV_COLUMNS[1:]]
+        i_open, i_high, i_low, i_close, i_volume = (i for _, i in columns)
+
+        bars = []
+        for line_no, raw in enumerate(reader, start=2):
+            # One pass for a well-formed row (float() ignores surrounding
+            # spaces); any other row is parsed again by _diagnose_row, which
+            # skips it, returns its bar or raises the error that names it.
+            try:
+                date = parse_date(raw[i_date].strip())
+                o = float(raw[i_open])
+                h = float(raw[i_high])
+                lo = float(raw[i_low])
+                c = float(raw[i_close])
+                v = float(raw[i_volume])
+            except (ValueError, IndexError):
+                ok = False
+            else:
+                ok = (
+                    len(raw) >= n_fields
+                    and math.isfinite(o + h + lo + c + v)
+                    and 0.0 < lo <= o <= h
+                    and lo <= c <= h
+                    and v >= 0.0
+                )
+            if ok:
+                bars.append(Bar(date, o, h, lo, c, v))
+            else:
+                bar = _diagnose_row(path, raw, line_no, n_fields, i_date, columns)
+                if bar is not None:
+                    bars.append(bar)
+
+    if not bars:
+        raise MarketDataError(f"{path}: no data rows")
+    bars.sort(key=lambda b: b.date)
+    for prev, cur in zip(bars, bars[1:]):
+        if cur.date == prev.date:
+            raise MarketDataError(f"{path}: duplicate date {cur.date.isoformat()}")
+    return tuple(bars)
+
+
 def ridge_coef_oracle(predictor, series):
     """The coefficients of ``predictor`` refitted on ``series`` (its train
     partition) with the design matrix built row by row: row i is the scaled
@@ -171,9 +234,9 @@ def ridge_coef_oracle(predictor, series):
 
     config = predictor.config
     w = config.window
-    scaled = predictor.scale(series.bars)
+    scaled = predictor.scale(series)
     y_scaled = predictor.target_scaler.transform(series.closes())
-    n_samples = len(series.bars) - w
+    n_samples = len(series) - w
     X = np.empty((n_samples, w * len(config.features)), dtype=np.float64)
     y = np.empty(n_samples, dtype=np.float64)
     for i in range(n_samples):
@@ -237,7 +300,7 @@ def attack_oracle(dataset, test_start, predictors, strategy_config, cost_model, 
     a = test_start + ep.day
     perturbed = apply_ep(full, ep.mode, at=a)
     attacked_predictions = dict(clean)
-    if a + 1 < len(full.bars):
+    if a + 1 < len(full):
         predictor = predictors[ep.ticker]
         w = predictor.config.window
         if a < w - 1:
@@ -274,7 +337,7 @@ def attack_oracle(dataset, test_start, predictors, strategy_config, cost_model, 
     outcome = AttackOutcome(
         ep=ep,
         perturbed_value=perturbed,
-        clean_value=full.bars[a].close,
+        clean_value=float(full.closes()[a]),
         rmse_clean=evaluate_rmse(clean[ep.ticker], series, days),
         rmse_attacked=evaluate_rmse(attacked_predictions[ep.ticker], series, days),
         sharpe_baseline=baseline.sharpe_ratio,

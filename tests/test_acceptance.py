@@ -17,7 +17,7 @@ import epsim
 from epsim.attack import AttackContext, EpSpec
 from epsim.config import CostModel, RunConfig, StdDevMode, StrategyConfig
 from epsim.errors import ZeroVolatilityWarning
-from epsim.files import cmd_report, read_schema_csv
+from epsim.files import cmd_report
 from epsim.market_data import save_csv
 from epsim.pipeline import cmd_attack, cmd_backtest
 from epsim.predictor import PredictionSeries
@@ -30,7 +30,7 @@ from epsim.strategy import (
 )
 from epsim.trade_engine import cumulative_returns, run_signals, sharpe_ratio
 
-from conftest import make_world, random_series, series_from_closes
+from conftest import make_world, random_series, read_schema_csv, series_from_closes
 from oracles import (
     FixedClose,
     bollinger_oracle,

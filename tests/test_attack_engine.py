@@ -256,7 +256,7 @@ class TestResume:
     def test_resume_equals_run_from_day_zero(self, seed, edits, fraction):
         rng = np.random.default_rng(seed)
         series = {tk: random_series(rng, tk, 40) for tk in "ABC"}
-        test = Dataset(series=series, calendar=series["A"].dates())
+        test = Dataset(series=series, calendar=series["A"].dates)
         costs = CostModel(position_fraction=fraction)
         signals = {
             tk: [SIGNALS[i] for i in rng.integers(0, 3, size=40)] for tk in "ABC"

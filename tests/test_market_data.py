@@ -1,5 +1,9 @@
 import csv
 import datetime as dt
+import importlib.util
+import os
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,23 +12,29 @@ from hypothesis import strategies as st
 
 from epsim.config import CostModel, PredictorConfig, RunConfig, StrategyConfig
 from epsim.errors import ConfigurationError, MarketDataError, PredictorError
-from epsim.files import plan
+from epsim.files import plan, read_forecasts
 from epsim.market_data import (
     CSV_COLUMNS,
+    ROW_BYTES,
     Bar,
     Dataset,
     SplitSpec,
     StockSeries,
     _diagnose_row,
     align_calendar,
-    feature_matrix,
     load_csv,
     save_csv,
     split,
 )
 from epsim.predictor import fit_baseline, predict_test_series
 
-from conftest import dataset_from_closes, series_from_closes, trading_dates
+from conftest import dataset_from_closes, random_series, series_from_closes, trading_dates
+from oracles import load_csv_oracle
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location("gen", os.path.join(ROOT, "perfbench", "gen.py"))
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 
 def write_lines(path, lines):
@@ -302,6 +312,154 @@ class TestLoadCsvDifferential:
         assert [repr(b) for b in load_csv(path, "T").bars] == [repr(want)]
 
 
+CELL_TEXT = st.sampled_from(["9", "10", "11", "12.5", "1e308", "1.5e308", "1.7e308"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A whole OHLCV CSV text: rarely empty or missing a header column;
+    the required columns, an ``Adj Close`` and unknown extra columns in any
+    order, every cell perhaps padded; rows in any order, some blank, some
+    dates repeated, a few rows with a bad date or number or an inconsistent
+    bar."""
+    if draw(st.integers(0, 24)) == 0:
+        return ""
+    columns = [*CSV_COLUMNS, *draw(st.lists(st.sampled_from(["Adj Close", "Note", "X"]),
+                                             max_size=2, unique=True))]
+    columns = draw(st.permutations(columns))
+    if draw(st.integers(0, 14)) == 0:
+        columns.remove(draw(st.sampled_from(CSV_COLUMNS)))
+    lines = [",".join(draw(PAD) + c + draw(PAD) for c in columns)]
+    days = draw(st.lists(st.dates(dt.date(2020, 1, 1), dt.date(2020, 3, 31)),
+                         min_size=1, max_size=8, unique=True))
+    if days and draw(st.integers(0, 5)) == 0:
+        days.append(draw(st.sampled_from(days)))
+    days = sorted(days) if draw(st.booleans()) else draw(st.permutations(days))
+    for day in days:
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", ",,,", " , ,"])))
+        low, a, b, high = sorted(draw(st.lists(CELL_TEXT, min_size=4, max_size=4)), key=float)
+        cells = {"Date": day.isoformat(), "Open": a, "High": high, "Low": low, "Close": b,
+                 "Volume": draw(st.sampled_from(["1000", "0", "-0", "1e308"]))}
+        if draw(st.integers(0, 39)) == 0:  # OHLC out of order
+            shuffled = draw(st.permutations([a, high, low, b]))
+            cells.update(zip(("Open", "High", "Low", "Close"), shuffled))
+        if draw(st.integers(0, 39)) == 0:
+            column = draw(st.sampled_from(CSV_COLUMNS))
+            cells[column] = draw(BAD_DATES if column == "Date" else BAD_NUMBERS)
+        row = [draw(PAD) + cells.get(c, draw(st.sampled_from(["", "7", "x"]))) + draw(PAD)
+               for c in columns]
+        if draw(st.integers(0, 39)) == 0:
+            row = row[: draw(st.integers(1, len(row)))]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+class TestLoadCsvAgainstTheBarLoader:
+    @given(text=csv_texts())
+    @example(text="")
+    @example(text=HEADER + "\n\n")
+    @example(text=HEADER + "\n2020-01-03,10,12,9,11,1000\n2020-01-02,10,12,9,11,1000\n")
+    @example(text=HEADER + "\n2020-01-03,9,9,9,9,1\n\n2020-01-02,9,9,9,9,0\n2020-01-03,9,9,9,9,0")
+    @settings(max_examples=400, deadline=None)
+    def test_same_bars_or_same_message(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("loader") / "t.csv"
+        path.write_text(text)
+        try:
+            want = load_csv_oracle(path)
+        except MarketDataError as exc:
+            with pytest.raises(MarketDataError) as excinfo:
+                load_csv(path, "T")
+            assert str(excinfo.value) == str(exc)
+            return
+        assert repr(load_csv(path, "T").bars) == repr(want)
+
+
+class TestColumns:
+    """A series stores a tuple of dates and one packed float64 block, and
+    gives back the same bars it was built from."""
+
+    BARS = (
+        Bar(dt.date(2020, 1, 2), 10.0, 12.0, 9.0, 11.0, 1000.0),
+        Bar(dt.date(2020, 1, 3), 11.5, 11.5, 11.5, 11.5, -0.0),
+        Bar(dt.date(2020, 1, 6), 1.5e308, 1.7e308, 1e308, 1.5e308, 1e308),
+    )
+
+    def test_layout_and_bars_round_trip(self):
+        series = StockSeries.from_bars("T", self.BARS)
+        assert series.dates == tuple(b.date for b in self.BARS)
+        assert type(series.ohlcv) is bytes and len(series.ohlcv) == 3 * ROW_BYTES
+        block = np.frombuffer(series.ohlcv, dtype=np.float64).reshape(3, 5)
+        assert block.tolist() == [list(b[1:]) for b in self.BARS]
+        assert repr(series.bars) == repr(self.BARS)
+        assert series.bars is not series.bars  # built on each access
+        assert series.closes().flags.c_contiguous
+        assert series.closes().tolist() == [11.0, 11.5, 1.5e308]
+        assert pickle.loads(pickle.dumps(series)) == series
+
+    def test_block_must_hold_one_row_per_date(self):
+        series = StockSeries.from_bars("T", self.BARS)
+        with pytest.raises(MarketDataError) as excinfo:
+            StockSeries("T", series.dates[:2], series.ohlcv)
+        assert str(excinfo.value) == "T: 120 bytes of OHLCV for 2 days"
+
+    @pytest.mark.parametrize("start, stop", [(0, None), (1, None), (0, 2), (-2, None), (2, 1)])
+    def test_slices_cut_dates_and_block_alike(self, start, stop):
+        series = StockSeries.from_bars("T", self.BARS)
+        ds = Dataset({"T": series}, series.dates)
+        for cut in (series.slice(start, stop), ds.slice(start, stop).series["T"]):
+            assert repr(cut.bars) == repr(self.BARS[start:stop])
+
+    def test_aligned_series_share_the_calendar(self):
+        a = series_from_closes("A", [1, 2, 3, 4])
+        b = series_from_closes("B", [5, 6, 7, 8, 9])
+        ds = align_calendar([a, b])
+        assert ds.series["A"].dates is ds.series["B"].dates is ds.calendar
+        assert ds.series["A"].ohlcv is a.ohlcv  # already on the calendar: no copy
+        assert repr(ds.series["B"].bars) == repr(b.bars[:4])
+        test = ds.slice(2)
+        assert test.series["A"].dates is test.series["B"].dates is test.calendar
+        assert repr(test.series["B"].bars) == repr(b.bars[2:4])
+
+    def test_a_loaded_day_keeps_at_most_96_bytes(self, tmp_path, rng):
+        # a Bar per day (a 6-tuple of five floats and a date) kept 250.5
+        path = tmp_path / "t.csv"
+        save_csv(random_series(rng, "T", 400), path)
+        load_csv(path, "T")  # what a first load leaves cached stays out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            series = load_csv(path, "T")
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 400
+        assert kept / len(series) <= 96
+
+
+class TestByteOrderMark:
+    """An Excel-style UTF-8 export starts with a byte-order mark; it is not
+    part of the first column's name."""
+
+    def test_a_data_file_with_a_bom_loads_to_the_same_series(self, tmp_path):
+        text = gen.ticker_csv(0, "AAA", 400).encode()
+        plain, marked = tmp_path / "AAA.csv", tmp_path / "AAA_bom.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_csv(marked, "AAA") == load_csv(plain, "AAA")
+
+    def test_a_forecast_file_with_a_bom_reads_the_same(self, tmp_path):
+        calendar = tuple(trading_dates(3))
+        rows = [f"{d.isoformat()},{i}.5\n" for i, d in enumerate(calendar)]
+        text = "Date,Prediction\n" + "".join(rows)
+        plain, marked = tmp_path / "p.csv", tmp_path / "p_bom.csv"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_forecasts(marked, calendar) == read_forecasts(plain, calendar) == {
+            0: 0.5, 1: 1.5, 2: 2.5
+        }
+
+
 class TestAlignCalendar:
     def test_identical_dates_unchanged(self):
         a = series_from_closes("A", [1, 2, 3])
@@ -309,12 +467,12 @@ class TestAlignCalendar:
         ds = align_calendar([a, b])
         assert ds.series["A"] == a
         assert ds.series["B"] == b
-        assert ds.calendar == a.dates()
+        assert ds.calendar == a.dates
 
     def test_intersection_trims(self):
         dates = trading_dates(5)
         a = series_from_closes("A", [1, 2, 3, 4, 5])
-        b = StockSeries("B", a.bars[1:4])
+        b = StockSeries.from_bars("B", a.bars[1:4])
         ds = align_calendar([a, b])
         assert ds.calendar == tuple(dates[1:4])
         assert [bar.close for bar in ds.series["A"].bars] == [2, 3, 4]
@@ -327,7 +485,7 @@ class TestAlignCalendar:
 
     def test_empty_series_rejected(self):
         with pytest.raises(MarketDataError, match="A: empty series"):
-            align_calendar([StockSeries("A", ())])
+            align_calendar([StockSeries("A", (), b"")])
 
 
 class TestSplit:
@@ -445,9 +603,9 @@ class TestInvariants:
     def test_series_rejects_unsorted_dates(self):
         bars = series_from_closes("A", [1, 2]).bars
         with pytest.raises(MarketDataError, match="dates not strictly increasing"):
-            StockSeries("A", (bars[1], bars[0]))
+            StockSeries.from_bars("A", (bars[1], bars[0]))
         with pytest.raises(MarketDataError, match="dates not strictly increasing"):
-            StockSeries(ticker="A", bars=(bars[0], bars[0]))
+            StockSeries.from_bars(ticker="A", bars=(bars[0], bars[0]))
 
     def test_strictly_positive_prices_enforced_at_load(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -474,5 +632,6 @@ class TestInvariants:
 
     def test_bar_feature_access(self):
         bar = Bar(dt.date(2020, 1, 2), 1.0, 2.0, 0.5, 1.5, 10.0)
-        got = feature_matrix([bar, bar], ("volume", "close", "open"))
-        assert got.tolist() == [[10.0, 1.5, 1.0]] * 2
+        later = bar._replace(date=dt.date(2020, 1, 3), volume=20.0)
+        got = StockSeries.from_bars("A", [bar, later]).features(("volume", "close", "open"))
+        assert got.tolist() == [[10.0, 1.5, 1.0], [20.0, 1.5, 1.0]]

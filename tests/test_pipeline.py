@@ -27,7 +27,6 @@ from epsim.files import (
     cmd_ingest,
     cmd_report,
     quantile_table,
-    read_schema_csv,
     write_result_files,
     write_sweep_files,
 )
@@ -36,7 +35,7 @@ from epsim.pipeline import cmd_attack, cmd_backtest, cmd_fit
 from epsim.strategy import Signal
 from epsim.trade_engine import SimulationResult, TradeRecord
 
-from conftest import random_series, trading_dates
+from conftest import random_series, read_schema_csv, trading_dates
 from oracles import quantile_oracle
 
 pytestmark = pytest.mark.filterwarnings(
@@ -596,12 +595,13 @@ class TestResultWriter:
         assert (tmp_path / "metrics.csv").read_bytes() == METRICS_CSV.encode()
 
     def test_schema_csv_is_read_as_utf8(self, tmp_path):
-        # like every other reader: a byte that is not UTF-8 is a report
-        # error naming the file, whatever the locale's encoding
-        path = tmp_path / "metrics.csv"
-        path.write_bytes(b"\xff# schema: epsim/metrics/v1\nday\n0\n")
+        # like every other reader: a byte that is not UTF-8, even before the
+        # schema line, is a report error naming the file, whatever the
+        # locale's encoding
+        path = tmp_path / "sweep_cells.csv"
+        path.write_bytes(b"\xff# schema: epsim/attack-cells/v1\nday\n0\n")
         with pytest.raises(ReportError) as caught:
-            read_schema_csv(path, "epsim/metrics/v1")
+            cmd_report([str(path)], str(tmp_path / "out"))
         assert str(caught.value).startswith(f"{path}: not UTF-8 text: ")
 
 

@@ -31,8 +31,8 @@ from epsim.trade_engine import DayStart, SignalRun, SimulationResult, TradeRecor
 
 from conftest import make_bar
 
-SERIES = StockSeries("AAA", tuple(make_bar(dt.date(2020, 1, d), 8.0 + d) for d in (2, 3)))
-DATASET = Dataset({"AAA": SERIES}, tuple(b.date for b in SERIES.bars))
+SERIES = StockSeries.from_bars("AAA", (make_bar(dt.date(2020, 1, d), 8.0 + d) for d in (2, 3)))
+DATASET = Dataset({"AAA": SERIES}, SERIES.dates)
 TRADE = TradeRecord(1, "AAA", Signal.BUY, 98, 101.27, 0.49, 1.96)
 RESULT = SimulationResult((0.0, 0.01), (0.0, 0.01), 1.5, (TRADE,), 101_000.0)
 DAY_START = DayStart(100_000.0, {"AAA": 3}, 100_000.0, 0)

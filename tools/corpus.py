@@ -6,14 +6,19 @@ depend on the BLAS thread count), inside a temporary directory that holds
 the inputs: the benchmark's seed-0 worlds from ``perfbench/gen.py`` and
 configs derived from ``perfbench/workloads.py``. For each command it prints
 one line: the scenario, the argv, the exit code, the SHA-256 of stdout and
-of stderr, and the SHA-256 of each file the command wrote.
+of stderr (with the work directory cut from the paths they name), and the
+SHA-256 of each file the command wrote.
 
 Passing scenarios: both benchmark workloads' command lists; a desk
 ``backtest`` and ``attack sweep`` under each other strategy and under
 proportional slippage; ``attack targeted`` with each mode, then ``report``;
 ``ingest`` and ``backtest`` on imported forecasts (each day's forecast is the
-previous close). The ``rejected`` scenario holds CI's rejected inputs, each
-command once, and a ``report`` given one file twice.
+previous close); ``ingest`` and ``backtest`` on the desk data written as
+other tools write CSV (rows newest first with a blank line, extra columns,
+padded cells), and a ``backtest`` on the desk data with a byte-order mark in
+front of one file. The ``rejected`` scenario holds CI's rejected inputs, each
+command once, and a ``report`` given one file twice; ``rejected_csv`` holds
+one ``ingest`` per data-file error the loader names.
 
     python tools/corpus.py                      # this tree's lines
     python tools/corpus.py --against ../other   # only the lines that differ
@@ -45,6 +50,11 @@ from workloads import WORKLOADS, commands, write_config  # noqa: E402
 SEED = 0
 DESK = WORKLOADS["desk_sweep"]
 UNIVERSE = WORKLOADS["universe_sweep"]
+BAD_CSV = (
+    "empty_file", "missing_column", "no_rows", "not_utf8", "short_row", "bad_date",
+    "bad_number", "non_finite", "non_positive", "negative_volume", "low_above",
+    "high_below", "duplicate_date",
+)
 
 
 class Run(NamedTuple):
@@ -114,6 +124,57 @@ def prepare(work: str) -> None:
                 fh.write(f"{rows[a][0]},{rows[a - 1][4]}\n")
     variant("import", predictor={"kind": "import", "files": files})
 
+    # the desk data as other tools write it: the same days, so the same results
+    texts = {}
+    for tk in DESK.tickers:
+        with open(os.path.join(work, "data_desk", f"{tk}.csv")) as fh:
+            texts[tk] = fh.read()
+    header, *rows = texts["AAA"].splitlines()
+    newest_first = [header, *rows[:0:-1], "", rows[0]]
+    header, *rows = texts["BBB"].splitlines()
+    extra = [f"Note,{header},Adj Close"] + [f"x, {row.replace(',', ' , ')} ,1" for row in rows]
+    _write_data(work, "data_desk_csv", {
+        "AAA": "\n".join(newest_first), "BBB": "\n".join(extra), "CCC": texts["CCC"],
+    })
+    variant("csv", data_dir="data_desk_csv")
+    _write_data(work, "data_desk_bom", {**texts, "AAA": "\ufeff" + texts["AAA"]})
+    variant("bom", data_dir="data_desk_bom")
+
+    # one broken copy of AAA.csv per error the loader names
+    header, *rows = texts["AAA"].splitlines()
+    date, o, h, lo, c, v = rows[4].split(",")
+
+    def row5(*cells) -> str:
+        return "\n".join([header, *rows[:4], ",".join(cells), *rows[5:]])
+
+    broken = {
+        "empty_file": "",
+        "missing_column": "\n".join(line.rsplit(",", 1)[0] for line in [header, *rows]),
+        "no_rows": header,
+        "not_utf8": row5(date, o, h, lo, c, v + "\udcff"),  # the byte 0xff
+        "short_row": row5(date, o, h, lo, c),
+        "bad_date": row5(date.replace("-", ""), o, h, lo, c, v),
+        "bad_number": row5(date, o, h, lo, "x", v),
+        "non_finite": row5(date, o, h, lo, c, "nan"),
+        "non_positive": row5(date, o, h, "0", c, v),
+        "negative_volume": row5(date, o, h, lo, c, "-1"),
+        "low_above": row5(date, o, h, h, c, v),
+        "high_below": row5(date, o, lo, lo, c, v),
+        "duplicate_date": "\n".join([header, *rows[:5], *rows[4:]]),
+    }
+    for case in BAD_CSV:
+        _write_data(work, f"data_bad/{case}", {"AAA": broken[case]})
+        variant(f"bad_{case}", data_dir=f"data_bad/{case}", tickers=["AAA"])
+
+
+def _write_data(work: str, data_dir: str, texts: dict[str, str]) -> None:
+    """Write ``<data_dir>/<TICKER>.csv`` for each text, as UTF-8 except
+    where a lone surrogate stands for a byte that is not."""
+    os.makedirs(os.path.join(work, data_dir))
+    for tk, text in texts.items():
+        with open(os.path.join(work, data_dir, f"{tk}.csv"), "wb") as fh:
+            fh.write(text.encode("utf-8", "surrogateescape"))
+
 
 def scenarios() -> list[tuple[str, list[list[str]]]]:
     """(name, argv of each command) in run order; every path is relative
@@ -149,6 +210,14 @@ def scenarios() -> list[tuple[str, list[list[str]]]]:
         ["backtest", "--config", "desk_unknown_files.json", "--out", "bad"],
         ["report", cells, cells, "--out", "bad"],
     ]))
+    listed.append(("desk_csv", [
+        ["ingest", "--config", "desk_csv.json", "--out", "desk_csv"],
+        ["backtest", "--config", "desk_csv.json", "--out", "desk_csv"],
+        ["backtest", "--config", "desk_bom.json", "--out", "desk_bom"],
+    ]))
+    listed.append(("rejected_csv", [
+        ["ingest", "--config", f"desk_bad_{case}.json", "--out", "bad"] for case in BAD_CSV
+    ]))
     return listed
 
 
@@ -174,6 +243,8 @@ def run_corpus(tree: str, work: str, names=None) -> list[Run]:
     }
     runs = []
     before = _snapshot(work)
+    # an input's path in a message is absolute; name it as the command did
+    prefix = os.path.join(os.path.realpath(work), "")
     for scenario, argvs in scenarios():
         if names is not None and scenario not in names:
             continue
@@ -185,7 +256,10 @@ def run_corpus(tree: str, work: str, names=None) -> list[Run]:
             after = _snapshot(work)
             written = {p: h for p, h in after.items() if before.get(p) != h}
             before = after
-            runs.append(Run(scenario, tuple(argv), proc.returncode, proc.stdout, proc.stderr, written))
+            runs.append(Run(
+                scenario, tuple(argv), proc.returncode,
+                proc.stdout.replace(prefix, ""), proc.stderr.replace(prefix, ""), written,
+            ))
     return runs
 
 
