@@ -67,7 +67,7 @@ print("\n== model-level impact ==")
 print(f"  forecast stream RMSE, clean    : {outcome.rmse_clean:.4f}")
 print(f"  forecast stream RMSE, attacked : {outcome.rmse_attacked:.4f}")
 entry_day, poisoned_forecast, _, _ = epsim.attack.perturbed_prediction_entry(
-    predictors["BLU"], dataset.series["BLU"], test_start, ep, context.scaled["BLU"]
+    predictors["BLU"], dataset.series["BLU"], test_start, ep, context.scaled("BLU")
 )
 print(
     f"  forecast for day {entry_day}: "

@@ -8,9 +8,9 @@ again. Portfolio marking and trade execution always use clean market prices,
 so any divergence from the baseline is caused solely by that one forecast.
 
 That locality is what makes a cell cheap. :class:`AttackContext` computes,
-once per run, each ticker's scaled features, clean forecasts, forecast
-errors and unshifted signals, and the baseline run with its portfolio state
-before each day; for an attacked ticker it also builds, on first use, each
+once per run, each ticker's clean forecasts, forecast errors and unshifted
+signals, and the baseline run with its portfolio state before each day; for
+an attacked ticker it also builds, on first use, its scaled features, each
 mode's reported close of every day and a decision screen.
 A cell recomputes the one forecast the perturbation reaches, as the exact
 dot product, and then takes one of three routes:
@@ -202,10 +202,10 @@ def _cr_ratio(cr_attacked: float, cr_baseline: float) -> float:
 class AttackContext:
     """What every attack cell of one run shares, computed once.
 
-    Holds each ticker's min-max-scaled features (full series), clean test
-    forecasts, their error vector and RMSE and the unshifted baseline
-    signals, and the baseline run with the portfolio state before each of
-    its days. An attacked ticker's decision screen
+    Holds each ticker's clean test forecasts, their error vector and RMSE
+    and the unshifted baseline signals, and the baseline run with the
+    portfolio state before each of its days. An attacked ticker's scaled
+    features (full series) and decision screen
     (:func:`epsim.strategy.stable_intervals`) and each attacked (ticker,
     mode)'s reported close of every day are built on first use. One
     context serves any number of cells and protocol calls: what a cell
@@ -226,13 +226,8 @@ class AttackContext:
         self.strategy_config = strategy_config
         self.cost_model = cost_model
         self.test = dataset.slice(test_start)
-        self.scaled = {
-            tk: predictors[tk].scale(dataset.series[tk]) for tk in sorted(predictors)
-        }
         self.predictions = {
-            tk: predict_test_series(
-                predictors[tk], dataset.series[tk], test_start, self.scaled[tk]
-            )
+            tk: predict_test_series(predictors[tk], dataset.series[tk], test_start)
             for tk in sorted(predictors)
         }
         self.raw_signals = strategy_signals(self.test, self.predictions, strategy_config)
@@ -248,8 +243,16 @@ class AttackContext:
             days = sorted(preds.entries)
             self.errors[tk] = (days, prediction_errors(preds, self.test.series[tk], days))
         self.rmse_clean = {tk: rmse(errs) for tk, (_, errs) in self.errors.items()}
+        self._scaled: dict[str, np.ndarray] = {}
         self._intervals: dict[str, tuple[list[float], list[float]]] = {}
         self._reported: dict[tuple[str, EpMode], list] = {}
+
+    def scaled(self, ticker: str) -> np.ndarray:
+        """``ticker``'s min-max-scaled features over the full series, as
+        ``predictors[ticker].scale`` gives them, built on first use."""
+        if ticker not in self._scaled:
+            self._scaled[ticker] = self.predictors[ticker].scale(self.dataset.series[ticker])
+        return self._scaled[ticker]
 
     def perturbed_close(self, ep: EpSpec) -> float:
         """:func:`apply_ep`'s value, read from the (ticker, mode)'s column."""
@@ -339,7 +342,7 @@ class AttackContext:
             self.dataset.series[ep.ticker],
             self.test_start,
             ep,
-            self.scaled[ep.ticker],
+            self.scaled(ep.ticker),
             self.perturbed_close(ep),
         )
         attacked, first_divergence = self.baseline, None

@@ -135,14 +135,11 @@ class CostModel(Record):
         slippage_mode: str = "per_share",
     ):
         self._set(locals())
-        for name in (
-            "commission_per_share",
-            "slippage_per_share",
-            "initial_capital",
-            "risk_free_annual",
-        ):
+        for name in ("commission_per_share", "slippage_per_share", "risk_free_annual"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be nonnegative")
+        if not initial_capital > 0:  # every daily return divides by the value
+            raise ConfigurationError("initial_capital must be > 0")
         if not 0 < position_fraction <= 1:
             raise ConfigurationError("position_fraction must be in (0,1]")
         if trading_days_per_year < 1:
@@ -454,9 +451,18 @@ class RunConfig(Record):
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        def unique_keys(pairs):
+            # json keeps the last of a repeated key without a word
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ConfigurationError(f"{path}: key {key!r} given twice")
+                seen.add(key)
+            return dict(pairs)
+
         try:
             with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=unique_keys)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -22,7 +22,14 @@ import os
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigurationError, PredictorError, ReportError
-from .market_data import Dataset, align_calendar, load_csv, open_csv, parse_date
+from .market_data import (
+    Dataset,
+    align_calendar,
+    load_csv,
+    open_csv,
+    parse_date,
+    reject_repeated_columns,
+)
 
 if TYPE_CHECKING:
     from .attack import AttackResult
@@ -242,8 +249,9 @@ def read_forecasts(path, calendar) -> dict[int, float]:
     """Externally generated forecasts (CSV header ``Date,Prediction``),
     keyed by each date's index in ``calendar``.
 
-    Every date must belong to the calendar; duplicates and non-finite
-    values (``nan``, ``inf``) are rejected, naming the line.
+    The header names each of the two columns once, and every date must
+    belong to the calendar; duplicates and non-finite values (``nan``,
+    ``inf``) are rejected, naming the line.
     """
     cal_index = {d: i for i, d in enumerate(calendar)}
     entries: dict[int, float] = {}
@@ -257,6 +265,7 @@ def read_forecasts(path, calendar) -> dict[int, float]:
             raise PredictorError(
                 f"{path}: header must name Date and Prediction, got {header}"
             )
+        reject_repeated_columns(path, header, ("Date", "Prediction"), PredictorError)
         d_idx, p_idx = header.index("Date"), header.index("Prediction")
         for line_no, raw in enumerate(reader, start=2):
             if not raw or all(not cell.strip() for cell in raw):

@@ -292,6 +292,15 @@ def open_csv(path, error: type[EpsimError]):
         raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
+def reject_repeated_columns(path, header, columns, error: type[EpsimError]) -> None:
+    """Raise ``error`` naming ``path`` when ``header`` names one of the
+    required ``columns`` twice: a reader takes the first copy, and the other
+    would be dropped without a word."""
+    for column in columns:
+        if header.count(column) > 1:
+            raise error(f"{path}: header names {column!r} twice")
+
+
 def _finite(raw: str, col: str, where: str) -> float:
     raw = raw.strip()
     try:
@@ -327,8 +336,9 @@ def load_csv(path, ticker: str) -> StockSeries:
     """Load and validate one ticker's OHLCV history.
 
     Returns a date-sorted series. Raises MarketDataError naming ``path``
-    and, for a malformed row, its line number; for an inconsistent bar or a
-    duplicate date, the date; or that the file has no data rows.
+    and, for a required column missing or named twice, the column; for a
+    malformed row, its line number; for an inconsistent bar or a duplicate
+    date, the date; or that the file has no data rows.
     """
     with open_csv(path, MarketDataError) as fh:
         reader = csv.reader(fh)
@@ -340,6 +350,7 @@ def load_csv(path, ticker: str) -> StockSeries:
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise MarketDataError(f"{path}: header missing columns {missing}")
+        reject_repeated_columns(path, header, CSV_COLUMNS, MarketDataError)
         n_fields = len(header)
         i_date = header.index("Date")
         columns = [(c, header.index(c)) for c in CSV_COLUMNS[1:]]

@@ -126,12 +126,34 @@ def _scale(raw: np.ndarray, scalers: dict, features) -> np.ndarray:
     )
 
 
+def _normal_equations(
+    scaled: np.ndarray, y_scaled: np.ndarray, config: PredictorConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ridge normal equations ``(X'X + ridge_lambda * I, X'y)`` of a
+    series' scaled features and scaled closes.
+
+    Row i of the design matrix X is the window of days i .. i+w-1 flattened
+    bar by bar, and its target the next day's close; tests/oracles.py keeps
+    the row-by-row loop. X lives only in this call, so it is freed before
+    the solve copies the Gram matrix.
+    """
+    import numpy as np
+
+    n_features = len(config.features)
+    w = config.window
+    d = w * n_features
+    # every F-th window of the flattened features starts on a bar
+    windows = sliding_windows(scaled.reshape(-1), d)
+    X = np.ascontiguousarray(windows[: (len(scaled) - w) * n_features : n_features])
+    gram = X.T @ X
+    gram.flat[:: d + 1] += config.ridge_lambda  # the diagonal, with no d x d identity
+    return gram, X.T @ y_scaled[w:]
+
+
 def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
     import numpy as np
 
-    n = len(series)
-    w = config.window
-    config.require_train_days(series.ticker, n)
+    config.require_train_days(series.ticker, len(series))
 
     raw = series.features(config.features)  # (n, F)
     scalers = {
@@ -139,21 +161,11 @@ def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
     }
     target_scaler = AffineScaler.fit(series.closes())
 
-    scaled = _scale(raw, scalers, config.features)
-    y_scaled = target_scaler.transform(series.closes())
-
-    # Row i is the window of days i .. i+w-1 flattened bar by bar, and its
-    # target the next day's close; tests/oracles.py keeps the row-by-row loop.
-    # Every F-th window of the flattened features starts on a bar.
-    n_features = len(config.features)
-    d = w * n_features
-    windows = sliding_windows(scaled.reshape(-1), d)
-    X = np.ascontiguousarray(windows[: (n - w) * n_features : n_features])
-    y = y_scaled[w:]
-
-    gram = X.T @ X
-    gram.flat[:: d + 1] += config.ridge_lambda  # the diagonal, with no d x d identity
-    rhs = X.T @ y
+    gram, rhs = _normal_equations(
+        _scale(raw, scalers, config.features),
+        target_scaler.transform(series.closes()),
+        config,
+    )
     try:
         coef = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
@@ -179,18 +191,15 @@ def predict_test_series(
     predictor: RidgePredictor,
     full_series: StockSeries,
     test_start: int,
-    scaled: np.ndarray | None = None,
 ) -> PredictionSeries:
     """Forecasts for every test day, keyed by test-relative day index.
 
     The window for test day t ends at absolute day test_start+t-1, reaching
-    back into the train partition for early test days. ``scaled`` is
-    ``predictor.scale(full_series)`` when the caller already has it;
-    each forecast is the same dot product ``predict_window`` takes.
+    back into the train partition for early test days. Each forecast is the
+    same dot product ``predict_window`` takes.
     """
     w = predictor.config.window
-    if scaled is None:
-        scaled = predictor.scale(full_series)
+    scaled = predictor.scale(full_series)
     entries = {
         a - test_start: predictor.forecast(scaled[a - w : a].reshape(-1))
         for a in range(max(test_start, w), len(full_series))

@@ -10,6 +10,7 @@ it replaces.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from epsim.config import (
 )
 from epsim.errors import AttackSetupError
 from epsim.market_data import Dataset
-from epsim.predictor import fit_baseline
+from epsim.predictor import RidgePredictor, fit_baseline
 from epsim.strategy import Signal, generate_signals, stable_intervals
 from epsim.trade_engine import DayStart, resume_signals, run_signals
 
@@ -218,7 +219,7 @@ class TestCachedForecasts:
                 for mode in (StdDevMode(omega=7), ConcealMode(), FixedClose(3.0)):
                     ep = EpSpec(tk, day, mode)
                     entry_day, entry, perturbed, _ = perturbed_prediction_entry(
-                        predictor, dataset.series[tk], test_start, ep, context.scaled[tk]
+                        predictor, dataset.series[tk], test_start, ep, context.scaled(tk)
                     )
                     a = test_start + day
                     window = list(bars[a - 9 : a + 1])
@@ -238,6 +239,46 @@ class TestCachedForecasts:
         _, outcome = context.outcome(EpSpec("AAA", 10, FixedClose(value=999.0)))
         assert outcome.rmse_attacked == outcome.rmse_clean
         assert outcome.first_divergence_day is None
+
+
+class TestContextMemory:
+    def test_scaled_features_are_built_per_attacked_ticker(self, monkeypatch):
+        # the universe workload's world: 20 tickers x 400 days, 50-day window.
+        # Keeping every ticker's scaled features made a context hold 658 kB
+        tickers = tuple(f"U{i:02d}" for i in range(20))
+        dataset, test_start, predictors = make_world(
+            np.random.default_rng(0), tickers=tickers, n=400, window=50, train_fraction=0.8
+        )
+        strategy_config = StrategyConfig(kind="bollinger_bands")
+        AttackContext(dataset, test_start, predictors, strategy_config, CostModel())
+        scaled = []
+        scale = RidgePredictor.scale
+
+        def spy(self, series):
+            scaled.append(series.ticker)
+            return scale(self, series)
+
+        monkeypatch.setattr(RidgePredictor, "scale", spy)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            context = AttackContext(
+                dataset, test_start, predictors, strategy_config, CostModel()
+            )
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 450_000
+        assert sorted(scaled) == list(tickers)  # one scale per clean forecast series
+        del scaled[:]
+        for day in (10, 11):
+            context.outcome(EpSpec("U03", day, StdDevMode(omega=50)))
+        assert scaled == ["U03"]
+        assert context.scaled("U03") is context.scaled("U03")
+        assert np.array_equal(
+            context.scaled("U03"), scale(predictors["U03"], dataset.series["U03"])
+        )
+        assert scaled == ["U03"]
 
 
 SIGNALS = [Signal.BUY, Signal.SELL, Signal.HOLD]

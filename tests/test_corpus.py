@@ -17,6 +17,9 @@ REJECTED = [
     "error [config]: predictor.files: unrecognized keys ['ZZZ']\n",
     "error [config]: predictor.files: unrecognized keys ['ZZZ']\n",
     "error [report]: desk/attack_AAA/sweep_cells.csv: given twice\n",
+    *["error [config]: desk_repeated_key.json: key 'kind' given twice\n"] * 2,
+    *["error [config]: initial_capital must be > 0\n"] * 2,
+    *["error [predictor]: forecasts_repeated/AAA.csv: header names 'Prediction' twice\n"] * 2,
 ]
 
 

@@ -106,6 +106,20 @@ class TestLoadCsv:
         with pytest.raises(MarketDataError, match="Volume"):
             load_csv(path, "T")
 
+    @pytest.mark.parametrize("column", ["Close", "Date"])
+    def test_required_column_named_twice(self, tmp_path, column):
+        # csv readers take the first copy; the second was dropped without a word
+        path = tmp_path / "t.csv"
+        write_lines(path, [f"{HEADER},{column}", "2020-01-02,10,12,9,11,1000,22"])
+        with pytest.raises(MarketDataError) as info:
+            load_csv(path, "T")
+        assert str(info.value) == f"{path}: header names {column!r} twice"
+
+    def test_ignored_column_named_twice_stays_ignored(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(path, [f"{HEADER},Adj Close,Adj Close", "2020-01-02,10,12,9,11,1000,1,2"])
+        assert load_csv(path, "T").bars[0].close == 11.0
+
     def test_adj_close_skipped_and_rows_sorted(self, tmp_path):
         path = tmp_path / "t.csv"
         write_lines(

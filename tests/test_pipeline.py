@@ -99,6 +99,10 @@ BAD_INPUTS = {
         {"files": {"ZZZ": "2131-12-31,100"}}, "{19},119",
         "error [config]: predictor.files: unrecognized keys ['ZZZ']",
     ),
+    "zero-capital": (
+        {"costs": {"initial_capital": 0.0}}, None,
+        "error [config]: initial_capital must be > 0",
+    ),
     "infeasible-omega": (
         {"attack": {"omegas": [5, 101]}}, None,
         "error [config]: attack.omegas: omega=101 needs 101 closes ending on an "
@@ -996,6 +1000,38 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"kind": "ma_crossover"', '"kind": "ma_crossover", "kind": "bollinger_bands"', "kind"),
+            ('"costs": {}', '"costs": {}, "costs": {"initial_capital": 5.0}', "costs"),
+        ],
+        ids=["in-a-section", "a-section"],
+    )
+    def test_repeated_config_key_fails_before_any_load(
+        self, tmp_path, rng, capsys, monkeypatch, old, new, key
+    ):
+        # json keeps the last value of a repeated key: the config ran as the
+        # last one said, whatever the first one said
+        from epsim import files, pipeline
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("loaded despite a repeated key")
+
+        monkeypatch.setattr(files, "load_csv", no_load)
+        monkeypatch.setattr(pipeline, "load_csv", no_load)
+        cfg_path = write_universe(tmp_path, rng, n=100)
+        text = json.dumps(json.loads(cfg_path.read_text()))
+        assert old in text
+        cfg_path.write_text(text.replace(old, new))
+        for command in (["ingest"], ["backtest"]):
+            out = tmp_path / "out"
+            assert main([*command, "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error [config]: {cfg_path}: key {key!r} given twice\n"
+            )
+            assert not out.exists()
+
     def test_utf8_input_reads_under_an_ascii_locale(self, tmp_path, rng):
         # inputs are UTF-8 whatever the locale's encoding, so a UTF-8 config
         # is not refused as "not UTF-8 text" where that encoding is ASCII
@@ -1397,6 +1433,7 @@ class TestCli:
         cfg_path = write_universe(
             tmp_path, rng, n=100, attack={**attack, **changes.get("attack", {})},
             predictor=changes.get("predictor", {"kind": "baseline", "window": 20}),
+            costs=changes.get("costs", {}),
         )
         commands = [["ingest"], ["fit"], ["backtest"], ["attack", "sweep"]]
         if "omegas" not in changes.get("attack", {}):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,37 @@ class TestFitBaseline:
             PredictorConfig(ridge_lambda=-1.0)
         with pytest.raises(ConfigurationError, match="predictor: window must be >= 1, got 0"):
             PredictorConfig(window=0)
+
+
+class TestFitMemory:
+    def test_design_matrix_is_freed_before_the_solve(self, rng, monkeypatch):
+        # the benchmark's fit: 320 train days of a 400-day series, a 50-day
+        # window of 5 features. The 270 x 250 design matrix is 540 kB and the
+        # Gram matrix 500 kB; with X alive at the solve, 1,072 kB were traced
+        train, _ = split(
+            align_calendar([random_series(rng, "T", 400)]),
+            SplitSpec(train_fraction=0.8, window=50),
+        )
+        config = PredictorConfig(window=50)
+        fit_baseline(train, config)  # what a first fit leaves cached stays out
+        solve = np.linalg.solve
+        at_solve = []
+
+        def spy(a, b):
+            at_solve.append(tracemalloc.get_traced_memory()[0] - before)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fitted = fit_baseline(train, config)
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert len(at_solve) == 1
+        assert at_solve[0] <= 600_000
+        assert np.array_equal(fitted["T"].coef, fit_baseline(train, config)["T"].coef)
 
 
 class TestPredictNext:
@@ -237,6 +269,16 @@ class TestImportPredictions:
             PredictorError, match=f"line 3: Invalid isoformat string: '{date}'"
         ):
             read_forecasts(path, calendar)
+
+    def test_prediction_column_named_twice(self, tmp_path):
+        calendar = trading_dates(3)
+        path = tmp_path / "p.csv"
+        path.write_text(f"Date,Prediction,Prediction\n{calendar[0].isoformat()},100,200\n")
+        with pytest.raises(PredictorError) as info:
+            read_forecasts(path, calendar)
+        assert str(info.value) == f"{path}: header names 'Prediction' twice"
+        path.write_text(f"Date,Prediction,Note,Note\n{calendar[0].isoformat()},100,a,b\n")
+        assert read_forecasts(path, calendar) == {0: 100.0}
 
     def test_partial_coverage_is_allowed(self, tmp_path):
         calendar = trading_dates(10)

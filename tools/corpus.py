@@ -17,7 +17,9 @@ previous close); ``ingest`` and ``backtest`` on the desk data written as
 other tools write CSV (rows newest first with a blank line, extra columns,
 padded cells), and a ``backtest`` on the desk data with a byte-order mark in
 front of one file. The ``rejected`` scenario holds CI's rejected inputs, each
-command once, and a ``report`` given one file twice; ``rejected_csv`` holds
+command once, a ``report`` given one file twice, and an ``ingest`` and a
+``backtest`` each on a config with a repeated key, on zero starting capital
+and on a forecast file naming ``Prediction`` twice; ``rejected_csv`` holds
 one ``ingest`` per data-file error the loader names.
 
     python tools/corpus.py                      # this tree's lines
@@ -53,7 +55,7 @@ UNIVERSE = WORKLOADS["universe_sweep"]
 BAD_CSV = (
     "empty_file", "missing_column", "no_rows", "not_utf8", "short_row", "bad_date",
     "bad_number", "non_finite", "non_positive", "negative_volume", "low_above",
-    "high_below", "duplicate_date",
+    "high_below", "duplicate_date", "repeated_column",
 )
 
 
@@ -123,6 +125,19 @@ def prepare(work: str) -> None:
             for a in range(n_train, len(rows)):
                 fh.write(f"{rows[a][0]},{rows[a - 1][4]}\n")
     variant("import", predictor={"kind": "import", "files": files})
+    # the same forecasts, with AAA's Prediction column given twice
+    os.makedirs(os.path.join(work, "forecasts_repeated"))
+    repeated = {**files, "AAA": os.path.join("forecasts_repeated", "AAA.csv")}
+    with open(os.path.join(work, files["AAA"])) as fh:
+        rows = fh.read().splitlines()
+    with open(os.path.join(work, repeated["AAA"]), "w") as fh:
+        fh.write("".join(f"{row},{row.split(',')[1]}\n" for row in rows))
+    variant("import_repeated", predictor={"kind": "import", "files": repeated})
+    variant("zero_capital", costs={"initial_capital": 0.0})
+    # json keeps the last of a repeated key: this config would run Bollinger bands
+    kind = '"kind": "ma_crossover"'
+    with open(os.path.join(work, "desk_repeated_key.json"), "w") as fh:
+        fh.write(json.dumps(desk, indent=2).replace(kind, f'{kind}, "kind": "bollinger_bands"'))
 
     # the desk data as other tools write it: the same days, so the same results
     texts = {}
@@ -161,6 +176,9 @@ def prepare(work: str) -> None:
         "low_above": row5(date, o, h, h, c, v),
         "high_below": row5(date, o, lo, lo, c, v),
         "duplicate_date": "\n".join([header, *rows[:5], *rows[4:]]),
+        "repeated_column": "\n".join(
+            [f"{header},Close", *(f"{row},{2 * float(row.split(',')[4])!r}" for row in rows)]
+        ),
     }
     for case in BAD_CSV:
         _write_data(work, f"data_bad/{case}", {"AAA": broken[case]})
@@ -209,6 +227,11 @@ def scenarios() -> list[tuple[str, list[list[str]]]]:
         ["ingest", "--config", "desk_unknown_files.json", "--out", "bad"],
         ["backtest", "--config", "desk_unknown_files.json", "--out", "bad"],
         ["report", cells, cells, "--out", "bad"],
+        *(
+            [cmd, "--config", f"desk_{name}.json", "--out", "bad"]
+            for name in ("repeated_key", "zero_capital", "import_repeated")
+            for cmd in ("ingest", "backtest")
+        ),
     ]))
     listed.append(("desk_csv", [
         ["ingest", "--config", "desk_csv.json", "--out", "desk_csv"],
