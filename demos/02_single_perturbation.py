@@ -71,7 +71,7 @@ entry_day, poisoned_forecast, _, _ = epsim.attack.perturbed_prediction_entry(
 )
 print(
     f"  forecast for day {entry_day}: "
-    f"{predictions['BLU'].entries[entry_day]:.3f} -> {poisoned_forecast:.3f} "
+    f"{predictions['BLU'][entry_day]:.3f} -> {poisoned_forecast:.3f} "
     f"(the only entry that changed)"
 )
 

@@ -53,7 +53,6 @@ _EXPORTS = {
     ),
     "predictor": (
         "FitReport",
-        "PredictionSeries",
         "RidgePredictor",
         "fit_baseline",
         "fit_report",

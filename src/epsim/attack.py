@@ -8,12 +8,13 @@ again. Portfolio marking and trade execution always use clean market prices,
 so any divergence from the baseline is caused solely by that one forecast.
 
 That locality is what makes a cell cheap. :class:`AttackContext` computes,
-once per run, each ticker's clean forecasts, forecast errors and unshifted
-signals, and the baseline run with its portfolio state before each day; for
-an attacked ticker it also builds, on first use, its scaled features, each
-mode's reported close of every day and a decision screen.
+once per run, each ticker's clean forecast column, its forecast errors and
+unshifted signals, and the baseline run with its portfolio state before each
+day; for an attacked ticker it also builds, on first use, its scaled
+features, each mode's reported close of every day and a decision screen.
 A cell recomputes the one forecast the perturbation reaches, as the exact
-dot product, and then takes one of three routes:
+dot product, so the attacked forecasts are the clean column with that one
+entry changed, and then takes one of three routes:
 
 * **screened**: the forecast lies inside the interval of values that keeps
   every signal of the entry's reach (:func:`epsim.strategy.reach`), by more
@@ -41,7 +42,6 @@ Magnitude modes (:mod:`epsim.config`), each building its reported closes:
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -49,9 +49,8 @@ from .config import ConcealMode, OverestimateMode, StdDevMode
 from .errors import AttackSetupError
 from .market_data import Dataset, Record, StockSeries
 from .predictor import (
-    PredictionSeries,
     RidgePredictor,
-    evaluate_rmse,  # noqa: F401  (looked up here by perfbench/tracing.py)
+    evaluate_rmse,
     predict_test_series,
     prediction_errors,
     rmse,
@@ -202,10 +201,10 @@ def _cr_ratio(cr_attacked: float, cr_baseline: float) -> float:
 class AttackContext:
     """What every attack cell of one run shares, computed once.
 
-    Holds each ticker's clean test forecasts, their error vector and RMSE
-    and the unshifted baseline signals, and the baseline run with the
-    portfolio state before each of its days. An attacked ticker's scaled
-    features (full series) and decision screen
+    Holds each ticker's clean forecast column, its error column (NaN on a
+    day without a forecast) and RMSE and the unshifted baseline signals,
+    and the baseline run with the portfolio state before each of its days.
+    An attacked ticker's scaled features (full series) and decision screen
     (:func:`epsim.strategy.stable_intervals`) and each attacked (ticker,
     mode)'s reported close of every day are built on first use. One
     context serves any number of cells and protocol calls: what a cell
@@ -237,12 +236,12 @@ class AttackContext:
             cost_model,
         )
         self.baseline = self.baseline_run.result
-        # per ticker: the forecast days in order and their errors vs the close
-        self.errors = {}
-        for tk, preds in self.predictions.items():
-            days = sorted(preds.entries)
-            self.errors[tk] = (days, prediction_errors(preds, self.test.series[tk], days))
-        self.rmse_clean = {tk: rmse(errs) for tk, (_, errs) in self.errors.items()}
+        self.errors: dict[str, np.ndarray] = {}
+        self.rmse_clean: dict[str, float] = {}
+        for tk, entries in self.predictions.items():
+            closes = self.test.series[tk].closes()
+            self.errors[tk] = prediction_errors(entries, closes)
+            self.rmse_clean[tk] = evaluate_rmse(entries, closes)
         self._scaled: dict[str, np.ndarray] = {}
         self._intervals: dict[str, tuple[list[float], list[float]]] = {}
         self._reported: dict[tuple[str, EpMode], list] = {}
@@ -282,10 +281,7 @@ class AttackContext:
         the baseline has it. False means the screen cannot tell."""
         if ticker not in self._intervals:
             self._intervals[ticker] = stable_intervals(
-                self.test.series[ticker],
-                self.predictions[ticker],
-                self.strategy_config,
-                self.test.n_days(),
+                self.test.series[ticker], self.predictions[ticker], self.strategy_config
             )
         lo, hi = self._intervals[ticker]
         return lo[entry_day] < entry < hi[entry_day]
@@ -297,16 +293,11 @@ class AttackContext:
         ``entry_day`` is ``entry``: the reach's signals regenerated, and the
         baseline resumed from the first changed day unless ``memo`` already
         holds the run of the same signal change."""
-        n = self.test.n_days()
-        days = reach(self.strategy_config, entry_day, n)
+        days = reach(self.strategy_config, entry_day, self.test.n_days())
         raw = self.raw_signals[ticker]
-        patch = generate_signals(
-            self.test.series[ticker],
-            self.predictions[ticker].with_entry(entry_day, entry),
-            self.strategy_config,
-            n,
-            days,
-        )
+        entries = self.predictions[ticker].copy()
+        entries[entry_day] = entry
+        patch = generate_signals(self.test.series[ticker], entries, self.strategy_config, days)
         changed = [
             i for i, (new, old) in enumerate(zip(patch, raw[days.start : days.stop]))
             if new is not old
@@ -352,11 +343,8 @@ class AttackContext:
                 attacked, first_divergence = self._changed_run(
                     ep.ticker, entry_day, entry, memo
                 )
-            forecast_days, errs = self.errors[ep.ticker]
-            errs = errs.copy()
-            errs[bisect.bisect_left(forecast_days, entry_day)] = (
-                entry - float(self.test.series[ep.ticker].closes()[entry_day])
-            )
+            errs = self.errors[ep.ticker].copy()
+            errs[entry_day] = entry - float(self.test.series[ep.ticker].closes()[entry_day])
             rmse_attacked = rmse(errs)
 
         baseline = self.baseline
@@ -384,8 +372,8 @@ def clean_run(
     predictors: dict[str, RidgePredictor],
     strategy_config: StrategyConfig,
     cost_model: CostModel,
-) -> tuple[dict[str, PredictionSeries], SimulationResult]:
-    """Baseline forecasts and simulation over the test window."""
+) -> tuple[dict[str, np.ndarray], SimulationResult]:
+    """Baseline forecast columns and simulation over the test window."""
     context = AttackContext(dataset, test_start, predictors, strategy_config, cost_model)
     return context.predictions, context.baseline
 

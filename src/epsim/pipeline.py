@@ -24,13 +24,7 @@ from .files import (
     write_sweep_files,
 )
 from .market_data import align_calendar, load_csv
-from .predictor import (
-    FitReport,
-    PredictionSeries,
-    fit_baseline,
-    fit_report,
-    predict_test_series,
-)
+from .predictor import FitReport, fit_baseline, fit_report, predict_test_series
 from .trade_engine import SimulationResult, run_simulation
 
 
@@ -46,10 +40,18 @@ def load_dataset(config: RunConfig) -> Plan:
 
 
 def build_predictions(config: RunConfig, plan: Plan):
-    """Per-ticker prediction series for the test window: the plan's imported
-    forecasts, or those of baseline predictors fitted on the train window."""
+    """Per-ticker forecast columns over the test calendar (NaN on a day
+    without a forecast): the plan's imported forecasts, or those of baseline
+    predictors fitted on the train window."""
     if config.predictor_kind == "import":
-        return {tk: PredictionSeries(tk, days) for tk, days in plan.forecasts.items()}
+        import numpy as np
+
+        n = plan.dataset.n_days() - plan.test_start
+        columns = {}
+        for tk, forecasts in plan.forecasts.items():
+            columns[tk] = np.full(n, np.nan)
+            columns[tk][list(forecasts)] = list(forecasts.values())
+        return columns
     train = plan.dataset.slice(0, plan.test_start)
     predictors = fit_baseline(train, config.predictor)
     return {

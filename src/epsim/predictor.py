@@ -6,6 +6,10 @@ and reproducible bit-for-bit. Externally generated forecasts are read from CSV
 (header ``Date,Prediction``) by :func:`epsim.files.read_forecasts` instead,
 honoring a model-agnostic predictor contract; this module reads no file.
 
+Forecast format: a ticker's forecasts are one float64 array over the test
+calendar, entry t the predicted close of test day t and NaN on a day
+without a forecast.
+
 Scaling discipline: per-feature min-max parameters are learned on the train
 partition only and shared across window positions; the regression target (the
 next close) is scaled with the close feature's parameters. The model carries
@@ -50,23 +54,6 @@ class AffineScaler(NamedTuple):
         if span == 0.0:
             return self.lo
         return self.lo + float(y) * span
-
-
-class PredictionSeries(NamedTuple):
-    """Per-stock next-day close forecasts.
-
-    ``entries[t]`` is the predicted close for day t, computed from the window
-    ending at day t-1, so an entry for day t exists only once t-1 has a full
-    window of history behind it.
-    """
-
-    ticker: str
-    entries: dict[int, float]
-
-    def with_entry(self, day: int, value: float) -> "PredictionSeries":
-        updated = dict(self.entries)
-        updated[day] = value
-        return PredictionSeries(self.ticker, updated)
 
 
 class FitReport(NamedTuple):
@@ -191,66 +178,64 @@ def predict_test_series(
     predictor: RidgePredictor,
     full_series: StockSeries,
     test_start: int,
-) -> PredictionSeries:
-    """Forecasts for every test day, keyed by test-relative day index.
+) -> np.ndarray:
+    """The forecast column of the test days: entry t is the forecast for
+    test day t, NaN where no full window ends the day before.
 
     The window for test day t ends at absolute day test_start+t-1, reaching
     back into the train partition for early test days. Each forecast is the
     same dot product ``predict_window`` takes.
     """
-    w = predictor.config.window
-    scaled = predictor.scale(full_series)
-    entries = {
-        a - test_start: predictor.forecast(scaled[a - w : a].reshape(-1))
-        for a in range(max(test_start, w), len(full_series))
-    }
-    return PredictionSeries(ticker=full_series.ticker, entries=entries)
-
-
-def prediction_errors(
-    predictions: PredictionSeries, actual: StockSeries, day_range
-) -> np.ndarray:
-    """pred_t - close_t for each of the given day indices, in order."""
     import numpy as np
 
-    days = list(day_range)
-    if not days:
-        raise PredictorError("empty evaluation range")
-    closes = actual.closes()
-    errs = np.empty(len(days), dtype=np.float64)
-    for i, t in enumerate(days):
-        if t not in predictions.entries:
-            raise PredictorError(f"no prediction for day {t}")
-        if not 0 <= t < len(closes):
-            raise PredictorError(f"day {t} outside the series")
-        errs[i] = predictions.entries[t] - closes[t]
-    return errs
+    w = predictor.config.window
+    scaled = predictor.scale(full_series)
+    entries = np.full(max(len(full_series) - test_start, 0), np.nan)
+    for a in range(max(test_start, w), len(full_series)):
+        entries[a - test_start] = predictor.forecast(scaled[a - w : a].reshape(-1))
+    return entries
+
+
+def prediction_errors(entries: np.ndarray, closes: np.ndarray) -> np.ndarray:
+    """pred_t - close_t for each day of a forecast column and the closes of
+    the same days, NaN on a day without a forecast."""
+    if len(entries) != len(closes):
+        raise PredictorError(f"{len(entries)} forecasts for {len(closes)} closes")
+    return entries - closes
 
 
 def rmse(errors: np.ndarray) -> float:
-    """sqrt(mean(e^2)) of a vector of prediction errors."""
+    """sqrt(mean(e^2)) over the finite entries of a vector of prediction
+    errors (NaN marks a day without a forecast)."""
     import numpy as np
 
+    errors = errors[np.isfinite(errors)]
+    if not len(errors):
+        raise PredictorError("no forecast to evaluate")
     return float(math.sqrt(float(np.mean(errors * errors))))
 
 
-def evaluate_rmse(predictions: PredictionSeries, actual: StockSeries, day_range) -> float:
-    """sqrt(mean((pred_t - close_t)^2)) over the given day indices."""
-    return rmse(prediction_errors(predictions, actual, day_range))
+def evaluate_rmse(entries: np.ndarray, closes: np.ndarray) -> float:
+    """sqrt(mean((pred_t - close_t)^2)) over the days with a forecast."""
+    return rmse(prediction_errors(entries, closes))
 
 
 def fit_report(
     predictor: RidgePredictor, full_series: StockSeries, test_start: int
 ) -> FitReport:
     """Out-of-sample RMSE of a fitted predictor over the test partition."""
-    preds = predict_test_series(predictor, full_series, test_start)
-    if not preds.entries:
+    import numpy as np
+
+    errors = prediction_errors(
+        predict_test_series(predictor, full_series, test_start),
+        full_series.closes()[test_start:],
+    )
+    n_test = int(np.isfinite(errors).sum())
+    if not n_test:
         raise PredictorError(f"{predictor.ticker}: empty test partition")
-    test_series = full_series.slice(test_start)
-    rmse = evaluate_rmse(preds, test_series, sorted(preds.entries))
     return FitReport(
         ticker=predictor.ticker,
-        rmse_test=rmse,
+        rmse_test=rmse(errors),
         n_train=test_start - predictor.config.window,
-        n_test=len(preds.entries),
+        n_test=n_test,
     )

@@ -1,4 +1,4 @@
-"""Buy/sell/hold signal generation from prediction streams.
+"""Buy/sell/hold signal generation from forecast columns.
 
 Three strategies are provided, all driven by the day's forecast:
 
@@ -6,7 +6,11 @@ Three strategies are provided, all driven by the day's forecast:
 * rate of change (ROC) of the day's forecast vs the close a fixed lookback ago,
 * Bollinger bands built from trailing actual closes, exited by the forecast.
 
-Signal timing: the signal for day t may use prediction entries up to day t
+Forecasts: each rule reads one ticker's forecast column, a float64 array
+over the test calendar whose entry t forecasts day t's close and is NaN on a
+day without a forecast; its length is the calendar's.
+
+Signal timing: the signal for day t may use forecast entries up to day t
 (entry t is computed from data through day t-1) and actual closes up to day
 t-1. :func:`shift_signals` then delays execution by one further day, so the
 executed decision never touches data from its own trading day.
@@ -24,11 +28,11 @@ All functions here are pure over immutable inputs.
 from __future__ import annotations
 
 import enum
+import math
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
 from .market_data import StockSeries, sliding_windows
-from .predictor import PredictionSeries
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
     import numpy as np
@@ -43,10 +47,10 @@ class Signal(enum.Enum):
 
 
 def _prediction_mean(values: list, end: int, length: int):
-    """Mean of values[end-length+1 .. end], or None if any is missing."""
+    """Mean of values[end-length+1 .. end], or None if any is missing (NaN)."""
     total = 0.0
     for v in values[end - length + 1 : end + 1]:
-        if v is None:
+        if v != v:
             return None
         total += v
     return total / length
@@ -63,23 +67,23 @@ def _short_above_long(values: list, t: int, config: StrategyConfig):
 
 
 def ma_crossover_signals(
-    predictions: PredictionSeries,
+    entries: np.ndarray,
     config: StrategyConfig,
-    n_days: int,
     days: range | None = None,
 ) -> list[Signal]:
-    """Buy when the short mean of predictions crosses above the long mean.
+    """Buy when the short mean of the forecasts crosses above the long mean.
 
     Edge-triggered: a signal fires only on the day the (short > long)
     comparison flips, with exact ties counting as "not above", so buys and
-    sells always alternate. Days where either mean is undefined are Hold.
-    With ``days``, the edge state is seeded from day ``days.start - 1``.
+    sells always alternate. Days where either mean is undefined (a missing
+    forecast in it) are Hold. With ``days``, the edge state is seeded from
+    day ``days.start - 1``.
     """
-    days = range(n_days) if days is None else days
+    days = range(len(entries)) if days is None else days
     # every entry a mean reads, from the long mean of day days.start - 1 on:
-    # values[i] is day first + i's (None if missing)
+    # values[i] is day first + i's (NaN if missing or before day 0)
     first = days.start - config.ma_long
-    values = [predictions.entries.get(d) for d in range(first, days.stop)]
+    values = [math.nan] * -first + entries[max(first, 0) : days.stop].tolist()
     signals = [Signal.HOLD] * len(days)
     prev_above = (
         _short_above_long(values, days.start - 1 - first, config)
@@ -96,29 +100,27 @@ def ma_crossover_signals(
 
 def roc_signals(
     prices: StockSeries,
-    predictions: PredictionSeries,
+    entries: np.ndarray,
     config: StrategyConfig,
-    n_days: int,
     days: range | None = None,
 ) -> list[Signal]:
     """Threshold the rate of change of the day's forecast.
 
     ROC_t = (v_t - close_{t-lookback}) / close_{t-lookback} * 100, where v_t
-    is the day's prediction. Strictly above the buy threshold is Buy,
+    is the day's forecast. Strictly above the buy threshold is Buy,
     strictly below the sell threshold is Sell, anything else (including
-    boundary values) is Hold, and so is a day without a forecast.
+    boundary values) is Hold, and so is a day without a forecast: its NaN
+    ROC compares false with both thresholds.
     """
-    days = range(n_days) if days is None else days
+    days = range(len(entries)) if days is None else days
     closes = prices.closes()
+    values = entries[days.start : days.stop].tolist()
     signals = [Signal.HOLD] * len(days)
     for i, t in enumerate(days):
         ref_day = t - config.roc_lookback
         if ref_day < 0 or ref_day >= len(closes):
             continue
-        value = predictions.entries.get(t)
-        if value is None:
-            continue
-        roc = (value - closes[ref_day]) / closes[ref_day] * 100.0
+        roc = (values[i] - closes[ref_day]) / closes[ref_day] * 100.0
         if roc > config.roc_buy_threshold:
             signals[i] = Signal.BUY
         elif roc < config.roc_sell_threshold:
@@ -154,9 +156,8 @@ def bollinger_band(closes: np.ndarray, config: StrategyConfig, days: range):
 
 def bollinger_signals(
     prices: StockSeries,
-    predictions: PredictionSeries,
+    entries: np.ndarray,
     config: StrategyConfig,
-    n_days: int,
     days: range | None = None,
 ) -> list[Signal]:
     """Buy/sell when the day's forecast exits the trailing close band.
@@ -164,15 +165,14 @@ def bollinger_signals(
     The band (:func:`bollinger_band`) is built from the bb_period closes
     ending the day before the decision day, so it contains only realized
     prices. Band edges are non-strict: a forecast exactly on an edge is Hold,
-    and so is a forecast on a day without a band (NaN edges).
+    and so is a forecast on a day without a band (NaN edges) and a day
+    without a forecast (a NaN entry).
     """
-    days = range(n_days) if days is None else days
+    days = range(len(entries)) if days is None else days
     lower, upper = (edge.tolist() for edge in bollinger_band(prices.closes(), config, days))
+    values = entries[days.start : days.stop].tolist()
     signals = [Signal.HOLD] * len(days)
-    for i, t in enumerate(days):
-        value = predictions.entries.get(t)
-        if value is None:
-            continue
+    for i, value in enumerate(values):
         if value > upper[i]:
             signals[i] = Signal.BUY
         elif value < lower[i]:
@@ -189,22 +189,22 @@ def shift_signals(signals: list[Signal]) -> list[Signal]:
 
 def generate_signals(
     prices: StockSeries,
-    predictions: PredictionSeries,
+    entries: np.ndarray,
     config: StrategyConfig,
-    n_days: int,
     days: range | None = None,
 ) -> list[Signal]:
-    """Dispatch to the configured strategy (unshifted signals).
+    """Dispatch to the configured strategy (unshifted signals), one per day
+    of the forecast column ``entries``.
 
-    ``days``, a step-1 range within the n-day calendar, restricts the output
-    to those days: the result equals ``generate_signals(...)[days.start :
+    ``days``, a step-1 range within the column, restricts the output to
+    those days: the result equals ``generate_signals(...)[days.start :
     days.stop]``, computed with the same per-day arithmetic.
     """
     if config.kind == "ma_crossover":
-        return ma_crossover_signals(predictions, config, n_days, days)
+        return ma_crossover_signals(entries, config, days)
     if config.kind == "rate_of_change":
-        return roc_signals(prices, predictions, config, n_days, days)
-    return bollinger_signals(prices, predictions, config, n_days, days)
+        return roc_signals(prices, entries, config, days)
+    return bollinger_signals(prices, entries, config, days)
 
 
 def reach(config: StrategyConfig, entry_day: int, n: int) -> range:
@@ -226,17 +226,6 @@ def reach(config: StrategyConfig, entry_day: int, n: int) -> range:
 
 # Relative margin of the decision screen; see :func:`stable_intervals`.
 SCREEN_MARGIN = 1e-9
-
-
-def _entry_array(predictions: PredictionSeries, n_days: int) -> np.ndarray:
-    """The forecast entries of days 0 .. n_days-1, NaN where there is none."""
-    import numpy as np
-
-    values = np.full(n_days, np.nan)
-    for day, value in predictions.entries.items():
-        if 0 <= day < n_days:
-            values[day] = value
-    return values
 
 
 def _breakpoints(
@@ -283,13 +272,12 @@ def _breakpoints(
 
 def stable_intervals(
     prices: StockSeries,
-    predictions: PredictionSeries,
+    entries: np.ndarray,
     config: StrategyConfig,
-    n_days: int,
 ) -> tuple[list[float], list[float]]:
     """Per day e, bounds (lo[e], hi[e]) such that forecast entry e set to
-    any value strictly between them leaves every signal generated from
-    ``predictions`` as it is.
+    any value strictly between them leaves every signal generated from the
+    forecast column ``entries`` as it is.
 
     Between two neighbouring breakpoints every reach day's decision is
     constant, so the interval is the gap around the clean entry. Breakpoints
@@ -303,7 +291,6 @@ def stable_intervals(
     """
     import numpy as np
 
-    entries = _entry_array(predictions, n_days)
     points = _breakpoints(prices, entries, config)
     clean = entries[:, None]
     below = np.where(points <= clean, points, -np.inf).max(axis=1, initial=-np.inf)

@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import CostModel, StrategyConfig
 from .errors import TradeEngineError, ZeroVolatilityWarning
 from .market_data import Dataset
-from .predictor import PredictionSeries
 from .strategy import Signal, generate_signals, shift_signals
+
+if TYPE_CHECKING:  # annotations only: numpy is imported where it computes
+    import numpy as np
 
 
 class TradeRecord(NamedTuple):
@@ -344,11 +346,11 @@ def resume_signals(
 
 def strategy_signals(
     test: Dataset,
-    predictions: dict[str, PredictionSeries],
+    predictions: dict[str, np.ndarray],
     strategy_config: StrategyConfig,
 ) -> dict[str, list[Signal]]:
     """Every ticker's unshifted signals over the test calendar, generated
-    from its forecasts, which must all fall inside the calendar."""
+    from its forecast column, which must be as long as the calendar."""
     n = test.n_days()
     if n == 0:
         raise TradeEngineError("empty test calendar")
@@ -356,23 +358,23 @@ def strategy_signals(
     for tk in test.tickers():
         if tk not in predictions:
             raise TradeEngineError(f"no predictions for {tk}")
-        bad = [d for d in predictions[tk].entries if not 0 <= d < n]
-        if bad:
+        if len(predictions[tk]) != n:
             raise TradeEngineError(
-                f"{tk}: prediction days {sorted(bad)[:5]} outside the "
-                f"{n}-day test calendar"
+                f"{tk}: {len(predictions[tk])} forecasts for a {n}-day test calendar"
             )
-        signals[tk] = generate_signals(test.series[tk], predictions[tk], strategy_config, n)
+        signals[tk] = generate_signals(test.series[tk], predictions[tk], strategy_config)
     return signals
 
 
 def run_simulation(
     test: Dataset,
-    predictions: dict[str, PredictionSeries],
+    predictions: dict[str, np.ndarray],
     strategy_config: StrategyConfig,
     cost_model: CostModel,
 ) -> SimulationResult:
-    """Generate signals per ticker, shift them by one day, and execute.
+    """Generate signals per ticker from its forecast column (one float64
+    entry per test day, NaN without a forecast), shift them by one day, and
+    execute.
 
     Deterministic: identical inputs yield bit-identical results.
     """

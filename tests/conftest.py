@@ -48,6 +48,15 @@ def series_from_closes(
     )
 
 
+def forecast_column(entries: dict[int, float], n: int) -> np.ndarray:
+    """The forecast column of an n-day calendar holding ``entries`` ({day:
+    value}), NaN on every other day."""
+    column = np.full(n, np.nan)
+    for day, value in entries.items():
+        column[day] = value
+    return column
+
+
 def read_schema_csv(path, expected_schema: str) -> list[dict]:
     """The rows of a result CSV, after checking its ``# schema:`` line."""
     with open(path, newline="", encoding="utf-8") as fh:

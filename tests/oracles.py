@@ -266,12 +266,17 @@ def attack_oracle(dataset, test_start, predictors, strategy_config, cost_model, 
     """One attack cell by full rerun: (baseline, attacked, outcome).
 
     Every clean forecast comes from ``predict_window`` over its own window of
-    bars, the attacked forecast from the window whose last bar carries the
-    perturbed close, and both runs simulate every ticker from day 0.
+    bars, kept as a {day: value} dict, the attacked forecast from the window
+    whose last bar carries the perturbed close, and both runs simulate every
+    ticker from day 0. Each RMSE reduces the errors of the forecast days in
+    order, a vector built here.
     """
+    import numpy as np
+
+    from conftest import forecast_column
     from epsim.attack import AttackOutcome, apply_ep
     from epsim.errors import AttackSetupError
-    from epsim.predictor import PredictionSeries, evaluate_rmse
+    from epsim.predictor import rmse
     from epsim.trade_engine import run_simulation
 
     test = dataset.slice(test_start)
@@ -286,15 +291,17 @@ def attack_oracle(dataset, test_start, predictors, strategy_config, cost_model, 
         predictor = predictors[tk]
         w = predictor.config.window
         bars = dataset.series[tk].bars
-        clean[tk] = PredictionSeries(
-            tk,
-            {
-                a - test_start: predictor.predict_window(bars[a - w : a])
-                for a in range(test_start, len(bars))
-                if a >= w
-            },
-        )
-    baseline = run_simulation(test, clean, strategy_config, cost_model)
+        clean[tk] = {
+            a - test_start: predictor.predict_window(bars[a - w : a])
+            for a in range(test_start, len(bars))
+            if a >= w
+        }
+
+    def simulate(entries):
+        columns = {tk: forecast_column(days, n) for tk, days in entries.items()}
+        return run_simulation(test, columns, strategy_config, cost_model)
+
+    baseline = simulate(clean)
 
     full = dataset.series[ep.ticker]
     a = test_start + ep.day
@@ -307,10 +314,10 @@ def attack_oracle(dataset, test_start, predictors, strategy_config, cost_model, 
             raise AttackSetupError(f"no window ends at index {a}")
         window = list(full.bars[a - w + 1 : a + 1])
         window[-1] = window[-1]._replace(close=perturbed)
-        attacked_predictions[ep.ticker] = clean[ep.ticker].with_entry(
-            ep.day + 1, predictor.predict_window(window)
-        )
-    attacked = run_simulation(test, attacked_predictions, strategy_config, cost_model)
+        attacked_predictions[ep.ticker] = {
+            **clean[ep.ticker], ep.day + 1: predictor.predict_window(window)
+        }
+    attacked = simulate(attacked_predictions)
 
     def trades_on(result, t):
         return [trade for trade in result.trade_ledger if trade.day == t]
@@ -332,14 +339,17 @@ def attack_oracle(dataset, test_start, predictors, strategy_config, cost_model, 
         cr_ratio = math.nan
     else:
         cr_ratio = cr_att / cr_base
-    days = sorted(clean[ep.ticker].entries)
-    series = test.series[ep.ticker]
+    closes = test.series[ep.ticker].closes()
+
+    def forecast_rmse(entries):
+        return rmse(np.array([entries[d] - closes[d] for d in sorted(entries)]))
+
     outcome = AttackOutcome(
         ep=ep,
         perturbed_value=perturbed,
         clean_value=float(full.closes()[a]),
-        rmse_clean=evaluate_rmse(clean[ep.ticker], series, days),
-        rmse_attacked=evaluate_rmse(attacked_predictions[ep.ticker], series, days),
+        rmse_clean=forecast_rmse(clean[ep.ticker]),
+        rmse_attacked=forecast_rmse(attacked_predictions[ep.ticker]),
         sharpe_baseline=baseline.sharpe_ratio,
         sharpe_attacked=attacked.sharpe_ratio,
         cr_baseline=cr_base,

@@ -20,7 +20,6 @@ from epsim.errors import ZeroVolatilityWarning
 from epsim.files import cmd_report
 from epsim.market_data import save_csv
 from epsim.pipeline import cmd_attack, cmd_backtest
-from epsim.predictor import PredictionSeries
 from epsim.strategy import (
     Signal,
     bollinger_signals,
@@ -30,7 +29,13 @@ from epsim.strategy import (
 )
 from epsim.trade_engine import cumulative_returns, run_signals, sharpe_ratio
 
-from conftest import make_world, random_series, read_schema_csv, series_from_closes
+from conftest import (
+    forecast_column,
+    make_world,
+    random_series,
+    read_schema_csv,
+    series_from_closes,
+)
 from oracles import (
     FixedClose,
     bollinger_oracle,
@@ -105,10 +110,9 @@ def test_single_prediction_locality():
             entry_day, entry, _, _ = epsim.attack.perturbed_prediction_entry(
                 predictors["AAA"], full, test_start, ep
             )
-            attacked_stream = clean.with_entry(entry_day, entry)
-            diffs = [
-                d for d in clean.entries if attacked_stream.entries[d] != clean.entries[d]
-            ]
+            attacked_stream = clean.copy()
+            attacked_stream[entry_day] = entry
+            diffs = np.flatnonzero(attacked_stream != clean).tolist()
             assert diffs == [day + 1]
 
             _, outcome = contexts[checked % len(worlds)].outcome(ep)
@@ -251,15 +255,15 @@ def test_strategy_oracles():
             entries = {
                 i: float(closes[i] * rng.uniform(0.93, 1.07)) for i in range(n)
             }
-            preds = PredictionSeries("T", entries)
+            preds = forecast_column(entries, n)
 
-            got = ma_crossover_signals(preds, cfg, n)
+            got = ma_crossover_signals(preds, cfg)
             assert [s.value for s in got] == ma_crossover_oracle(entries, 5, 20, n)
 
-            got = roc_signals(series, preds, cfg, n)
+            got = roc_signals(series, preds, cfg)
             assert [s.value for s in got] == roc_oracle(closes, entries, 14, 1.0, -1.0, n)
 
-            got = bollinger_signals(series, preds, cfg, n)
+            got = bollinger_signals(series, preds, cfg)
             assert [s.value for s in got] == bollinger_oracle(closes, entries, 20, 2.0, n)
 
         for kind in ("ma_crossover", "rate_of_change", "bollinger_bands"):
@@ -267,18 +271,12 @@ def test_strategy_oracles():
             n, cut = 80, 45
             series = random_series(rng, "T", n, vol=2.0)
             closes = [b.close for b in series.bars]
-            entries = {i: closes[i] * 1.02 for i in range(n)}
-            base = generate_signals(series, PredictionSeries("T", entries), k_cfg, n)
+            entries = np.array(closes) * 1.02
+            base = generate_signals(series, entries, k_cfg)
             mut_closes = closes[:cut] + [c * 4.0 for c in closes[cut:]]
-            mut_entries = {
-                i: (entries[i] if i < cut else entries[i] * 0.2) for i in range(n)
-            }
-            mutated = generate_signals(
-                series_from_closes("T", mut_closes),
-                PredictionSeries("T", mut_entries),
-                k_cfg,
-                n,
-            )
+            mut_entries = entries.copy()
+            mut_entries[cut:] *= 0.2
+            mutated = generate_signals(series_from_closes("T", mut_closes), mut_entries, k_cfg)
             assert base[:cut] == mutated[:cut]
 
 

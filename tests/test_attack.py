@@ -141,13 +141,9 @@ class TestSinglePredictionLocality:
             )
             assert entry_day == day + 1
             assert perturbed != clean_close  # random walk: sigma > 0
-            attacked = clean.with_entry(entry_day, entry)
-            diffs = [
-                d
-                for d in clean.entries
-                if attacked.entries[d] != clean.entries[d]
-            ]
-            assert diffs == [day + 1]
+            attacked = clean.copy()
+            attacked[entry_day] = entry
+            assert np.flatnonzero(attacked != clean).tolist() == [day + 1]
 
     def test_last_day_has_no_downstream_prediction(self, rng):
         dataset, test_start, predictors = make_world(rng)
@@ -168,7 +164,7 @@ class TestSinglePredictionLocality:
         # Re-derive the untouched ticker's stream and confirm the attack left
         # the clean pipeline's values for it bit-identical.
         again = predict_test_series(predictors["BBB"], dataset.series["BBB"], test_start)
-        assert context.predictions["BBB"].entries == again.entries
+        assert context.predictions["BBB"].tobytes() == again.tobytes()
 
 
 class TestAttackedSimulation:

@@ -210,7 +210,8 @@ class TestCachedForecasts:
         n_test = dataset.n_days() - test_start
         for tk, predictor in predictors.items():
             bars = dataset.series[tk].bars
-            for t, value in context.predictions[tk].entries.items():
+            for t in forecast_days(context.predictions[tk]):
+                value = context.predictions[tk][t]
                 a = test_start + t
                 window = bars[a - 10 : a]
                 assert value == predictor.predict_window(window)
@@ -380,22 +381,24 @@ class TestResume:
         assert not with_zero.matches(5.0, {"B": 2}, 9.0)
 
 
+def forecast_days(column):
+    """The days of a forecast column that have a forecast."""
+    return np.flatnonzero(~np.isnan(column)).tolist()
+
+
 def regenerated(context, ticker, entry_day, entry):
     """The ticker's unshifted signals regenerated over the whole calendar
     with one forecast entry changed: the plain path the screen replaces."""
-    return generate_signals(
-        context.test.series[ticker],
-        context.predictions[ticker].with_entry(entry_day, entry),
-        context.strategy_config,
-        context.test.n_days(),
-    )
+    entries = context.predictions[ticker].copy()
+    entries[entry_day] = entry
+    return generate_signals(context.test.series[ticker], entries, context.strategy_config)
 
 
 def probe_entries(context, ticker, entry_day, bounds):
     """Values for one forecast entry: the clean one, relative steps away from
     it, and values a few ulps and about a margin either side of each finite
     edge of the day's screen interval."""
-    clean = context.predictions[ticker].entries[entry_day]
+    clean = float(context.predictions[ticker][entry_day])
     values = [clean]
     for step in (1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 5e-2, 0.2):
         values += [clean * (1 + step), clean * (1 - step)]
@@ -428,12 +431,11 @@ class TestDecisionScreen:
         config = SCREENED_STRATEGIES[name]
         world = make_world(rng, tickers=("AAA", "BBB"), n=160, vol=3.0)
         context = AttackContext(*world, config, CostModel())
-        n = context.test.n_days()
         counts = {"screened": 0, "exact": 0, "exact_changed": 0}
         for tk in ("AAA", "BBB"):
-            lo, hi = stable_intervals(context.test.series[tk], context.predictions[tk], config, n)
+            lo, hi = stable_intervals(context.test.series[tk], context.predictions[tk], config)
             raw = context.raw_signals[tk]
-            for day in sorted(context.predictions[tk].entries):
+            for day in forecast_days(context.predictions[tk]):
                 for x in probe_entries(context, tk, day, (lo[day], hi[day])):
                     same = regenerated(context, tk, day, x) == raw
                     if context.keeps_signals(tk, day, x):
@@ -450,10 +452,9 @@ class TestDecisionScreen:
     def test_screened_entries_keep_every_signal(self, data):
         world, config, costs = data.draw(worlds())
         context = AttackContext(*world, config, costs)
-        n = context.test.n_days()
         for tk in sorted(context.predictions):
-            lo, hi = stable_intervals(context.test.series[tk], context.predictions[tk], config, n)
-            days = sorted(context.predictions[tk].entries)
+            lo, hi = stable_intervals(context.test.series[tk], context.predictions[tk], config)
+            days = forecast_days(context.predictions[tk])
             for day in data.draw(st.lists(st.sampled_from(days), min_size=1, max_size=4)):
                 for x in probe_entries(context, tk, day, (lo[day], hi[day])):
                     if context.keeps_signals(tk, day, x):
@@ -468,15 +469,12 @@ class TestDecisionScreen:
         config = SCREENED_STRATEGIES["ma_crossover"]
         world = make_world(rng, tickers=("AAA", "BBB"), n=160, vol=2.0)
         context = AttackContext(*world, config, CostModel())
-        n = context.test.n_days()
         witnesses = []
         for tk in ("AAA", "BBB"):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(strategy, "SCREEN_MARGIN", 0.0)
-                lo, hi = stable_intervals(
-                    context.test.series[tk], context.predictions[tk], config, n
-                )
-            for day in sorted(context.predictions[tk].entries):
+                lo, hi = stable_intervals(context.test.series[tk], context.predictions[tk], config)
+            for day in forecast_days(context.predictions[tk]):
                 for edge, inward in ((lo[day], math.inf), (hi[day], -math.inf)):
                     x = edge
                     for _ in range(16 if math.isfinite(edge) else 0):

@@ -20,6 +20,26 @@ REJECTED = [
     *["error [config]: desk_repeated_key.json: key 'kind' given twice\n"] * 2,
     *["error [config]: initial_capital must be > 0\n"] * 2,
     *["error [predictor]: forecasts_repeated/AAA.csv: header names 'Prediction' twice\n"] * 2,
+    *["error [predictor]: AAA: need at least window+1 = 321 train days, got 320\n"] * 2,
+    *[
+        "error [predictor]: forecasts_bad/date_outside/AAA.csv: date 2131-12-31 outside "
+        "the calendar\n"
+    ] * 2,
+    *[
+        "error [predictor]: forecasts_bad/date_in_train/AAA.csv: date 2015-01-12 outside "
+        "the calendar\n"
+    ] * 2,
+    *[
+        "error [predictor]: forecasts_bad/non_finite/AAA.csv: line 81: non-finite "
+        "prediction 'nan'\n"
+    ] * 2,
+    *["error [predictor]: forecasts_bad/duplicate_date/AAA.csv: duplicate date 2016-03-28\n"] * 2,
+    *["error [config]: attack.days: 2131-12-31 not in the test calendar\n"] * 2,
+    *["error [config]: attack.days: 2015-01-12 not in the test calendar\n"] * 2,
+    *[
+        "error [config]: attack.omegas: omega=401 needs 401 closes ending on an attacked "
+        "day; the last, test day 79, has 400\n"
+    ] * 2,
 ]
 
 

@@ -578,18 +578,18 @@ class TestWindow:
     def test_degenerate_single_bar(self):
         # days 1 and 3 close at 2: with w = 1 the forecasts they feed agree
         predictor, s, preds = self.fitted([1, 2, 3, 2, 1], 1)
-        assert preds.entries[2] == preds.entries[4] != preds.entries[3]
-        assert preds.entries[3] == predictor.predict_window(s.bars[2:3])
+        assert preds[2] == preds[4] != preds[3]
+        assert preds[3] == predictor.predict_window(s.bars[2:3])
 
     def test_slice_contents(self):
         predictor, s, preds = self.fitted([1, 2, 3, 4, 5, 9], 3)
         assert [b.close for b in s.bars[2:5]] == [3, 4, 5]
-        assert preds.entries[5] == predictor.predict_window(s.bars[2:5])
+        assert preds[5] == predictor.predict_window(s.bars[2:5])
 
     def test_first_full_fifty_day_window(self):
         predictor, s, preds = self.fitted(range(1, 61), 50)
-        assert min(preds.entries) == 50
-        assert preds.entries[50] == predictor.predict_window(s.bars[:50])
+        assert np.isnan(preds[:50]).all()
+        assert preds[50] == predictor.predict_window(s.bars[:50])
 
     def test_insufficient_history(self):
         predictor, s, _ = self.fitted([1, 2, 3, 4, 5], 3)
@@ -605,12 +605,12 @@ class TestWindow:
         closes = [1.0 + i for i in range(n)]
         predictor, s, preds = self.fitted(closes, w)
         mutated = series_from_closes("A", closes[: t + 1] + [999.0] * (n - t - 1))
-        after = predict_test_series(predictor, mutated, 0).entries
-        assert sorted(preds.entries) == list(range(w, n))
-        assert all(after[d] == v for d, v in preds.entries.items() if d <= t + 1)
+        after = predict_test_series(predictor, mutated, 0)
+        assert np.isnan(preds[:w]).all() and np.isfinite(preds[w:]).all()
+        assert after[: t + 2].tobytes() == preds[: t + 2].tobytes()
         if w <= t + 1 < n:
             window = s.bars[t - w + 1 : t + 1]
-            assert preds.entries[t + 1] == predictor.predict_window(window)
+            assert preds[t + 1] == predictor.predict_window(window)
 
 
 class TestInvariants:

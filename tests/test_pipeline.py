@@ -277,6 +277,33 @@ class TestCommands:
         result = cmd_backtest(cfg, tmp_path / "out")
         assert len(result.daily_returns) == 20
 
+    def test_imported_forecasts_are_nan_exactly_where_the_file_has_no_row(self, tmp_path, rng):
+        from epsim.pipeline import build_predictions, load_dataset
+
+        path = write_universe(tmp_path, rng, n=100, tickers=("AAA", "BBB"))
+        test_days = trading_dates(100)[80:]
+        omitted = {"AAA": {0, 1, 2, 9, 17}, "BBB": set(range(1, 20))}
+        raw = json.loads(path.read_text())
+        raw["predictor"] = {"kind": "import", "files": {}}
+        for tk, gaps in omitted.items():
+            # rows newest first: a column is placed by date, not by row
+            rows = [f"{d.isoformat()},{100 + 0.25 * i!r}" for i, d in enumerate(test_days)]
+            (tmp_path / f"{tk}.csv").write_text(
+                "Date,Prediction\n"
+                + "\n".join(row for i, row in reversed(list(enumerate(rows))) if i not in gaps)
+            )
+            raw["predictor"]["files"][tk] = f"{tk}.csv"
+        path.write_text(json.dumps(raw))
+        cfg = RunConfig.from_file(path)
+        columns = build_predictions(cfg, load_dataset(cfg))
+        assert sorted(columns) == ["AAA", "BBB"]
+        for tk, gaps in omitted.items():
+            column = columns[tk]
+            assert column.dtype == np.float64 and len(column) == 20
+            assert set(np.flatnonzero(np.isnan(column)).tolist()) == gaps
+            for day in set(range(20)) - gaps:
+                assert column[day] == 100 + 0.25 * day
+
     def test_attack_sweep_files(self, tmp_path, rng):
         path = write_universe(
             tmp_path,

@@ -10,13 +10,7 @@ from epsim.config import PredictorConfig
 from epsim.errors import ConfigurationError, PredictorError
 from epsim.files import read_forecasts
 from epsim.market_data import FEATURE_NAMES, SplitSpec, align_calendar, split
-from epsim.predictor import (
-    PredictionSeries,
-    evaluate_rmse,
-    fit_baseline,
-    fit_report,
-    predict_test_series,
-)
+from epsim.predictor import evaluate_rmse, fit_baseline, fit_report, predict_test_series
 
 from conftest import (
     dataset_from_closes,
@@ -37,9 +31,8 @@ class TestFitBaseline:
         for w in (1, 3, 10):
             predictor, series = fit_single([42.5] * 30, window=w, features=("close",))
             preds = predict_test_series(predictor, series, 0)
-            assert sorted(preds.entries) == list(range(w, len(series)))
-            for value in preds.entries.values():
-                assert value == pytest.approx(42.5, abs=1e-9)
+            assert np.isnan(preds[:w]).all() and len(preds) == len(series)
+            assert preds[w:] == pytest.approx(42.5, abs=1e-9)
 
     def test_linear_trend_extrapolates_exactly(self):
         # closes 2, 4, 6, ...; lambda=0 gives the unique 2-coefficient
@@ -62,10 +55,10 @@ class TestFitBaseline:
         assert beta2 == pytest.approx(2.0, abs=1e-9)
 
         preds = predict_test_series(predictor, series, 0)
-        assert sorted(preds.entries) == list(range(2, len(series)))
+        assert np.isnan(preds[:2]).all() and np.isfinite(preds[2:]).all()
         for t in range(1, len(series) - 1):
             oracle = beta1 * closes[t - 1] + beta2 * closes[t]
-            got = preds.entries[t + 1]
+            got = preds[t + 1]
             assert got == pytest.approx(oracle, abs=1e-6)
             assert got == pytest.approx(closes[t] + 2.0, abs=1e-6)
 
@@ -80,12 +73,12 @@ class TestFitBaseline:
         full = ds.series["T"]
         test_start = train.n_days()
         preds = predict_test_series(predictor, full, test_start)
-        rmse_fit = evaluate_rmse(preds, ds.slice(test_start).series["T"], sorted(preds.entries))
-
         closes = full.closes()
+        rmse_fit = evaluate_rmse(preds, closes[test_start:])
+
         naive_sq = [
             (closes[test_start + t - 1] - closes[test_start + t]) ** 2
-            for t in preds.entries
+            for t in range(len(preds))
         ]
         rmse_naive = math.sqrt(sum(naive_sq) / len(naive_sq))
 
@@ -153,14 +146,14 @@ class TestPredictNext:
         # Repeated calls are bit-stable too.
         assert predictor.predict_window(first) == predictor.predict_window(first)
         preds = predict_test_series(predictor, series, 0)
-        assert preds.entries[3] == preds.entries[7]
+        assert preds[3] == preds[7]
 
     def test_window_locality_future_bars_irrelevant(self, rng):
         closes = [float(c) for c in random_series(rng, "T", 80).closes()]
         predictor, series = fit_single(closes, window=10)
-        before = predict_test_series(predictor, series, 0).entries
+        before = predict_test_series(predictor, series, 0)
         mutated = series_from_closes("T", closes[:41] + [999.0] * 39)
-        after = predict_test_series(predictor, mutated, 0).entries
+        after = predict_test_series(predictor, mutated, 0)
         # the forecast for day 41 is the last whose window ends before day 41
         assert [before[d] for d in range(10, 42)] == [after[d] for d in range(10, 42)]
         assert before[42] != after[42]
@@ -170,8 +163,8 @@ class TestPredictNext:
         predictor, series = fit_single(closes, window=10)
         # Window must end at t-1 >= w-1, so the first entry is day w - start.
         preds = predict_test_series(predictor, series, test_start=3)
-        assert min(preds.entries) == 10 - 3
-        assert max(preds.entries) == len(series) - 1 - 3
+        assert len(preds) == len(series) - 3
+        assert np.flatnonzero(~np.isnan(preds)).tolist() == list(range(10 - 3, len(preds)))
 
 
 class TestDeterminismAndScaling:
@@ -289,25 +282,35 @@ class TestImportPredictions:
 
 
 class TestEvaluateRmse:
+    CLOSES = np.array([10.0, 11.0, 12.0])
+
     def test_identical_predictions_zero(self):
-        series = series_from_closes("T", [10.0, 11.0, 12.0])
-        preds = PredictionSeries("T", {0: 10.0, 1: 11.0, 2: 12.0})
-        assert evaluate_rmse(preds, series, range(3)) == 0.0
+        assert evaluate_rmse(np.array([10.0, 11.0, 12.0]), self.CLOSES) == 0.0
 
     def test_constant_offset_one(self):
-        series = series_from_closes("T", [10.0, 11.0, 12.0])
-        preds = PredictionSeries("T", {0: 11.0, 1: 12.0, 2: 13.0})
-        assert evaluate_rmse(preds, series, range(3)) == pytest.approx(1.0, abs=1e-12)
+        preds = np.array([11.0, 12.0, 13.0])
+        assert evaluate_rmse(preds, self.CLOSES) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_range_rejected(self):
-        series = series_from_closes("T", [10.0])
-        with pytest.raises(PredictorError, match="empty evaluation range"):
-            evaluate_rmse(PredictionSeries("T", {0: 10.0}), series, [])
+        for preds, closes in ((np.array([]), np.array([])), (np.full(3, np.nan), self.CLOSES)):
+            with pytest.raises(PredictorError, match="^no forecast to evaluate$"):
+                evaluate_rmse(preds, closes)
 
     def test_uncovered_day_rejected(self):
-        series = series_from_closes("T", [10.0, 11.0])
-        with pytest.raises(PredictorError, match="no prediction for day 1"):
-            evaluate_rmse(PredictionSeries("T", {0: 10.0}), series, range(2))
+        # a forecast column covers the closes' days one for one
+        with pytest.raises(PredictorError, match="^2 forecasts for 3 closes$"):
+            evaluate_rmse(np.array([10.0, 11.0]), self.CLOSES)
+
+    def test_day_without_forecast_is_left_out(self):
+        preds = np.array([13.0, np.nan, 12.0])
+        assert evaluate_rmse(preds, self.CLOSES) == math.sqrt((9.0 + 0.0) / 2)
+
+    def test_fit_report_without_test_days_rejected(self, rng):
+        predictor, series = fit_single(random_series(rng, "T", 40).closes(), window=5)
+        for test_start in (len(series), len(series) + 3):
+            assert len(predict_test_series(predictor, series, test_start)) == 0
+            with pytest.raises(PredictorError, match="^T: empty test partition$"):
+                fit_report(predictor, series, test_start)
 
     def test_fit_report_shape(self, rng):
         series = random_series(rng, "T", 120)

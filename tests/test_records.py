@@ -25,7 +25,7 @@ from epsim.config import (
 )
 from epsim.files import Plan
 from epsim.market_data import Dataset, SplitSpec, StockSeries
-from epsim.predictor import AffineScaler, FitReport, PredictionSeries
+from epsim.predictor import AffineScaler, FitReport
 from epsim.strategy import Signal
 from epsim.trade_engine import DayStart, SignalRun, SimulationResult, TradeRecord
 
@@ -54,7 +54,6 @@ RECORDS = [
     DATASET,
     SplitSpec(train_fraction=0.5, window=1),
     AffineScaler(1.0, 2.0),
-    PredictionSeries("AAA", {1: 10.5}),
     FitReport("AAA", 0.25, 10, 5),
     TRADE,
     RESULT,
@@ -83,7 +82,7 @@ def record(request):
 
 def test_every_record_type_is_listed():
     # one example per record type of every module that defines one
-    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 23
+    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 22
 
 
 def test_fields_cannot_be_assigned_or_deleted(record):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from epsim.config import STRATEGY_KINDS, StrategyConfig
 from epsim.errors import ConfigurationError
-from epsim.predictor import PredictionSeries
 from epsim.strategy import (
     Signal,
     bollinger_band,
@@ -17,14 +16,22 @@ from epsim.strategy import (
     shift_signals,
 )
 
-from conftest import random_series, series_from_closes
+from conftest import forecast_column, random_series, series_from_closes
 from oracles import bollinger_band_per_day, bollinger_oracle, ma_crossover_oracle, roc_oracle
 
 DEFAULTS = StrategyConfig()
 
 
 def preds(values, start=0):
-    return PredictionSeries("T", {start + i: float(v) for i, v in enumerate(values)})
+    """The forecast column of ``values`` from day ``start`` on, NaN before."""
+    return forecast_column({start + i: float(v) for i, v in enumerate(values)}, start + len(values))
+
+
+def gapped(values, missing):
+    """``values`` without the days in ``missing``: as a forecast column (NaN
+    there) and as the oracles' {day: value} dict (absent there)."""
+    entries = {t: float(v) for t, v in enumerate(values) if t not in missing}
+    return forecast_column(entries, len(values)), entries
 
 
 def as_strings(signals):
@@ -33,15 +40,15 @@ def as_strings(signals):
 
 class TestMaCrossover:
     def test_constant_stream_all_hold(self):
-        signals = ma_crossover_signals(preds([10.0] * 40), DEFAULTS, 40)
+        signals = ma_crossover_signals(preds([10.0] * 40), DEFAULTS)
         assert all(s is Signal.HOLD for s in signals)
 
     def test_step_fires_exactly_one_buy(self):
         # 20 flat days at 10, then 20 at 20: the 5-day mean first exceeds the
         # 20-day mean on day 20 (oracle-confirmed below).
         stream = [10.0] * 20 + [20.0] * 20
-        signals = ma_crossover_signals(preds(stream), DEFAULTS, len(stream))
-        oracle = ma_crossover_oracle(preds(stream).entries, 5, 20, 40)
+        signals = ma_crossover_signals(preds(stream), DEFAULTS)
+        oracle = ma_crossover_oracle(dict(enumerate(stream)), 5, 20, 40)
         assert as_strings(signals) == oracle
         assert signals.count(Signal.BUY) == 1
         assert signals[20] is Signal.BUY
@@ -51,7 +58,7 @@ class TestMaCrossover:
         assert signals[39] is Signal.SELL
 
     def test_warmup_days_hold(self):
-        signals = ma_crossover_signals(preds(list(range(40))), DEFAULTS, 40)
+        signals = ma_crossover_signals(preds(list(range(40))), DEFAULTS)
         assert all(s is Signal.HOLD for s in signals[:20])
 
     def test_exact_tie_counts_as_not_above(self):
@@ -60,7 +67,7 @@ class TestMaCrossover:
         cfg = StrategyConfig(ma_short=1, ma_long=2)
         stream = [10.0, 10.0, 12.0, 10.0, 10.0]
         # short=[10,10,12,10,10], long=[-,10,11,11,10]; above=[F,T,F,F]
-        signals = ma_crossover_signals(preds(stream), cfg, len(stream))
+        signals = ma_crossover_signals(preds(stream), cfg)
         assert as_strings(signals) == ["hold", "hold", "buy", "sell", "hold"]
 
     @given(
@@ -72,7 +79,7 @@ class TestMaCrossover:
     )
     @settings(max_examples=100, deadline=None)
     def test_buys_and_sells_alternate(self, values):
-        signals = ma_crossover_signals(preds(values), DEFAULTS, len(values))
+        signals = ma_crossover_signals(preds(values), DEFAULTS)
         fired = [s for s in signals if s is not Signal.HOLD]
         for a, b in zip(fired, fired[1:]):
             assert a != b
@@ -83,33 +90,34 @@ class TestMaCrossover:
             min_size=25,
             max_size=90,
         ),
-        st.integers(min_value=0, max_value=200),
+        st.sets(st.integers(min_value=0, max_value=89), max_size=6),
     )
     @settings(max_examples=60, deadline=None)
-    def test_oracle_agreement_random_streams(self, values, seed):
-        entries = preds(values).entries
-        signals = ma_crossover_signals(preds(values), DEFAULTS, len(values))
+    def test_oracle_agreement_random_streams(self, values, missing):
+        # days without a forecast: NaN in the column, absent from the oracle's dict
+        column, entries = gapped(values, missing)
+        signals = ma_crossover_signals(column, DEFAULTS)
         assert as_strings(signals) == ma_crossover_oracle(entries, 5, 20, len(values))
 
 
 class TestRoc:
     def test_constant_series_holds(self):
         series = series_from_closes("T", [100.0] * 30)
-        signals = roc_signals(series, preds([100.0] * 30), DEFAULTS, 30)
+        signals = roc_signals(series, preds([100.0] * 30), DEFAULTS)
         assert all(s is Signal.HOLD for s in signals)
 
     def test_threshold_crossings(self):
         # Day 14 decision value vs the day-0 close of 100:
         # 101.5 -> ROC +1.5 -> buy; 98.9 -> ROC -1.1 -> sell.
         series = series_from_closes("T", [100.0] * 15)
-        up = roc_signals(series, preds([100.0] * 14 + [101.5]), DEFAULTS, 15)
+        up = roc_signals(series, preds([100.0] * 14 + [101.5]), DEFAULTS)
         assert up[14] is Signal.BUY
-        down = roc_signals(series, preds([100.0] * 14 + [98.9]), DEFAULTS, 15)
+        down = roc_signals(series, preds([100.0] * 14 + [98.9]), DEFAULTS)
         assert down[14] is Signal.SELL
 
     def test_boundary_is_hold(self):
         series = series_from_closes("T", [100.0] * 15)
-        flat = roc_signals(series, preds([100.0] * 14 + [101.0]), DEFAULTS, 15)
+        flat = roc_signals(series, preds([100.0] * 14 + [101.0]), DEFAULTS)
         assert flat[14] is Signal.HOLD
 
     @given(scale=st.floats(min_value=0.01, max_value=100.0))
@@ -119,12 +127,11 @@ class TestRoc:
         closes = [float(c) for c in 100.0 + np.cumsum(gen.normal(0, 2, 40))]
         closes = [max(c, 1.0) for c in closes]
         values = [c * (1 + 0.001 * i) for i, c in enumerate(closes)]
-        base = roc_signals(series_from_closes("T", closes), preds(values), DEFAULTS, 40)
+        base = roc_signals(series_from_closes("T", closes), preds(values), DEFAULTS)
         scaled = roc_signals(
             series_from_closes("T", [c * scale for c in closes]),
             preds([v * scale for v in values]),
             DEFAULTS,
-            40,
         )
         assert base == scaled
 
@@ -133,26 +140,27 @@ class TestRoc:
             series = random_series(rng, "T", 60, vol=3.0)
             closes = series.closes()
             values = [float(v) for v in closes * rng.uniform(0.95, 1.05, 60)]
-            signals = roc_signals(series, preds(values), DEFAULTS, 60)
-            oracle = roc_oracle(closes, preds(values).entries, 14, 1.0, -1.0, 60)
+            column, entries = gapped(values, set(rng.integers(0, 60, rng.integers(0, 6))))
+            signals = roc_signals(series, column, DEFAULTS)
+            oracle = roc_oracle(closes, entries, 14, 1.0, -1.0, 60)
             assert as_strings(signals) == oracle
 
 
 class TestBollinger:
     def test_degenerate_band_holds(self):
         series = series_from_closes("T", [50.0] * 30)
-        signals = bollinger_signals(series, preds([50.0] * 30), DEFAULTS, 30)
+        signals = bollinger_signals(series, preds([50.0] * 30), DEFAULTS)
         assert all(s is Signal.HOLD for s in signals)
 
     def test_alternating_band_exits(self):
         # 20 closes alternating 9/11: mean 10, sample std sqrt(20/19).
         closes = [9.0, 11.0] * 10
         series = series_from_closes("T", closes)
-        high = bollinger_signals(series, preds([20.0], start=20), DEFAULTS, n_days=21)
+        high = bollinger_signals(series, preds([20.0], start=20), DEFAULTS)
         assert high[20] is Signal.BUY
-        low = bollinger_signals(series, preds([1.0], start=20), DEFAULTS, n_days=21)
+        low = bollinger_signals(series, preds([1.0], start=20), DEFAULTS)
         assert low[20] is Signal.SELL
-        inside = bollinger_signals(series, preds([10.5], start=20), DEFAULTS, n_days=21)
+        inside = bollinger_signals(series, preds([10.5], start=20), DEFAULTS)
         assert inside[20] is Signal.HOLD
 
     def test_monotone_in_prediction(self, rng):
@@ -160,9 +168,7 @@ class TestBollinger:
         order = {Signal.SELL: 0, Signal.HOLD: 1, Signal.BUY: 2}
         prev_rank = 0
         for value in np.linspace(1.0, 400.0, 60):
-            signals = bollinger_signals(
-                series, preds([float(value)], start=25), DEFAULTS, n_days=26
-            )
+            signals = bollinger_signals(series, preds([float(value)], start=25), DEFAULTS)
             rank = order[signals[25]]
             assert rank >= prev_rank
             prev_rank = rank
@@ -172,8 +178,9 @@ class TestBollinger:
             series = random_series(rng, "T", 50, vol=2.0)
             closes = series.closes()
             values = [float(v) for v in closes * rng.uniform(0.9, 1.1, 50)]
-            signals = bollinger_signals(series, preds(values), DEFAULTS, 50)
-            oracle = bollinger_oracle(closes, preds(values).entries, 20, 2.0, 50)
+            column, entries = gapped(values, set(rng.integers(0, 50, rng.integers(0, 6))))
+            signals = bollinger_signals(series, column, DEFAULTS)
+            oracle = bollinger_oracle(closes, entries, 20, 2.0, 50)
             assert as_strings(signals) == oracle
 
     @settings(max_examples=80, deadline=None)
@@ -238,19 +245,15 @@ class TestLookahead:
         n, cut = 60, 35
         series = random_series(rng, "T", n, vol=2.0)
         closes = [b.close for b in series.bars]
-        values = {i: closes[i] * 1.01 for i in range(n)}
+        values = np.array(closes) * 1.01
 
-        base = generate_signals(series, PredictionSeries("T", values), cfg, n)
+        base = generate_signals(series, values, cfg)
 
         mutated_closes = closes[:cut] + [c * 3.0 for c in closes[cut:]]
-        mutated_values = dict(values)
-        for i in range(cut, n):
-            mutated_values[i] = values[i] * 5.0
+        mutated_values = values.copy()
+        mutated_values[cut:] *= 5.0
         mutated = generate_signals(
-            series_from_closes("T", mutated_closes),
-            PredictionSeries("T", mutated_values),
-            cfg,
-            n,
+            series_from_closes("T", mutated_closes), mutated_values, cfg
         )
         assert base[:cut] == mutated[:cut]
 
@@ -275,8 +278,9 @@ class TestConfigValidation:
 
 @st.composite
 def signal_worlds(draw):
-    """(series, forecasts, config, n): a random close path, forecasts near it
-    with a few days missing, and a random configuration of any strategy."""
+    """(series, forecasts, config, n): a random close path, a forecast column
+    near it with a few days missing (NaN), and a random configuration of any
+    strategy."""
     n = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     series = random_series(rng, "T", n, vol=draw(st.sampled_from([0.5, 2.0])))
@@ -297,7 +301,7 @@ def signal_worlds(draw):
         bb_period=draw(st.integers(2, 8)),
         bb_width=draw(st.sampled_from([0.5, 1.0, 2.0])),
     )
-    return series, PredictionSeries("T", entries), config, n
+    return series, forecast_column(entries, n), config, n
 
 
 class TestReach:
@@ -307,21 +311,23 @@ class TestReach:
         series, predictions, config, n = data.draw(signal_worlds())
         start = data.draw(st.integers(0, n))
         stop = data.draw(st.integers(start, n))
-        full = generate_signals(series, predictions, config, n)
-        part = generate_signals(series, predictions, config, n, days=range(start, stop))
+        full = generate_signals(series, predictions, config)
+        part = generate_signals(series, predictions, config, days=range(start, stop))
         assert part == full[start:stop]
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_one_changed_entry_moves_signals_only_inside_reach(self, data):
         series, predictions, config, n = data.draw(signal_worlds())
-        if not predictions.entries:
+        forecast_days = np.flatnonzero(~np.isnan(predictions)).tolist()
+        if not forecast_days:
             return
-        day = data.draw(st.sampled_from(sorted(predictions.entries)))
+        day = data.draw(st.sampled_from(forecast_days))
         factor = data.draw(st.sampled_from([0.5, 0.97, 0.999, 1.001, 1.03, 2.0]))
-        changed = predictions.with_entry(day, predictions.entries[day] * factor)
-        before = generate_signals(series, predictions, config, n)
-        after = generate_signals(series, changed, config, n)
+        changed = predictions.copy()
+        changed[day] *= factor
+        before = generate_signals(series, predictions, config)
+        after = generate_signals(series, changed, config)
         moved = {t for t in range(n) if before[t] != after[t]}
         assert moved <= set(reach(config, day, n))
 

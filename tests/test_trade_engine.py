@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from epsim.config import CostModel, StrategyConfig
 from epsim.errors import ConfigurationError, TradeEngineError, ZeroVolatilityWarning
-from epsim.predictor import PredictionSeries
 from epsim.strategy import Signal
 from epsim.trade_engine import (
     PortfolioState,
@@ -222,7 +221,7 @@ class TestRunSimulation:
     def test_all_hold_portfolio(self):
         closes = {"A": [100.0] * 30}
         test = dataset_from_closes(closes)
-        preds = {"A": PredictionSeries("A", {i: 100.0 for i in range(30)})}
+        preds = {"A": np.full(30, 100.0)}
         with pytest.warns(ZeroVolatilityWarning):
             result = run_simulation(test, preds, StrategyConfig(), COSTS)
         assert result.final_value == COSTS.initial_capital
@@ -235,21 +234,24 @@ class TestRunSimulation:
             run_simulation(test, {}, StrategyConfig(), COSTS)
 
     def test_out_of_range_prediction_day_rejected(self):
+        # a forecast column is as long as the calendar: a longer one forecasts
+        # a day outside it, a shorter one leaves calendar days out
         test = dataset_from_closes({"A": [100.0] * 5})
-        preds = {"A": PredictionSeries("A", {7: 100.0})}
-        with pytest.raises(TradeEngineError, match=r"A: prediction days \[7\] outside"):
-            run_simulation(test, preds, StrategyConfig(), COSTS)
+        for length in (0, 4, 8):
+            preds = {"A": np.full(length, 100.0)}
+            with pytest.raises(
+                TradeEngineError, match=rf"^A: {length} forecasts for a 5-day test calendar$"
+            ):
+                run_simulation(test, preds, StrategyConfig(), COSTS)
 
     def test_shift_means_day_zero_never_trades(self, rng):
         n = 40
         closes = [float(c) for c in 100 + np.cumsum(rng.normal(0, 3, n))]
         closes = [max(c, 1.0) for c in closes]
         test = dataset_from_closes({"A": closes})
-        entries = {i: closes[i] * float(rng.uniform(0.9, 1.1)) for i in range(n)}
+        entries = np.array(closes) * rng.uniform(0.9, 1.1, n)
         cfg = StrategyConfig(kind="rate_of_change")
-        result = run_simulation(
-            test, {"A": PredictionSeries("A", entries)}, cfg, COSTS
-        )
+        result = run_simulation(test, {"A": entries}, cfg, COSTS)
         assert all(t.day > 0 for t in result.trade_ledger)
 
 

@@ -9,18 +9,25 @@ one line: the scenario, the argv, the exit code, the SHA-256 of stdout and
 of stderr (with the work directory cut from the paths they name), and the
 SHA-256 of each file the command wrote.
 
-Passing scenarios: both benchmark workloads' command lists; a desk
-``backtest`` and ``attack sweep`` under each other strategy and under
-proportional slippage; ``attack targeted`` with each mode, then ``report``;
-``ingest`` and ``backtest`` on imported forecasts (each day's forecast is the
-previous close); ``ingest`` and ``backtest`` on the desk data written as
-other tools write CSV (rows newest first with a blank line, extra columns,
-padded cells), and a ``backtest`` on the desk data with a byte-order mark in
-front of one file. The ``rejected`` scenario holds CI's rejected inputs, each
-command once, a ``report`` given one file twice, and an ``ingest`` and a
-``backtest`` each on a config with a repeated key, on zero starting capital
-and on a forecast file naming ``Prediction`` twice; ``rejected_csv`` holds
-one ``ingest`` per data-file error the loader names.
+Passing scenarios: both benchmark workloads' command lists; in each world,
+a ``backtest`` and ``attack sweep`` under each strategy other than its
+workload's and under proportional slippage; ``attack targeted`` with each
+mode, then ``report``; ``ingest`` and ``backtest`` on imported forecasts
+(each day's forecast is the previous close); a ``backtest`` in each world
+under each strategy on such forecasts with gaps (no row for the first three
+test days, test day 45 and the third-to-last); ``ingest`` and ``backtest``
+on the desk data written as other tools write CSV (rows newest first with a
+blank line, extra columns, padded cells), and a ``backtest`` on the desk
+data with a byte-order mark in front of one file. The ``rejected`` scenario
+holds CI's rejected inputs, each command once, and a ``report`` given one
+file twice; then an ``ingest`` and a ``backtest`` each on a config with a
+repeated key, on zero starting capital, on a forecast file naming
+``Prediction`` twice, on too few train days for the model's window and on a
+forecast file whose last row is bad (a date outside the calendar, a train
+date, a non-finite value, a repeated date); and an ``ingest`` and an
+``attack sweep`` each on an attack date outside the calendar, on a train
+date and on an omega longer than the history. ``rejected_csv`` holds one
+``ingest`` per data-file error the loader names.
 
     python tools/corpus.py                      # this tree's lines
     python tools/corpus.py --against ../other   # only the lines that differ
@@ -52,6 +59,15 @@ from workloads import WORKLOADS, commands, write_config  # noqa: E402
 SEED = 0
 DESK = WORKLOADS["desk_sweep"]
 UNIVERSE = WORKLOADS["universe_sweep"]
+STRATEGIES = ("ma_crossover", "rate_of_change", "bollinger_bands")
+# per world, the strategies other than its workload's
+OTHER_STRATEGIES = {
+    "desk": ("bollinger_bands", "rate_of_change"),
+    "universe": ("ma_crossover", "rate_of_change"),
+}
+# the test days a gapped forecast file has no row for: the first three, day
+# 45 and the third-to-last
+GAPS = (0, 1, 2, 45, -3)
 BAD_CSV = (
     "empty_file", "missing_column", "no_rows", "not_utf8", "short_row", "bad_date",
     "bad_number", "non_finite", "non_positive", "negative_volume", "low_above",
@@ -95,16 +111,28 @@ def prepare(work: str) -> None:
     write_inputs(os.path.join(work, "data_universe"), SEED, UNIVERSE.tickers, UNIVERSE.n_days)
     write_config(DESK, os.path.join(work, "desk.json"), "data_desk")
     write_config(UNIVERSE, os.path.join(work, "universe.json"), "data_universe")
-    with open(os.path.join(work, "desk.json")) as fh:
-        desk = json.load(fh)
+    worlds = {}
+    for world in ("desk", "universe"):
+        with open(os.path.join(work, f"{world}.json")) as fh:
+            worlds[world] = json.load(fh)
+    desk = worlds["desk"]
 
-    def variant(name: str, **sections) -> None:
-        _write_json(os.path.join(work, f"desk_{name}.json"), {**desk, **sections})
+    def variant(name: str, world: str = "desk", **sections) -> None:
+        _write_json(os.path.join(work, f"{world}_{name}.json"), {**worlds[world], **sections})
 
-    for kind in ("bollinger_bands", "rate_of_change"):
-        variant(kind, strategy={"kind": kind})
-    variant("proportional", costs={"slippage_mode": "proportional", "slippage_per_share": 0.001})
+    for world, kinds in OTHER_STRATEGIES.items():
+        for kind in kinds:
+            variant(kind, world, strategy={"kind": kind})
+        variant("proportional", world,
+                costs={"slippage_mode": "proportional", "slippage_per_share": 0.001})
     variant("bad_day", attack={**desk["attack"], "days": [9999]})
+    with open(os.path.join(work, "data_desk", "AAA.csv")) as fh:
+        train_date = fh.read().splitlines()[6].split(",")[0]  # the sixth day
+    variant("attack_date_outside", attack={**desk["attack"], "days": ["2131-12-31"]})
+    variant("attack_date_in_train", attack={**desk["attack"], "days": [train_date]})
+    variant("infeasible_omega", attack={**desk["attack"], "omegas": [30, DESK.n_days + 1]})
+    n_train = DESK.n_days - DESK.n_test
+    variant("short_train", predictor={"kind": "baseline", "window": n_train})
     # a forecast file for a ticker the config does not list: the config is
     # rejected before any file is opened, so none is written
     variant(
@@ -113,18 +141,29 @@ def prepare(work: str) -> None:
     )
 
     # imported forecasts: each test day's forecast is the previous close
-    os.makedirs(os.path.join(work, "forecasts"))
-    files = {}
-    for tk in DESK.tickers:
-        with open(os.path.join(work, "data_desk", f"{tk}.csv")) as fh:
-            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
-        n_train = math.floor(desk["split"]["train_fraction"] * len(rows))
-        files[tk] = os.path.join("forecasts", f"{tk}.csv")
-        with open(os.path.join(work, files[tk]), "w") as fh:
-            fh.write("Date,Prediction\n")
-            for a in range(n_train, len(rows)):
-                fh.write(f"{rows[a][0]},{rows[a - 1][4]}\n")
+    files = _write_forecasts(work, desk, "forecasts")
     variant("import", predictor={"kind": "import", "files": files})
+    # the same with gaps, in both worlds under each strategy
+    for world, config in worlds.items():
+        gapped = _write_forecasts(work, config, f"forecasts_gapped_{world}", GAPS)
+        for kind in STRATEGIES:
+            variant(f"gapped_{kind}", world, strategy={"kind": kind},
+                    predictor={"kind": "import", "files": gapped})
+    # AAA's forecasts with the last row replaced by one bad row per case
+    with open(os.path.join(work, files["AAA"])) as fh:
+        lines = fh.read().splitlines()
+    bad_rows = {
+        "date_outside": "2131-12-31,100",
+        "date_in_train": f"{train_date},100",
+        "non_finite": f"{lines[-1].split(',')[0]},nan",
+        "duplicate_date": f"{lines[1].split(',')[0]},100",
+    }
+    for case, row in bad_rows.items():
+        bad = {**files, "AAA": os.path.join("forecasts_bad", case, "AAA.csv")}
+        os.makedirs(os.path.join(work, "forecasts_bad", case))
+        with open(os.path.join(work, bad["AAA"]), "w") as fh:
+            fh.write("".join(f"{line}\n" for line in [*lines[:-1], row]))
+        variant(f"import_{case}", predictor={"kind": "import", "files": bad})
     # the same forecasts, with AAA's Prediction column given twice
     os.makedirs(os.path.join(work, "forecasts_repeated"))
     repeated = {**files, "AAA": os.path.join("forecasts_repeated", "AAA.csv")}
@@ -185,6 +224,27 @@ def prepare(work: str) -> None:
         variant(f"bad_{case}", data_dir=f"data_bad/{case}", tickers=["AAA"])
 
 
+def _write_forecasts(work: str, config: dict, dirname: str, omit=()) -> dict[str, str]:
+    """Write ``<dirname>/<TICKER>.csv`` for each ticker ``config`` lists:
+    each test day's forecast is the previous close, and the test days
+    ``omit`` names (a negative one counts back from the last) have no row.
+    Returns each ticker's path."""
+    os.makedirs(os.path.join(work, dirname))
+    files = {}
+    for tk in config["tickers"]:
+        with open(os.path.join(work, config["data_dir"], f"{tk}.csv")) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        test_days = range(math.floor(config["split"]["train_fraction"] * len(rows)), len(rows))
+        omitted = {test_days[t] for t in omit}
+        files[tk] = os.path.join(dirname, f"{tk}.csv")
+        with open(os.path.join(work, files[tk]), "w") as fh:
+            fh.write("Date,Prediction\n")
+            for a in test_days:
+                if a not in omitted:
+                    fh.write(f"{rows[a][0]},{rows[a - 1][4]}\n")
+    return files
+
+
 def _write_data(work: str, data_dir: str, texts: dict[str, str]) -> None:
     """Write ``<data_dir>/<TICKER>.csv`` for each text, as UTF-8 except
     where a lone surrogate stands for a byte that is not."""
@@ -201,12 +261,13 @@ def scenarios() -> list[tuple[str, list[list[str]]]]:
         ("desk_sweep", [argv for _, argv in commands(DESK, "desk.json", "desk")]),
         ("universe_sweep", [argv for _, argv in commands(UNIVERSE, "universe.json", "universe")]),
     ]
-    for name in ("bollinger_bands", "rate_of_change", "proportional"):
-        config, out = f"desk_{name}.json", f"desk_{name}"
-        listed.append((f"desk_{name}", [
-            ["backtest", "--config", config, "--out", out],
-            ["attack", "sweep", "--config", config, "--out", out],
-        ]))
+    for world, kinds in OTHER_STRATEGIES.items():
+        for name in (*kinds, "proportional"):
+            config, out = f"{world}_{name}.json", f"{world}_{name}"
+            listed.append((f"{world}_{name}", [
+                ["backtest", "--config", config, "--out", out],
+                ["attack", "sweep", "--config", config, "--out", out],
+            ]))
     targeted = []
     for mode in ("conceal", "overestimate"):
         out = f"desk_{mode}"
@@ -219,6 +280,10 @@ def scenarios() -> list[tuple[str, list[list[str]]]]:
         [cmd, "--config", "desk_import.json", "--out", "desk_import"]
         for cmd in ("ingest", "backtest")
     ]))
+    listed.append(("gapped_import", [
+        ["backtest", "--config", f"{world}_gapped_{kind}.json", "--out", f"{world}_gapped_{kind}"]
+        for world in OTHER_STRATEGIES for kind in STRATEGIES
+    ]))
     cells = "desk/attack_AAA/sweep_cells.csv"
     listed.append(("rejected", [
         ["attack", "sweep", "--config", "desk.json", "--out", "bad", "--omega", "1"],
@@ -229,8 +294,15 @@ def scenarios() -> list[tuple[str, list[list[str]]]]:
         ["report", cells, cells, "--out", "bad"],
         *(
             [cmd, "--config", f"desk_{name}.json", "--out", "bad"]
-            for name in ("repeated_key", "zero_capital", "import_repeated")
+            for name in ("repeated_key", "zero_capital", "import_repeated", "short_train",
+                         "import_date_outside", "import_date_in_train", "import_non_finite",
+                         "import_duplicate_date")
             for cmd in ("ingest", "backtest")
+        ),
+        *(
+            [*cmd, "--config", f"desk_{name}.json", "--out", "bad"]
+            for name in ("attack_date_outside", "attack_date_in_train", "infeasible_omega")
+            for cmd in (["ingest"], ["attack", "sweep"])
         ),
     ]))
     listed.append(("desk_csv", [
