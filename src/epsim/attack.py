@@ -26,8 +26,10 @@ entry changed, and then takes one of three routes:
   day and the new signals up to the last changed day, may already hold the
   attacked run of that same change;
 * **resumed**: else the baseline resumes from the first day whose executed
-  signal differs and rejoins it once the portfolio is back in the
-  baseline's exact state (:func:`epsim.trade_engine.resume_signals`).
+  signal differs (:func:`epsim.trade_engine.resume_signals`). Each day's
+  end state is compared with the baseline's: the first miss is the first
+  divergence day, and on or after the last changed day a match rejoins the
+  baseline. A resume that never misses returns the baseline itself.
 
 Every route gives the bits a full rerun gives, so the result files are the
 ones a cell computed from scratch would write.
@@ -59,6 +61,7 @@ from .strategy import generate_signals, reach, shift_signals, stable_intervals
 from .trade_engine import (
     SignalRun,
     SimulationResult,
+    record_signals,
     resume_signals,
     run_simulation,  # noqa: F401  (looked up here by perfbench/tracing.py)
     strategy_signals,
@@ -179,17 +182,6 @@ def perturbed_prediction_entry(
     return ep.day + 1, entry, perturbed_close, clean_close
 
 
-def _first_divergence(base: SignalRun, attacked: SignalRun) -> int | None:
-    """First day whose trades or return differ. Only the days ``attacked``
-    executed itself can: the rest were copied from ``base``."""
-    for t in range(attacked.start, attacked.stop):
-        if attacked.trades_on(t) != base.trades_on(t):
-            return t
-        if attacked.result.daily_returns[t] != base.result.daily_returns[t]:
-            return t
-    return None
-
-
 def _cr_ratio(cr_attacked: float, cr_baseline: float) -> float:
     if cr_attacked == cr_baseline:
         return 1.0
@@ -230,7 +222,7 @@ class AttackContext:
             for tk in sorted(predictors)
         }
         self.raw_signals = strategy_signals(self.test, self.predictions, strategy_config)
-        self.baseline_run: SignalRun = resume_signals(
+        self.baseline_run: SignalRun = record_signals(
             self.test,
             {tk: shift_signals(raw) for tk, raw in self.raw_signals.items()},
             cost_model,
@@ -268,7 +260,8 @@ class AttackContext:
             raise AttackSetupError(f"no predictor for attacked ticker {ticker!r}")
         n = self.test.n_days()
         for day in days:
-            if not hasattr(day, "__index__"):  # an int, numpy's included
+            # an int, numpy's included, and not a bool
+            if isinstance(day, bool) or not hasattr(day, "__index__"):
                 raise AttackSetupError(f"attacked day {day!r} is not an integer")
             if not 0 <= day < n:
                 raise AttackSetupError(
@@ -292,7 +285,7 @@ class AttackContext:
         """The attacked run and its first divergence day when forecast entry
         ``entry_day`` is ``entry``: the reach's signals regenerated, and the
         baseline resumed from the first changed day unless ``memo`` already
-        holds the run of the same signal change."""
+        holds what that resume returned for the same signal change."""
         days = reach(self.strategy_config, entry_day, self.test.n_days())
         raw = self.raw_signals[ticker]
         entries = self.predictions[ticker].copy()
@@ -310,11 +303,7 @@ class AttackContext:
             return memo[key]
         signals = dict(self.baseline_run.signals)
         signals[ticker] = shift_signals(raw[: days.start] + patch + raw[days.stop :])
-        run = resume_signals(self.test, signals, self.cost_model, self.baseline_run)
-        found = (
-            run.result,
-            None if run is self.baseline_run else _first_divergence(self.baseline_run, run),
-        )
+        found = resume_signals(self.test, signals, self.cost_model, self.baseline_run)
         if memo is not None:
             memo[key] = found
         return found

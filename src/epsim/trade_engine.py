@@ -13,10 +13,12 @@ Accounting rules:
 
 A single run is strictly sequential. Because a day's trades depend only on
 the portfolio state before it and that day's signals, a run whose signals
-match an earlier run's up to some day can resume from that run's state on
-that day instead of replaying the shared prefix, and once its signals match
-again and its state equals the earlier run's on some day, the rest of the
-earlier run is its rest too (:func:`resume_signals`).
+match a recorded run's (:func:`record_signals`) up to some day resumes from
+that run's state on that day instead of replaying the shared prefix. One
+comparison per day then does the rest (:func:`resume_signals`): the first
+day that does not end in the recorded run's state is the first divergence,
+and once the signals match again and a day ends in that state, the rest of
+the recorded run is the rest of this one.
 """
 
 from __future__ import annotations
@@ -194,30 +196,14 @@ class DayStart(NamedTuple):
 
 
 class SignalRun(NamedTuple):
-    """A finished run: the signals it executed, its result, the state before
-    each of its days (what a later run resumes from) and each day's marks.
-
-    The run executed days [start, stop) itself; the days before ``start``
-    were copied from the run it resumed, and from ``stop`` on it rejoined
-    that run, whose ledger tail and returns it shares.
-    """
+    """A recorded run, the base that later runs resume from: the signals it
+    executed, its result, the state before each of its days and after its
+    last (``n + 1`` day starts), and each day's marks."""
 
     signals: dict[str, list[Signal]]
     result: SimulationResult
     day_starts: tuple[DayStart, ...]
     marks: tuple[dict[str, float], ...]
-    start: int
-    stop: int
-
-    def trades_on(self, day: int) -> tuple[TradeRecord, ...]:
-        """The day's trades, located through ``day_starts``."""
-        ledger = self.result.trade_ledger
-        end = (
-            self.day_starts[day + 1].n_trades
-            if day + 1 < len(self.day_starts)
-            else len(ledger)
-        )
-        return ledger[self.day_starts[day].n_trades : end]
 
 
 def run_signals(
@@ -230,7 +216,74 @@ def run_signals(
     This is the scripted-signal entry point; :func:`run_simulation` layers
     strategy generation and the anti-lookahead shift on top of it.
     """
-    return resume_signals(test, signals, cost_model).result
+    return record_signals(test, signals, cost_model).result
+
+
+def _tickers(test: Dataset, signals: dict[str, list[Signal]]) -> list[str]:
+    """The calendar's tickers, once each has a signal for every day."""
+    n = test.n_days()
+    tickers = test.tickers()
+    for tk in tickers:
+        if tk not in signals:
+            raise TradeEngineError(f"no signal sequence for {tk}")
+        if len(signals[tk]) != n:
+            raise TradeEngineError(
+                f"{tk}: {len(signals[tk])} signals for a {n}-day calendar"
+            )
+    return tickers
+
+
+def _trade_day(state, tickers, signals, t, marks, cost_model, ledger) -> float:
+    """Execute day ``t``'s signals on ``state`` at the day's ``marks``,
+    appending each trade to ``ledger``; returns the portfolio value after."""
+    state.day = t
+    state.marks = marks
+    for tk in tickers:
+        record = execute_signal(state, tk, signals[tk][t], marks[tk], cost_model)
+        if record is not None:
+            ledger.append(record)
+    return state.total_value()
+
+
+def _result(daily, ledger, final_value: float, cost_model: CostModel) -> SimulationResult:
+    return SimulationResult(
+        daily_returns=tuple(daily),
+        cumulative_returns=tuple(cumulative_returns(daily)) if daily else (),
+        sharpe_ratio=sharpe_ratio(daily, cost_model) if len(daily) >= 2 else 0.0,
+        trade_ledger=tuple(ledger),
+        final_value=final_value,
+    )
+
+
+def record_signals(
+    test: Dataset,
+    signals: dict[str, list[Signal]],
+    cost_model: CostModel,
+) -> SignalRun:
+    """Execute pre-shifted signals from the initial capital on day 0 and
+    record the run: the state after each day, and each day's marks (the
+    closes), which every run resumed from it reuses."""
+    tickers = _tickers(test, signals)
+    closes = {tk: test.series[tk].closes() for tk in tickers}
+    marks = tuple(
+        {tk: float(closes[tk][t]) for tk in tickers} for t in range(test.n_days())
+    )
+    state = PortfolioState(cash=cost_model.initial_capital)
+    prev_value = state.cash
+    ledger: list[TradeRecord] = []
+    daily: list[float] = []
+    day_starts = [DayStart(state.cash, {}, prev_value, 0)]
+    for t, day_marks in enumerate(marks):
+        value = _trade_day(state, tickers, signals, t, day_marks, cost_model, ledger)
+        daily.append(value / prev_value - 1.0)
+        prev_value = value
+        day_starts.append(DayStart(state.cash, dict(state.holdings), value, len(ledger)))
+    return SignalRun(
+        signals=signals,
+        result=_result(daily, ledger, prev_value, cost_model),
+        day_starts=tuple(day_starts),
+        marks=marks,
+    )
 
 
 def _changed_span(base: dict, signals: dict, tickers, n: int) -> tuple[int, int]:
@@ -250,98 +303,49 @@ def resume_signals(
     test: Dataset,
     signals: dict[str, list[Signal]],
     cost_model: CostModel,
-    base: SignalRun | None = None,
-) -> SignalRun:
+    base: SignalRun,
+) -> tuple[SimulationResult, int | None]:
     """Execute pre-shifted signals, reusing ``base`` wherever they agree.
 
-    Up to the first day on which some ticker's signal differs from
-    ``base.signals``, both runs trade identically, so that prefix (state,
-    ledger, returns) is taken from ``base`` and the day loop starts there;
-    when no day differs, ``base`` itself is returned. Past the last differing
-    day, the loop stops at the first day t whose portfolio state
-    :meth:`DayStart.matches` ``base.day_starts[t]``: from an identical state
-    the same signals trade identically, so ``base``'s ledger tail, daily
-    returns and day starts (each ``n_trades`` shifted by the difference in
-    ledger length) are spliced in. Without ``base`` the loop runs from the
-    initial capital on day 0 to the end. Either way the result is
-    bit-identical to executing ``signals`` from day 0. Day marks (the
-    closes) are computed once per run from day 0 and reused by every run
-    resumed from it.
+    Returns the result, bit-identical to executing ``signals`` from day 0,
+    and the first day whose trades or return differ from ``base``'s (None
+    if none). The loop starts from ``base``'s state on the first day whose
+    signals differ. From an equal state, a day trades and returns as
+    ``base``'s did exactly when it ends in ``base``'s state
+    (:meth:`DayStart.matches`): each ticker trades at most once a day, by
+    whole shares, so different trades leave different holdings. So the
+    first miss is the first divergence, and a match on or after the last
+    changed day rejoins ``base``: its ledger tail and returns are spliced
+    in, or with no miss its result is returned itself.
     """
+    tickers = _tickers(test, signals)
     n = test.n_days()
-    tickers = test.tickers()
-    for tk in tickers:
-        if tk not in signals:
-            raise TradeEngineError(f"no signal sequence for {tk}")
-        if len(signals[tk]) != n:
-            raise TradeEngineError(
-                f"{tk}: {len(signals[tk])} signals for a {n}-day calendar"
-            )
-
-    if base is None:
-        start, last = 0, n
-        capital = cost_model.initial_capital
-        resume = DayStart(cash=capital, holdings={}, prev_value=capital, n_trades=0)
-        closes = {tk: test.series[tk].closes() for tk in tickers}
-        marks = tuple({tk: float(closes[tk][t]) for tk in tickers} for t in range(n))
-        ledger: list[TradeRecord] = []
-        daily: list[float] = []
-        day_starts: list[DayStart] = []
-    else:
-        start, last = _changed_span(base.signals, signals, tickers, n)
-        if start == n:
-            return base
-        resume = base.day_starts[start]
-        marks = base.marks
-        ledger = list(base.result.trade_ledger[: resume.n_trades])
-        daily = list(base.result.daily_returns[:start])
-        day_starts = list(base.day_starts[:start])
+    start, last = _changed_span(base.signals, signals, tickers, n)
+    if start == n:
+        return base.result, None
+    resume = base.day_starts[start]
     state = PortfolioState(cash=resume.cash)
     state.holdings = dict(resume.holdings)
     prev_value = resume.prev_value
-
-    stop = n
+    ledger = list(base.result.trade_ledger[: resume.n_trades])
+    daily = list(base.result.daily_returns[:start])
+    diverged = None
     for t in range(start, n):
-        if t > last and base.day_starts[t].matches(state.cash, state.holdings, prev_value):
-            stop = t
-            joined = base.day_starts[t]
-            offset = len(ledger) - joined.n_trades
-            ledger.extend(base.result.trade_ledger[joined.n_trades :])
-            daily.extend(base.result.daily_returns[t:])
-            day_starts.extend(
-                ds if offset == 0 else ds._replace(n_trades=ds.n_trades + offset)
-                for ds in base.day_starts[t:]
-            )
-            prev_value = base.result.final_value
-            break
-        day_starts.append(
-            DayStart(state.cash, dict(state.holdings), prev_value, len(ledger))
-        )
-        state.day = t
-        state.marks = marks[t]
-        for tk in tickers:
-            record = execute_signal(state, tk, signals[tk][t], state.marks[tk], cost_model)
-            if record is not None:
-                ledger.append(record)
-        value = state.total_value()
+        value = _trade_day(state, tickers, signals, t, base.marks[t], cost_model, ledger)
         daily.append(value / prev_value - 1.0)
         prev_value = value
-
-    result = SimulationResult(
-        daily_returns=tuple(daily),
-        cumulative_returns=tuple(cumulative_returns(daily)) if daily else (),
-        sharpe_ratio=sharpe_ratio(daily, cost_model) if len(daily) >= 2 else 0.0,
-        trade_ledger=tuple(ledger),
-        final_value=prev_value,
-    )
-    return SignalRun(
-        signals=signals,
-        result=result,
-        day_starts=tuple(day_starts),
-        marks=marks,
-        start=start,
-        stop=stop,
-    )
+        joined = base.day_starts[t + 1]
+        if not joined.matches(state.cash, state.holdings, value):
+            if diverged is None:
+                diverged = t
+        elif t >= last:
+            if diverged is None:
+                return base.result, None
+            ledger.extend(base.result.trade_ledger[joined.n_trades :])
+            daily.extend(base.result.daily_returns[t + 1 :])
+            prev_value = base.result.final_value
+            break
+    return _result(daily, ledger, prev_value, cost_model), diverged
 
 
 def strategy_signals(

@@ -2,9 +2,11 @@
 
 These re-derive expected values with plain loops and ``math`` so the numpy
 code paths under test are checked against a second implementation. The
-attack oracle at the end instead recomputes a whole cell the plain way, from
-the library's per-window and per-run functions, as the reference for the
-incremental attack engine.
+resume oracle keeps the resume that recorded every day, as the reference
+for the one that compares each day's end state instead. The attack oracle
+at the end recomputes a whole cell the plain way, from the library's
+per-window and per-run functions, as the reference for the incremental
+attack engine.
 """
 
 from __future__ import annotations
@@ -244,6 +246,155 @@ def ridge_coef_oracle(predictor, series):
         y[i] = y_scaled[i + w]
     gram = X.T @ X + config.ridge_lambda * np.eye(X.shape[1])
     return np.linalg.solve(gram, X.T @ y)
+
+
+class ResumedRun(NamedTuple):
+    """A run as ``resume_oracle`` records it: ``trade_engine.SignalRun``
+    with the days [start, stop) it executed itself, the days before
+    ``start`` copied from the run it resumed and the days from ``stop`` on
+    shared with it."""
+
+    signals: dict
+    result: object
+    day_starts: tuple
+    marks: tuple
+    start: int
+    stop: int
+
+    def trades_on(self, day: int) -> tuple:
+        """The day's trades, located through ``day_starts``."""
+        ledger = self.result.trade_ledger
+        end = (
+            self.day_starts[day + 1].n_trades
+            if day + 1 < len(self.day_starts)
+            else len(ledger)
+        )
+        return ledger[self.day_starts[day].n_trades : end]
+
+
+def _changed_span(base: dict, signals: dict, tickers, n: int) -> tuple[int, int]:
+    first, last = n, -1
+    for tk in tickers:
+        old, new = base[tk], signals[tk]
+        if old is not new:
+            changed = [t for t in range(n) if old[t] != new[t]]
+            if changed:
+                first, last = min(first, changed[0]), max(last, changed[-1])
+    return first, last
+
+
+def _resume(test, signals, cost_model, base=None) -> ResumedRun:
+    """The resume that recorded a ``DayStart`` for every day it executed,
+    spliced in ``base``'s day starts (each ``n_trades`` shifted) on a
+    rejoin, and returned ``base`` when no signal changed."""
+    from epsim.errors import TradeEngineError
+    from epsim.trade_engine import (
+        DayStart,
+        PortfolioState,
+        SimulationResult,
+        TradeRecord,
+        cumulative_returns,
+        execute_signal,
+        sharpe_ratio,
+    )
+
+    n = test.n_days()
+    tickers = test.tickers()
+    for tk in tickers:
+        if tk not in signals:
+            raise TradeEngineError(f"no signal sequence for {tk}")
+        if len(signals[tk]) != n:
+            raise TradeEngineError(
+                f"{tk}: {len(signals[tk])} signals for a {n}-day calendar"
+            )
+
+    if base is None:
+        start, last = 0, n
+        capital = cost_model.initial_capital
+        resume = DayStart(cash=capital, holdings={}, prev_value=capital, n_trades=0)
+        closes = {tk: test.series[tk].closes() for tk in tickers}
+        marks = tuple({tk: float(closes[tk][t]) for tk in tickers} for t in range(n))
+        ledger: list[TradeRecord] = []
+        daily: list[float] = []
+        day_starts: list[DayStart] = []
+    else:
+        start, last = _changed_span(base.signals, signals, tickers, n)
+        if start == n:
+            return base
+        resume = base.day_starts[start]
+        marks = base.marks
+        ledger = list(base.result.trade_ledger[: resume.n_trades])
+        daily = list(base.result.daily_returns[:start])
+        day_starts = list(base.day_starts[:start])
+    state = PortfolioState(cash=resume.cash)
+    state.holdings = dict(resume.holdings)
+    prev_value = resume.prev_value
+
+    stop = n
+    for t in range(start, n):
+        if t > last and base.day_starts[t].matches(state.cash, state.holdings, prev_value):
+            stop = t
+            joined = base.day_starts[t]
+            offset = len(ledger) - joined.n_trades
+            ledger.extend(base.result.trade_ledger[joined.n_trades :])
+            daily.extend(base.result.daily_returns[t:])
+            day_starts.extend(
+                ds if offset == 0 else ds._replace(n_trades=ds.n_trades + offset)
+                for ds in base.day_starts[t:]
+            )
+            prev_value = base.result.final_value
+            break
+        day_starts.append(
+            DayStart(state.cash, dict(state.holdings), prev_value, len(ledger))
+        )
+        state.day = t
+        state.marks = marks[t]
+        for tk in tickers:
+            record = execute_signal(state, tk, signals[tk][t], state.marks[tk], cost_model)
+            if record is not None:
+                ledger.append(record)
+        value = state.total_value()
+        daily.append(value / prev_value - 1.0)
+        prev_value = value
+
+    result = SimulationResult(
+        daily_returns=tuple(daily),
+        cumulative_returns=tuple(cumulative_returns(daily)) if daily else (),
+        sharpe_ratio=sharpe_ratio(daily, cost_model) if len(daily) >= 2 else 0.0,
+        trade_ledger=tuple(ledger),
+        final_value=prev_value,
+    )
+    return ResumedRun(
+        signals=signals,
+        result=result,
+        day_starts=tuple(day_starts),
+        marks=marks,
+        start=start,
+        stop=stop,
+    )
+
+
+def _first_divergence(base: ResumedRun, attacked: ResumedRun) -> int | None:
+    """First day whose trades or return differ. Only the days ``attacked``
+    executed itself can: the rest were copied from ``base``."""
+    for t in range(attacked.start, attacked.stop):
+        if attacked.trades_on(t) != base.trades_on(t):
+            return t
+        if attacked.result.daily_returns[t] != base.result.daily_returns[t]:
+            return t
+    return None
+
+
+def resume_oracle(test, signals, cost_model, base_signals):
+    """(result, first divergence day) of ``signals`` resumed from the run of
+    ``base_signals``, the way the engine found them when every resumed day
+    recorded its state and the divergence was rescanned from that record:
+    ``trade_engine.resume_signals`` and ``attack._first_divergence`` as they
+    were, verbatim. The reference for the resume that compares each day's
+    end state with the base's instead."""
+    base = _resume(test, base_signals, cost_model)
+    run = _resume(test, signals, cost_model, base)
+    return run.result, None if run is base else _first_divergence(base, run)
 
 
 class FixedClose(NamedTuple):

@@ -373,8 +373,9 @@ class TestTargeted:
             ([-5, 10], "attacked day -5 outside the 30-day test window"),
             ([5, 2.5], "attacked day 2.5 is not an integer"),
             ([5, "7"], "attacked day '7' is not an integer"),
+            ([5, True], "attacked day True is not an integer"),
         ],
-        ids=["past-end", "negative", "fraction", "text"],
+        ids=["past-end", "negative", "fraction", "text", "bool"],
     )
     def test_bad_day_fails_before_any_cell(self, rng, monkeypatch, days, message):
         # a day that is not in the test window fails a sweep or a targeted

@@ -4,8 +4,8 @@ Every cell of :class:`epsim.attack.AttackContext` must equal, bit for bit,
 what a full rerun gives: the same outcome (``cr_ratio`` compared NaN-aware),
 the same attacked ledger and returns, the same first divergence day. Each
 table a cell reads instead of computing (the sigma table, the decision
-screen, the memo of signal changes) is also checked against the plain path
-it replaces.
+screen, the memo of signal changes) and the resume are also checked against
+the plain path they replace.
 """
 
 import math
@@ -39,10 +39,16 @@ from epsim.errors import AttackSetupError
 from epsim.market_data import Dataset
 from epsim.predictor import RidgePredictor, fit_baseline
 from epsim.strategy import Signal, generate_signals, stable_intervals
-from epsim.trade_engine import DayStart, resume_signals, run_signals
+from epsim.trade_engine import DayStart, record_signals, resume_signals, run_signals
 
-from conftest import dataset_from_closes, make_world, random_series, random_walk_closes
-from oracles import FixedClose, attack_oracle
+from conftest import (
+    dataset_from_closes,
+    make_world,
+    random_series,
+    random_walk_closes,
+    series_from_closes,
+)
+from oracles import FixedClose, attack_oracle, resume_oracle
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::epsim.errors.ZeroVolatilityWarning"
@@ -285,7 +291,86 @@ class TestContextMemory:
 SIGNALS = [Signal.BUY, Signal.SELL, Signal.HOLD]
 
 
+@st.composite
+def signal_worlds(draw):
+    """(test calendar, cost model, executed signals) of 2-20 tickers over
+    1-40 days, each day's signal drawn with a drawn share of HOLDs. Some
+    worlds have flat whole-dollar closes and no costs, so a round trip
+    leaves cash exactly where it was and a resumed run can rejoin."""
+    n_tickers = draw(st.integers(2, len(TICKERS)))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fraction = draw(st.sampled_from([0.05, 0.3, 0.8, 1.0]))
+    if draw(st.booleans()):
+        series = {
+            tk: series_from_closes(tk, [float(rng.integers(5, 50))] * n)
+            for tk in TICKERS[:n_tickers]
+        }
+        costs = CostModel(
+            commission_per_share=0.0, slippage_per_share=0.0, position_fraction=fraction
+        )
+    else:
+        series = {tk: random_series(rng, tk, n, vol=2.0) for tk in TICKERS[:n_tickers]}
+        costs = CostModel(position_fraction=fraction)
+    test = Dataset(series=series, calendar=series[TICKERS[0]].dates)
+    hold = draw(st.sampled_from([0.0, 0.6, 0.9]))
+    signals = {
+        tk: [
+            Signal.HOLD if u < hold else SIGNALS[i]
+            for u, i in zip(rng.random(n), rng.integers(0, 2, size=n))
+        ]
+        for tk in series
+    }
+    return test, costs, signals
+
+
+@st.composite
+def signal_edits(draw, base):
+    """Up to four edits of ``base``'s signals, the first day and the last
+    among the days drawn; maybe a BUY and a SELL on the next day of a
+    ticker held, a round trip that in a flat world without costs ends in
+    the base's state; and maybe a SELL with nothing held in place of a
+    HOLD, an edit that changes no trade."""
+    tickers = sorted(base.signals)
+    n = len(base.marks)
+    edited = {tk: list(s) for tk, s in base.signals.items()}
+    day = st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1))
+    for _ in range(draw(st.integers(0, 4))):
+        tk = draw(st.sampled_from(tickers))
+        edited[tk][draw(day)] = draw(st.sampled_from(SIGNALS))
+    held = [
+        (tk, t) for t in range(n - 1) for tk in base.day_starts[t].holdings
+        if base.signals[tk][t] is base.signals[tk][t + 1] is Signal.HOLD
+    ]
+    if held and draw(st.booleans()):
+        tk, t = draw(st.sampled_from(held))
+        edited[tk][t : t + 2] = [Signal.BUY, Signal.SELL]
+    if draw(st.booleans()):
+        idle = [
+            (tk, t) for t in range(n) for tk in tickers
+            if base.signals[tk][t] is Signal.HOLD and not base.day_starts[t].holdings.get(tk)
+        ]
+        if idle:
+            tk, t = draw(st.sampled_from(idle))
+            edited[tk][t] = Signal.SELL
+    return edited
+
+
 class TestResume:
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_resume_equals_the_oracle(self, data):
+        # the resume that compares each day's end state with the base's
+        # against the one that recorded every day and rescanned it
+        test, costs, signals = data.draw(signal_worlds())
+        base = record_signals(test, signals, costs)
+        edited = data.draw(signal_edits(base))
+        result, first = resume_signals(test, edited, costs, base)
+        want, want_first = resume_oracle(test, edited, costs, signals)
+        assert repr(result) == repr(want)
+        assert first == want_first
+        assert (result is base.result) == (first is None)
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         edits=st.lists(
@@ -303,18 +388,18 @@ class TestResume:
         signals = {
             tk: [SIGNALS[i] for i in rng.integers(0, 3, size=40)] for tk in "ABC"
         }
-        base = resume_signals(test, signals, costs)
+        base = record_signals(test, signals, costs)
         assert base.result == run_signals(test, signals, costs)
+        assert len(base.day_starts) == 41
         edited = {tk: list(s) for tk, s in signals.items()}
         for ticker, day, signal in edits:
             edited["ABC"[ticker]][day] = signal
-        resumed = resume_signals(test, edited, costs, base)
-        fresh = resume_signals(test, edited, costs)
-        assert repr(resumed.result) == repr(fresh.result)
-        assert resumed.result == fresh.result
-        assert resumed.day_starts == fresh.day_starts
+        resumed, first = resume_signals(test, edited, costs, base)
+        fresh = record_signals(test, edited, costs).result
+        assert repr(resumed) == repr(fresh)
+        assert resumed == fresh
         if edited == signals:
-            assert resumed is base
+            assert resumed is base.result and first is None
 
     # Flat prices and no costs: a buy and a sell of the same shares leave
     # cash exactly where it was, so runs whose ledgers differ in length can
@@ -348,26 +433,42 @@ class TestResume:
         later = {("B", 8): Signal.BUY, ("A", 9): Signal.BUY, ("B", 11): Signal.SELL}
         test, signals = self.flat_run({**base_trades, **later})
         _, edited = self.flat_run({**edited_trades, **later})
-        base = resume_signals(test, signals, self.FREE)
-        resumed = resume_signals(test, edited, self.FREE, base)
-        fresh = resume_signals(test, edited, self.FREE)
-        assert (resumed.start, resumed.stop) == (4, 6)
-        assert len(resumed.result.trade_ledger) != len(base.result.trade_ledger)
-        assert repr(resumed.result) == repr(fresh.result)
-        assert resumed.day_starts == fresh.day_starts
-        assert resumed.result.trade_ledger[-3:] == base.result.trade_ledger[-3:]
+        base = record_signals(test, signals, self.FREE)
+        resumed, first = resume_signals(test, edited, self.FREE, base)
+        fresh = record_signals(test, edited, self.FREE).result
+        assert first == 4
+        assert len(resumed.trade_ledger) != len(base.result.trade_ledger)
+        assert repr(resumed) == repr(fresh)
+        # rejoined on day 6: the later trades are the base's own records
+        tail = base.result.trade_ledger[-3:]
+        assert all(got is want for got, want in zip(resumed.trade_ledger[-3:], tail))
+        assert not any(got is want for got, want in zip(fresh.trade_ledger[-3:], tail))
 
     def test_no_rejoin_while_holdings_differ_by_a_zero_share_key(self):
         test, signals = self.flat_run(
             {("A", 1): Signal.BUY, ("A", 2): Signal.SELL, ("B", 8): Signal.BUY}
         )
         _, edited = self.flat_run({("B", 8): Signal.BUY})
-        base = resume_signals(test, signals, self.FREE)
-        resumed = resume_signals(test, edited, self.FREE, base)
-        fresh = resume_signals(test, edited, self.FREE)
-        assert resumed.stop == 14  # {"A": 0} never matches {}
-        assert repr(resumed.result) == repr(fresh.result)
-        assert resumed.day_starts == fresh.day_starts
+        base = record_signals(test, signals, self.FREE)
+        resumed, first = resume_signals(test, edited, self.FREE, base)
+        fresh = record_signals(test, edited, self.FREE).result
+        assert first == 1
+        assert repr(resumed) == repr(fresh)
+        # {"A": 0} never matches {}: B's buy is executed again, not spliced in
+        assert resumed.trade_ledger[-1] == base.result.trade_ledger[-1]
+        assert resumed.trade_ledger[-1] is not base.result.trade_ledger[-1]
+
+    def test_an_edit_that_changes_no_trade_returns_the_base(self):
+        # a SELL with nothing held in place of a HOLD trades nothing, so the
+        # resume ends in the base's state the day it starts
+        test, signals = self.flat_run({("A", 1): Signal.BUY, ("B", 8): Signal.BUY})
+        _, edited = self.flat_run(
+            {("A", 1): Signal.BUY, ("B", 8): Signal.BUY, ("B", 3): Signal.SELL}
+        )
+        base = record_signals(test, signals, self.FREE)
+        resumed, first = resume_signals(test, edited, self.FREE, base)
+        assert resumed is base.result
+        assert first is None
 
     def test_state_match_compares_holdings_in_order_with_zero_keys(self):
         start = DayStart(cash=5.0, holdings={"A": 1, "B": 2}, prev_value=9.0, n_trades=3)

@@ -58,7 +58,7 @@ RECORDS = [
     TRADE,
     RESULT,
     DAY_START,
-    SignalRun({"AAA": [Signal.HOLD, Signal.BUY]}, RESULT, (DAY_START,), ({"AAA": 10.0},), 0, 2),
+    SignalRun({"AAA": [Signal.HOLD, Signal.BUY]}, RESULT, (DAY_START,), ({"AAA": 10.0},)),
     EP,
     OUTCOME,
     CellError(3, "conceal", "no previous day before index 0"),

@@ -11,8 +11,9 @@ SHA-256 of each file the command wrote.
 
 Passing scenarios: both benchmark workloads' command lists; in each world,
 a ``backtest`` and ``attack sweep`` under each strategy other than its
-workload's and under proportional slippage; ``attack targeted`` with each
-mode, then ``report``; ``ingest`` and ``backtest`` on imported forecasts
+workload's, under proportional slippage, and under each such strategy with
+proportional slippage; in each world, ``attack targeted`` with each mode,
+then ``report``; ``ingest`` and ``backtest`` on imported forecasts
 (each day's forecast is the previous close); a ``backtest`` in each world
 under each strategy on such forecasts with gaps (no row for the first three
 test days, test day 45 and the third-to-last); ``ingest`` and ``backtest``
@@ -120,11 +121,12 @@ def prepare(work: str) -> None:
     def variant(name: str, world: str = "desk", **sections) -> None:
         _write_json(os.path.join(work, f"{world}_{name}.json"), {**worlds[world], **sections})
 
+    proportional = {"slippage_mode": "proportional", "slippage_per_share": 0.001}
     for world, kinds in OTHER_STRATEGIES.items():
         for kind in kinds:
             variant(kind, world, strategy={"kind": kind})
-        variant("proportional", world,
-                costs={"slippage_mode": "proportional", "slippage_per_share": 0.001})
+            variant(f"{kind}_proportional", world, strategy={"kind": kind}, costs=proportional)
+        variant("proportional", world, costs=proportional)
     variant("bad_day", attack={**desk["attack"], "days": [9999]})
     with open(os.path.join(work, "data_desk", "AAA.csv")) as fh:
         train_date = fh.read().splitlines()[6].split(",")[0]  # the sixth day
@@ -262,20 +264,22 @@ def scenarios() -> list[tuple[str, list[list[str]]]]:
         ("universe_sweep", [argv for _, argv in commands(UNIVERSE, "universe.json", "universe")]),
     ]
     for world, kinds in OTHER_STRATEGIES.items():
-        for name in (*kinds, "proportional"):
+        for name in (*kinds, "proportional", *(f"{kind}_proportional" for kind in kinds)):
             config, out = f"{world}_{name}.json", f"{world}_{name}"
             listed.append((f"{world}_{name}", [
                 ["backtest", "--config", config, "--out", out],
                 ["attack", "sweep", "--config", config, "--out", out],
             ]))
-    targeted = []
-    for mode in ("conceal", "overestimate"):
-        out = f"desk_{mode}"
-        targeted += [
-            ["attack", "targeted", "--mode", mode, "--config", "desk.json", "--out", out],
-            ["report", f"{out}/targeted_summary.json", f"{out}/targeted_cells.csv", "--out", out],
-        ]
-    listed.append(("desk_targeted", targeted))
+    for world in OTHER_STRATEGIES:
+        targeted = []
+        for mode in ("conceal", "overestimate"):
+            out = f"{world}_{mode}"
+            targeted += [
+                ["attack", "targeted", "--mode", mode, "--config", f"{world}.json", "--out", out],
+                ["report", f"{out}/targeted_summary.json", f"{out}/targeted_cells.csv",
+                 "--out", out],
+            ]
+        listed.append((f"{world}_targeted", targeted))
     listed.append(("desk_import", [
         [cmd, "--config", "desk_import.json", "--out", "desk_import"]
         for cmd in ("ingest", "backtest")
