@@ -392,16 +392,14 @@ def _run_cells(context: AttackContext, kind: str, ticker: str, days, modes) -> A
     return AttackResult(kind, tuple(outcomes), context.baseline, tuple(errors))
 
 
-def sweep_indiscriminate(
-    context: AttackContext, ticker: str, omegas, ddof: int = 1, days=None
-) -> AttackResult:
+def sweep_indiscriminate(context: AttackContext, ticker: str, omegas, days=None) -> AttackResult:
     """Attack each test day once per omega (day-major, omega-minor).
 
     ``days`` lists the test days to attack, in order; every test day when
     None. Infeasible cells (not enough history for the sigma window) are
     recorded and skipped.
     """
-    modes = [StdDevMode(omega=omega, ddof=ddof) for omega in omegas]
+    modes = [StdDevMode(omega=omega) for omega in omegas]
     if not modes:
         raise AttackSetupError("need at least one omega")
     if days is None:

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Commands: ingest, fit, backtest, attack (sweep | targeted), report.
-Any pipeline error is reported with its module name and a nonzero exit; an
-option that takes one value, given twice, is a config error.
+Any pipeline error is reported with its module name and a nonzero exit, and
+each distinct warning as one line with its module name; an option that
+takes one value, given twice, is a config error.
 
 Each command imports only the code it runs: ``ingest`` and ``report`` need
 the config and the file formats, and only ``fit``, ``backtest`` and
@@ -19,6 +20,7 @@ import argparse
 import gc
 import os
 import sys
+import warnings
 from typing import NoReturn
 
 from . import files
@@ -42,9 +44,7 @@ class _Once(argparse.Action):
 
 
 def _add_config_args(parser):
-    parser.add_argument(
-        "--config", action=_Once, required=True, help="run configuration (JSON)"
-    )
+    parser.add_argument("--config", action=_Once, required=True, help="run configuration (JSON)")
     parser.add_argument(
         "--out", action=_Once, help="output directory (default: config output_dir)"
     )
@@ -67,16 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(atk)
     atk.add_argument("--ticker", action=_Once, help="override the attacked ticker")
     atk.add_argument(
-        "--omega",
-        type=int,
-        action="append",
-        help="sigma window for sweep mode (repeatable)",
+        "--omega", type=int, action="append", help="sigma window for sweep mode (repeatable)"
     )
     atk.add_argument(
-        "--mode",
-        action=_Once,
-        choices=tuple(ATTACK_SUBMODES),
-        help="override attack mode",
+        "--mode", action=_Once, choices=tuple(ATTACK_SUBMODES), help="override attack mode"
     )
 
     rep = sub.add_parser("report", help="summarize result files")
@@ -108,69 +102,79 @@ def _out_dir(args, config=None) -> str:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        if args.command == "report":
-            for line in files.cmd_report(args.files, _out_dir(args)):
-                print(line)
-            return 0
+    """Run one command and return its exit code. On stderr, each distinct
+    warning it raised is one ``warning [module]:`` line, and a failure ends
+    with one ``error [module]:`` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code, error = _run(build_parser().parse_args(argv)), ""
+        except EpsimError as exc:
+            code, error = 1, f"error [{exc.module}]: {exc}\n"
+    notes = dict.fromkeys(
+        f"warning [{getattr(w.category, 'module', w.category.__name__)}]: {w.message}\n"
+        for w in caught
+    )
+    sys.stderr.write("".join(notes) + error)
+    return code
 
-        config = RunConfig.from_file(args.config)
 
-        if args.command == "attack":
-            if args.submode == "targeted" and args.omega is not None:
-                raise ConfigurationError(
-                    "attack targeted takes no --omega: it sets attack sweep's windows"
-                )
-            overrides = {} if config.attack is None else config.attack._asdict()
-            flags = {"ticker": args.ticker, "omegas": args.omega, "mode": args.mode}
-            overrides.update({k: v for k, v in flags.items() if v is not None})
-            modes = [m for m, s in ATTACK_SUBMODES.items() if s == args.submode]
-            if len(modes) == 1:  # a submode with one mode needs no attack.mode
-                overrides.setdefault("mode", modes[0])
-            # the constructor checks the attacked ticker against the config's
-            config = RunConfig(
-                **{**config._asdict(), "attack": AttackConfig.from_dict(overrides)}
-            )
-            if config.attack.mode not in modes:
-                raise ConfigurationError(
-                    f"attack {args.submode} runs attack.mode {' or '.join(modes)}, "
-                    f"not {config.attack.mode!r}"
-                )
-
-        out_dir = _out_dir(args, config)
-        if args.command == "ingest":
-            report = files.cmd_ingest(config, out_dir)
-            print(
-                f"{len(report['tickers'])} tickers, "
-                f"{report['calendar']['n_days']} aligned days "
-                f"({report['calendar']['start']} .. {report['calendar']['end']}), "
-                f"train={report['n_train']} test={report['n_test']}"
-            )
-            return 0
-
-        from . import pipeline
-
-        if args.command == "attack":
-            paths = pipeline.cmd_attack(config, out_dir)
-            for name in sorted(paths):
-                print(f"{name}: {paths[name]}")
-        elif args.command == "fit":
-            reports = pipeline.cmd_fit(config, out_dir)
-            for r in reports:
-                print(f"{r.ticker}: rmse_test={r.rmse_test:.4f} (n_test={r.n_test})")
-        elif args.command == "backtest":
-            result = pipeline.cmd_backtest(config, out_dir)
-            print(
-                f"sharpe={result.sharpe_ratio:.4f} "
-                f"final_cr={result.final_cumulative_return():.4%} "
-                f"final_value={result.final_value:.2f} "
-                f"trades={len(result.trade_ledger)}"
-            )
+def _run(args) -> int:
+    if args.command == "report":
+        for line in files.cmd_report(args.files, _out_dir(args)):
+            print(line)
         return 0
-    except EpsimError as exc:
-        print(f"error [{exc.module}]: {exc}", file=sys.stderr)
-        return 1
+
+    config = RunConfig.from_file(args.config)
+
+    if args.command == "attack":
+        if args.submode == "targeted" and args.omega is not None:
+            raise ConfigurationError(
+                "attack targeted takes no --omega: it sets attack sweep's windows"
+            )
+        overrides = {} if config.attack is None else config.attack._asdict()
+        flags = {"ticker": args.ticker, "omegas": args.omega, "mode": args.mode}
+        overrides.update({k: v for k, v in flags.items() if v is not None})
+        modes = [m for m, s in ATTACK_SUBMODES.items() if s == args.submode]
+        if len(modes) == 1:  # a submode with one mode needs no attack.mode
+            overrides.setdefault("mode", modes[0])
+        # the constructor checks the attacked ticker against the config's
+        config = RunConfig(**{**config._asdict(), "attack": AttackConfig.from_dict(overrides)})
+        if config.attack.mode not in modes:
+            raise ConfigurationError(
+                f"attack {args.submode} runs attack.mode {' or '.join(modes)}, "
+                f"not {config.attack.mode!r}"
+            )
+
+    out_dir = _out_dir(args, config)
+    if args.command == "ingest":
+        report = files.cmd_ingest(config, out_dir)
+        print(
+            f"{len(report['tickers'])} tickers, "
+            f"{report['calendar']['n_days']} aligned days "
+            f"({report['calendar']['start']} .. {report['calendar']['end']}), "
+            f"train={report['n_train']} test={report['n_test']}"
+        )
+        return 0
+
+    from . import pipeline
+
+    if args.command == "attack":
+        paths = pipeline.cmd_attack(config, out_dir)
+        for name in sorted(paths):
+            print(f"{name}: {paths[name]}")
+    elif args.command == "fit":
+        reports = pipeline.cmd_fit(config, out_dir)
+        for r in reports:
+            print(f"{r.ticker}: rmse_test={r.rmse_test:.4f} (n_test={r.n_test})")
+    elif args.command == "backtest":
+        result = pipeline.cmd_backtest(config, out_dir)
+        print(
+            f"sharpe={result.sharpe_ratio:.4f} "
+            f"final_cr={result.final_cumulative_return():.4%} "
+            f"final_value={result.final_value:.2f} "
+            f"trades={len(result.trade_ledger)}"
+        )
+    return 0
 
 
 def entry() -> NoReturn:

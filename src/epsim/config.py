@@ -165,16 +165,14 @@ class CostModel(Record):
 
 
 class StdDevMode(Record):
-    __slots__ = _fields = ("omega", "ddof")
+    __slots__ = _fields = ("omega",)
 
-    def __init__(self, omega: int, ddof: int = 1):  # ddof 1: sample std, 0: population
+    def __init__(self, omega: int):
         self._set(locals())
         if not hasattr(omega, "__index__"):  # an int, numpy's included
             raise ConfigurationError(f"attack: omega must be an integer, got {omega!r}")
         if omega < 2:
             raise ConfigurationError(f"attack: omega must be >= 2, got {omega}")
-        if ddof not in (0, 1):
-            raise ConfigurationError(f"attack: ddof must be 0 or 1, got {ddof}")
 
     @property
     def label(self) -> str:
@@ -182,14 +180,14 @@ class StdDevMode(Record):
         return f"omega={self.omega}"
 
     def reported_closes(self, closes: np.ndarray) -> list[float | None]:
-        """Each day's clean close plus twice the std of the omega closes
+        """Each day's clean close plus twice the sample std of the omega closes
         ending that day, or exactly the clean close where those are all equal
         (their std need not be 0); None for a day with fewer closes."""
         if len(closes) < self.omega:
             return [None] * len(closes)
         windows = sliding_windows(closes, self.omega)  # row i: day i + omega - 1
         clean = closes[self.omega - 1 :]
-        reported = clean + 2.0 * windows.std(axis=1, ddof=self.ddof)
+        reported = clean + 2.0 * windows.std(axis=1, ddof=1)
         flat = windows.min(axis=1) == windows.max(axis=1)
         reported[flat] = clean[flat]
         return [None] * (self.omega - 1) + reported.tolist()
@@ -295,7 +293,6 @@ class AttackConfig(NamedTuple):
     mode: str  # a key of ATTACK_SUBMODES
     days: str | list  # "all" or a list of day indices / ISO dates
     omegas: tuple[int, ...] = (30, 40, 50)
-    ddof: int = 1
     drop_fraction: float = 0.10
 
     @classmethod
@@ -329,7 +326,7 @@ class AttackConfig(NamedTuple):
                 f"attack.omegas: each window once, {repeated} repeated"
             )
         for omega in cfg.omegas:
-            StdDevMode(omega=omega, ddof=cfg.ddof)
+            StdDevMode(omega=omega)
         OverestimateMode(drop_fraction=cfg.drop_fraction)
         return cfg
 

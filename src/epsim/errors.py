@@ -53,4 +53,7 @@ class ReportError(EpsimError):
 
 
 class ZeroVolatilityWarning(RuntimeWarning):
-    """Sharpe ratio was requested on a zero-volatility return stream."""
+    """Sharpe ratio was requested on a zero-volatility return stream. The
+    CLI prints it as ``warning [trade_engine]: <message>``."""
+
+    module = "trade_engine"

@@ -52,8 +52,7 @@ def build_predictions(config: RunConfig, plan: Plan):
             columns[tk] = np.full(n, np.nan)
             columns[tk][list(forecasts)] = list(forecasts.values())
         return columns
-    train = plan.dataset.slice(0, plan.test_start)
-    predictors = fit_baseline(train, config.predictor)
+    predictors = fit_baseline(plan.dataset.slice(0, plan.test_start), config.predictor)
     return {
         tk: predict_test_series(predictors[tk], plan.dataset.series[tk], plan.test_start)
         for tk in sorted(config.tickers)
@@ -68,8 +67,7 @@ def cmd_fit(config: RunConfig, out_dir) -> list[FitReport]:
     if config.predictor_kind != "baseline":
         raise ConfigurationError("fit requires predictor.kind = baseline")
     plan = load_dataset(config)
-    train = plan.dataset.slice(0, plan.test_start)
-    predictors = fit_baseline(train, config.predictor)
+    predictors = fit_baseline(plan.dataset.slice(0, plan.test_start), config.predictor)
     reports = [
         fit_report(predictors[tk], plan.dataset.series[tk], plan.test_start)
         for tk in sorted(predictors)
@@ -102,15 +100,12 @@ def cmd_attack(config: RunConfig, out_dir) -> dict:
     atk = config.attack
     plan = load_dataset(config)
     days = plan.attack_days
-    train = plan.dataset.slice(0, plan.test_start)
-    predictors = fit_baseline(train, config.predictor)
+    predictors = fit_baseline(plan.dataset.slice(0, plan.test_start), config.predictor)
     context = attack_mod.AttackContext(
         plan.dataset, plan.test_start, predictors, config.strategy, config.costs
     )
     if atk.mode == "stddev":
-        result = attack_mod.sweep_indiscriminate(
-            context, atk.ticker, atk.omegas, ddof=atk.ddof, days=days
-        )
+        result = attack_mod.sweep_indiscriminate(context, atk.ticker, atk.omegas, days=days)
     else:
         result = attack_mod.run_targeted(
             context, atk.ticker, days, atk.mode, drop_fraction=atk.drop_fraction

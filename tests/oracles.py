@@ -15,12 +15,12 @@ import math
 from typing import NamedTuple
 
 
-def sample_std(values, ddof: int = 1) -> float:
+def sample_std(values) -> float:
     n = len(values)
     mean = sum(values) / n
-    if n - ddof <= 0:
+    if n < 2:
         return 0.0
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / (n - ddof))
+    return math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
 
 
 def cumulative_returns_oracle(returns) -> list[float]:

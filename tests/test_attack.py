@@ -52,12 +52,6 @@ class TestApplyEp:
         assert got == pytest.approx(18.0, abs=1e-12)
         assert sample_std([10.0, 12.0, 14.0]) == 2.0
 
-    def test_population_std_switch(self):
-        series = series_from_closes("T", [10.0, 12.0, 14.0])
-        got = apply_ep(series, StdDevMode(omega=3, ddof=0), 2)
-        want = 14.0 + 2.0 * math.sqrt(8.0 / 3.0)
-        assert got == pytest.approx(want, abs=1e-12)
-
     def test_stddev_matches_oracle_on_random_windows(self, rng):
         closes = [float(c) for c in np.maximum(rng.normal(100, 10, 200), 1.0)]
         series = series_from_closes("T", closes)
@@ -102,22 +96,19 @@ class TestApplyEp:
     def test_stddev_over_a_closes_slice_is_bit_identical(self, closes, data):
         # sigma over a slice of the whole series' closes (built once per
         # series) has the bits of sigma over a fresh array of the window's
-        # closes, at any offset, omega and ddof
+        # closes, at any offset and omega
         omega = data.draw(st.integers(min_value=2, max_value=len(closes)))
         t = data.draw(st.integers(min_value=omega - 1, max_value=len(closes) - 1))
-        ddof = data.draw(st.sampled_from([0, 1]))
         fresh = np.array(closes[t - omega + 1 : t + 1], dtype=np.float64)
         want = closes[t]
         if fresh.min() != fresh.max():
-            want += 2.0 * float(np.std(fresh, ddof=ddof))
+            want += 2.0 * float(np.std(fresh, ddof=1))
         series = series_from_closes("T", closes)
-        assert apply_ep(series, StdDevMode(omega=omega, ddof=ddof), t) == want
+        assert apply_ep(series, StdDevMode(omega=omega), t) == want
 
     def test_mode_validation(self):
         with pytest.raises(ConfigurationError, match="attack: omega must be >= 2, got 1"):
             StdDevMode(omega=1)
-        with pytest.raises(ConfigurationError, match="attack: ddof must be 0 or 1, got 2"):
-            StdDevMode(omega=5, ddof=2)
         with pytest.raises(ConfigurationError, match=r"attack: drop_fraction must be in \(0,1\)"):
             OverestimateMode(drop_fraction=0.0)
         with pytest.raises(ConfigurationError, match=r"attack: drop_fraction must be in \(0,1\)"):
@@ -272,7 +263,7 @@ class TestSweep:
 
     def test_numpy_integer_omega_is_an_omega(self):
         assert StdDevMode(omega=np.int64(30)) == StdDevMode(omega=30)
-        assert StdDevMode(omega=np.int32(7), ddof=0).label == "omega=7"
+        assert StdDevMode(omega=np.int32(7)).label == "omega=7"
 
     def test_empty_omegas_rejected(self, rng):
         dataset, test_start, predictors = make_world(rng, n=60)

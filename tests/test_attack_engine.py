@@ -127,9 +127,7 @@ def perturbations(draw, world):
     clean_close = dataset.series[ticker].bars[test_start + day].close
     mode = draw(
         st.one_of(
-            st.builds(
-                StdDevMode, omega=st.integers(2, 20), ddof=st.sampled_from([0, 1])
-            ),
+            st.builds(StdDevMode, omega=st.integers(2, 20)),
             st.just(ConcealMode()),
             st.builds(
                 OverestimateMode,
@@ -609,23 +607,22 @@ class TestSigmaTable:
         for tk in ("AAA", "BBB"):
             bars = dataset.series[tk].bars
             for omega in (2, 3, 5, 13, 61, 70):
-                for ddof in (0, 1):
-                    for day in range(context.test.n_days()):
-                        ep = EpSpec(tk, day, StdDevMode(omega=omega, ddof=ddof))
-                        at = 60 + day
-                        if at < omega - 1:
-                            seen["infeasible"] += 1
-                            message = f"{tk}: need {omega} days of history ending at index {at}"
-                            with pytest.raises(AttackSetupError, match=re.escape(message)):
-                                context.perturbed_close(ep)
-                            continue
-                        fresh = np.array([b.close for b in bars[at - omega + 1 : at + 1]])
-                        want = bars[at].close
-                        if fresh.min() != fresh.max():
-                            want += 2.0 * float(np.std(fresh, ddof=ddof))
-                        seen["checked"] += 1
-                        seen["flat"] += want == bars[at].close
-                        assert context.perturbed_close(ep).hex() == want.hex()
+                for day in range(context.test.n_days()):
+                    ep = EpSpec(tk, day, StdDevMode(omega=omega))
+                    at = 60 + day
+                    if at < omega - 1:
+                        seen["infeasible"] += 1
+                        message = f"{tk}: need {omega} days of history ending at index {at}"
+                        with pytest.raises(AttackSetupError, match=re.escape(message)):
+                            context.perturbed_close(ep)
+                        continue
+                    fresh = np.array([b.close for b in bars[at - omega + 1 : at + 1]])
+                    want = bars[at].close
+                    if fresh.min() != fresh.max():
+                        want += 2.0 * float(np.std(fresh, ddof=1))
+                    seen["checked"] += 1
+                    seen["flat"] += want == bars[at].close
+                    assert context.perturbed_close(ep).hex() == want.hex()
         assert seen["flat"] > 0 and seen["infeasible"] > 0
 
 

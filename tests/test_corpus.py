@@ -1,6 +1,7 @@
 """``tools/corpus.py``, the runner of the "same results" check: a slice of
-its corpus, run twice, prints the same lines, and its rejected inputs fail
-with the exact error lines CI checks and write nothing."""
+its corpus, run twice, prints the same lines; its rejected inputs fail with
+exact error lines and write nothing, not even the output directory; and a
+run whose Sharpe ratio has no volatility passes with one warning line."""
 
 import importlib.util
 import os
@@ -43,15 +44,26 @@ REJECTED = [
 ]
 
 
+ZERO_VOLATILITY = (
+    "warning [trade_engine]: zero-volatility return stream; Sharpe ratio reported as 0\n"
+)
+
+
 def test_a_slice_reruns_to_the_same_lines(tmp_path):
-    names = ("desk_targeted", "desk_import", "rejected")
+    names = ("desk_targeted", "desk_import", "rejected", "zero_volatility")
     first = corpus.run_corpus(ROOT, str(tmp_path / "a"), names)
     second = corpus.run_corpus(ROOT, str(tmp_path / "b"), names)
     assert [r.line() for r in first] == [r.line() for r in second]
 
-    passing = [r for r in first if r.scenario != "rejected"]
+    passing = [r for r in first if r.scenario in ("desk_targeted", "desk_import")]
     assert len(passing) == 6
     assert all(r.code == 0 and r.stderr == "" and r.files for r in passing)
     rejected = [r for r in first if r.scenario == "rejected"]
     assert [r.stderr for r in rejected] == REJECTED
     assert all(r.code == 1 and r.stdout == "" and not r.files for r in rejected)
+    assert not (tmp_path / "a" / "bad").exists()
+    warned = [r for r in first if r.scenario == "zero_volatility"]
+    assert [(r.argv[0], r.code, r.stderr) for r in warned] == [
+        ("backtest", 0, ZERO_VOLATILITY), ("attack", 0, ZERO_VOLATILITY)
+    ]
+    assert all(r.files for r in warned)

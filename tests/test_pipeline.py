@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from epsim.attack import (
 )
 from epsim.cli import main
 from epsim.config import AttackConfig, ConcealMode, CostModel, RunConfig, StdDevMode
-from epsim.errors import ConfigurationError, ReportError
+from epsim.errors import ConfigurationError, ReportError, ZeroVolatilityWarning
 from epsim.files import (
     cmd_ingest,
     cmd_report,
@@ -143,6 +144,22 @@ def write_universe(tmp_path, rng, n=200, tickers=TICKERS, attack=None, **extra):
     return path
 
 
+def write_never_trading(tmp_path, rng):
+    """A world whose rule never trades: no forecast reaches a rate-of-change
+    threshold of 1000%, so every run's daily returns are all 0 and its Sharpe
+    ratio warns."""
+    never = {"kind": "rate_of_change", "roc_buy_threshold": 1000, "roc_sell_threshold": -1000}
+    return write_universe(
+        tmp_path, rng, n=150, strategy=never,
+        attack={"ticker": "AAA", "mode": "stddev", "days": "all", "omegas": [5]},
+    )
+
+
+ZERO_VOLATILITY = (
+    "warning [trade_engine]: zero-volatility return stream; Sharpe ratio reported as 0\n"
+)
+
+
 def forbid_commands(monkeypatch, reason: str) -> None:
     """Make every command's work fail the test: the CLI must stop first."""
     from epsim import files, pipeline
@@ -210,6 +227,9 @@ class TestRunConfig:
             AttackConfig.from_dict({"ticker": "A", "mode": "custom", "value": 1.0})
         with pytest.raises(ConfigurationError):
             AttackConfig.from_dict({"ticker": "A", "mode": "stddev", "days": 3})
+        # the std is the sample std (n-1), with no setting for it
+        with pytest.raises(ConfigurationError, match=r"^attack: unrecognized keys \['ddof'\]$"):
+            AttackConfig.from_dict({"ticker": "A", "mode": "stddev", "ddof": 1})
 
 
 class TestCommands:
@@ -1086,6 +1106,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error [config]")
 
+    def test_zero_volatility_is_one_warning_line(self, tmp_path, rng):
+        # not Python's form of a warning, which names the source file's
+        # absolute path and line and quotes the source line
+        cfg_path = write_never_trading(tmp_path, rng)
+        script = "import runpy\nrunpy.run_module('epsim.cli', run_name='__main__')\n"
+        for command in (["backtest"], ["attack", "sweep"]):
+            proc = _python(script, *command, "--config", str(cfg_path), "--out", str(tmp_path))
+            assert (command, proc.returncode, proc.stderr) == (command, 0, ZERO_VOLATILITY)
+
+    def test_main_reports_warnings_as_the_filters_say_and_leaves_them(
+        self, tmp_path, rng, capsys
+    ):
+        cfg_path = write_never_trading(tmp_path, rng)
+        argv = ["backtest", "--config", str(cfg_path), "--out", str(tmp_path)]
+        for action, err in (("ignore", ""), ("default", ZERO_VOLATILITY)):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, ZeroVolatilityWarning)
+                before = list(warnings.filters)
+                assert main(argv) == 0
+                assert warnings.filters == before
+            assert (action, capsys.readouterr().err) == (action, err)
+
+    def test_each_distinct_warning_is_one_line_before_the_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from epsim import files
+
+        def cmd_report(paths, out_dir):
+            warnings.warn("flat", ZeroVolatilityWarning)
+            warnings.warn("flat", ZeroVolatilityWarning)
+            warnings.warn("not one of epsim's", UserWarning)
+            raise ReportError("failed after warning")
+
+        monkeypatch.setattr(files, "cmd_report", cmd_report)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert main(["report", "result.json", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "warning [trade_engine]: flat\n"
+            "warning [UserWarning]: not one of epsim's\n"
+            "error [report]: failed after warning\n"
+        )
+
     @pytest.mark.parametrize(
         "attack, argv",
         [
@@ -1137,7 +1200,7 @@ class TestCli:
             (("attack", "omegas"), ["a"], []),
             (("attack", "omegas"), [30.5], []),
             (("attack", "omegas"), 5, []),
-            (("attack", "ddof"), "x", []),
+            (("attack", "ddof"), 1, []),
             (("attack", "drop_fraction"), "x", []),
             (("attack", "value"), "x", []),
             (("attack", "ticker"), 5, []),
@@ -1156,8 +1219,6 @@ class TestCli:
             (("data_dir",), 7, []),
             (("attack", "omegas"), [], []),
             (("attack", "omegas"), [1], []),
-            (("attack", "ddof"), 2, []),
-            (("attack", "ddof"), True, []),
             (("attack", "drop_fraction"), 0, []),
             (("attack", "drop_fraction"), 1.5, []),
             (("attack", "omegas"), [30], ["--omega", "1"]),
@@ -1166,12 +1227,12 @@ class TestCli:
             (("attack", "days"), [], []),
         ],
         ids=[
-            "omegas-str", "omegas-float", "omegas-scalar", "ddof-str", "drop-str",
+            "omegas-str", "omegas-float", "omegas-scalar", "ddof", "drop-str",
             "value-str", "attack-ticker-int", "ma_short-str", "ma_short-float",
             "bb_width-bool", "capital-str", "window-str", "features-int",
             "predictor-window-0", "features-empty", "ridge-negative",
             "split-list", "costs-null", "tickers-str", "data_dir-int",
-            "omegas-empty", "omega-1", "ddof-2", "ddof-bool", "drop-0", "drop-1.5",
+            "omegas-empty", "omega-1", "drop-0", "drop-1.5",
             "omega-flag-1", "omegas-repeated", "omega-flag-repeated", "days-empty",
         ],
     )

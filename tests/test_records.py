@@ -123,7 +123,7 @@ def test_modes_and_ep_spec_equal_no_other_type_and_no_tuple(value):
 
 
 def test_a_changed_field_makes_an_unequal_record():
-    assert StdDevMode(omega=30) != StdDevMode(omega=30, ddof=0)
+    assert StdDevMode(omega=30) != StdDevMode(omega=31)
     assert EpSpec("AAA", 1, ConcealMode()) != EpSpec("AAA", 2, ConcealMode())
     assert CostModel() != CostModel(initial_capital=1.0)
 

@@ -20,15 +20,20 @@ test days, test day 45 and the third-to-last); ``ingest`` and ``backtest``
 on the desk data written as other tools write CSV (rows newest first with a
 blank line, extra columns, padded cells), and a ``backtest`` on the desk
 data with a byte-order mark in front of one file. The ``rejected`` scenario
-holds CI's rejected inputs, each command once, and a ``report`` given one
-file twice; then an ``ingest`` and a ``backtest`` each on a config with a
-repeated key, on zero starting capital, on a forecast file naming
+holds an ``attack sweep --omega 1``; an ``ingest`` and an ``attack sweep``
+on an attack day past the test window; an ``ingest`` and a ``backtest`` on
+a forecast file for a ticker the config does not list; a ``report`` given
+one file twice; then an ``ingest`` and a ``backtest`` each on a config with
+a repeated key, on zero starting capital, on a forecast file naming
 ``Prediction`` twice, on too few train days for the model's window and on a
 forecast file whose last row is bad (a date outside the calendar, a train
 date, a non-finite value, a repeated date); and an ``ingest`` and an
 ``attack sweep`` each on an attack date outside the calendar, on a train
 date and on an omega longer than the history. ``rejected_csv`` holds one
-``ingest`` per data-file error the loader names.
+``ingest`` per data-file error the loader names. ``zero_volatility`` runs
+a ``backtest`` and an ``attack sweep`` on the desk data under a
+rate-of-change rule whose thresholds no forecast reaches: no run trades, so
+each command's stderr holds the zero-volatility Sharpe warning.
 
     python tools/corpus.py                      # this tree's lines
     python tools/corpus.py --against ../other   # only the lines that differ
@@ -175,6 +180,9 @@ def prepare(work: str) -> None:
         fh.write("".join(f"{row},{row.split(',')[1]}\n" for row in rows))
     variant("import_repeated", predictor={"kind": "import", "files": repeated})
     variant("zero_capital", costs={"initial_capital": 0.0})
+    variant("zero_volatility", strategy={
+        "kind": "rate_of_change", "roc_buy_threshold": 1000, "roc_sell_threshold": -1000,
+    })
     # json keeps the last of a repeated key: this config would run Bollinger bands
     kind = '"kind": "ma_crossover"'
     with open(os.path.join(work, "desk_repeated_key.json"), "w") as fh:
@@ -316,6 +324,10 @@ def scenarios() -> list[tuple[str, list[list[str]]]]:
     ]))
     listed.append(("rejected_csv", [
         ["ingest", "--config", f"desk_bad_{case}.json", "--out", "bad"] for case in BAD_CSV
+    ]))
+    listed.append(("zero_volatility", [
+        [*cmd, "--config", "desk_zero_volatility.json", "--out", "desk_zero_volatility"]
+        for cmd in (["backtest"], ["attack", "sweep"])
     ]))
     return listed
 
