@@ -11,7 +11,8 @@ That locality is what makes a cell cheap. :class:`AttackContext` computes,
 once per run, each ticker's clean forecast column, its forecast errors and
 unshifted signals, and the baseline run with its portfolio state before each
 day; for an attacked ticker it also builds, on first use, its scaled
-features, each mode's reported close of every day and a decision screen.
+features, each mode's reported close of every test day and a decision
+screen.
 A cell recomputes the one forecast the perturbation reaches, as the exact
 dot product, so the attacked forecasts are the clean column with that one
 entry changed, and then takes one of three routes:
@@ -128,19 +129,19 @@ class AttackResult(NamedTuple):
 def apply_ep(series: StockSeries, mode: EpMode, at: int) -> float:
     """The perturbed close for the bar at index ``at`` of ``series``, read
     from ``mode.reported_closes``; only that value changes."""
-    return _reported_close(series, mode, at, mode.reported_closes(series.closes()))
-
-
-def _reported_close(series: StockSeries, mode: EpMode, at: int, reported: list) -> float:
-    """``reported[at]``, ``mode``'s reported closes of ``series``, or the
-    error for an index outside the series or a day without history."""
     if not 0 <= at < len(series):
         raise AttackSetupError(
             f"{series.ticker}: day index {at} outside the series"
         )
-    if reported[at] is None:
-        raise AttackSetupError(mode.missing_history(series.ticker, at))
-    return reported[at]
+    return _reported_close(series.ticker, mode, at, mode.reported_closes(series.closes())[at])
+
+
+def _reported_close(ticker: str, mode: EpMode, at: int, reported: float | None) -> float:
+    """``reported``, ``mode``'s reported close of day index ``at``, or the
+    error for a day without the history the mode reads."""
+    if reported is None:
+        raise AttackSetupError(mode.missing_history(ticker, at))
+    return reported
 
 
 def perturbed_prediction_entry(
@@ -198,7 +199,7 @@ class AttackContext:
     and the baseline run with the portfolio state before each of its days.
     An attacked ticker's scaled features (full series) and decision screen
     (:func:`epsim.strategy.stable_intervals`) and each attacked (ticker,
-    mode)'s reported close of every day are built on first use. One
+    mode)'s reported close of every test day are built on first use. One
     context serves any number of cells and protocol calls: what a cell
     returns never depends on the cells before it.
     """
@@ -245,13 +246,28 @@ class AttackContext:
             self._scaled[ticker] = self.predictors[ticker].scale(self.dataset.series[ticker])
         return self._scaled[ticker]
 
-    def perturbed_close(self, ep: EpSpec) -> float:
-        """:func:`apply_ep`'s value, read from the (ticker, mode)'s column."""
-        series = self.dataset.series[ep.ticker]
-        key = (ep.ticker, ep.mode)
+    def reported(self, ticker: str, mode: EpMode) -> list:
+        """``mode``'s reported close of each test day of ``ticker``, entry t
+        for test day t, as ``mode.reported_closes`` of the full series has
+        it. Built on first use from the closes of the test window and the
+        ``mode.history`` days before it, which every window of a test day
+        lies in, so each entry takes the same arithmetic on the same closes."""
+        key = (ticker, mode)
         if key not in self._reported:
-            self._reported[key] = ep.mode.reported_closes(series.closes())
-        return _reported_close(series, ep.mode, self.test_start + ep.day, self._reported[key])
+            start = max(self.test_start - mode.history, 0)
+            closes = self.dataset.series[ticker].closes()[start:]
+            self._reported[key] = mode.reported_closes(closes)[self.test_start - start :]
+        return self._reported[key]
+
+    def perturbed_close(self, ep: EpSpec) -> float:
+        """:func:`apply_ep`'s value for a day of the test window, read from
+        the (ticker, mode)'s :meth:`reported` closes."""
+        reported = self.reported(ep.ticker, ep.mode)
+        if not 0 <= ep.day < len(reported):  # a negative day would index from the end
+            raise AttackSetupError(
+                f"attacked day {ep.day} outside the {len(reported)}-day test window"
+            )
+        return _reported_close(ep.ticker, ep.mode, self.test_start + ep.day, reported[ep.day])
 
     def require_cells(self, ticker: str, days) -> None:
         """Fail unless the context has a predictor for ``ticker`` and each of

@@ -2,8 +2,9 @@
 
 Commands: ingest, fit, backtest, attack (sweep | targeted), report.
 Any pipeline error is reported with its module name and a nonzero exit, and
-each distinct warning as one line with its module name; an option that
-takes one value, given twice, is a config error.
+each distinct warning as one line with its module name, or as the error if
+the warning filters make it one; an option that takes one value, given
+twice, is a config error.
 
 Each command imports only the code it runs: ``ingest`` and ``report`` need
 the config and the file formats, and only ``fit``, ``backtest`` and
@@ -101,19 +102,23 @@ def _out_dir(args, config=None) -> str:
     return out
 
 
+def _tag(category: type) -> str:
+    """The module an error or warning line names: an epsim class's
+    ``module``, else the class name."""
+    return getattr(category, "module", category.__name__)
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code. On stderr, each distinct
     warning it raised is one ``warning [module]:`` line, and a failure ends
-    with one ``error [module]:`` line."""
+    with one ``error [module]:`` line; so does a warning that the warning
+    filters (``python -W error``) turn into an exception."""
     with warnings.catch_warnings(record=True) as caught:
         try:
             code, error = _run(build_parser().parse_args(argv)), ""
-        except EpsimError as exc:
-            code, error = 1, f"error [{exc.module}]: {exc}\n"
-    notes = dict.fromkeys(
-        f"warning [{getattr(w.category, 'module', w.category.__name__)}]: {w.message}\n"
-        for w in caught
-    )
+        except (EpsimError, Warning) as exc:
+            code, error = 1, f"error [{_tag(type(exc))}]: {exc}\n"
+    notes = dict.fromkeys(f"warning [{_tag(w.category)}]: {w.message}\n" for w in caught)
     sys.stderr.write("".join(notes) + error)
     return code
 

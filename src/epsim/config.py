@@ -9,9 +9,9 @@ Each config section is an immutable record
 :class:`ConfigurationError` for a bad one: the predictor's, the strategy's,
 the cost model and the attack modes. Each attack mode also carries the
 ``label`` its cells are written under and owns its rule: it builds every
-day's reported close from the clean closes (``reported_closes``) and names
-the error for a day without the history its rule needs
-(``missing_history``). The attack block, checked by
+day's reported close from the clean closes (``reported_closes``), says how
+many closes before a day that close reads (``history``) and names the error
+for a day without them (``missing_history``). The attack block, checked by
 :meth:`AttackConfig.from_dict`, is a named tuple. They live here, not beside
 the code that uses them, so that reading and checking a config loads none of
 the engine.
@@ -179,6 +179,11 @@ class StdDevMode(Record):
         """A mode's name in cell errors and in the ``omega_or_mode`` column."""
         return f"omega={self.omega}"
 
+    @property
+    def history(self) -> int:
+        """The closes before a day that its reported close reads."""
+        return self.omega - 1
+
     def reported_closes(self, closes: np.ndarray) -> list[float | None]:
         """Each day's clean close plus twice the sample std of the omega closes
         ending that day, or exactly the clean close where those are all equal
@@ -201,6 +206,7 @@ class _PreviousCloseMode(Record):
     of it; None on the first day."""
 
     __slots__ = ()
+    history = 1
 
     def reported_closes(self, closes: np.ndarray) -> list[float | None]:
         return [None] + (closes[:-1] * (1.0 - self.drop_fraction)).tolist()
@@ -390,9 +396,11 @@ class RunConfig(Record):
             raise ConfigurationError(f"tickers: each ticker once, {repeated} repeated")
         if "data_dir" not in d:
             raise ConfigurationError("data_dir is required")
-        _check_value("data_dir", d["data_dir"], "")
         output_dir = d.get("output_dir", "out")
-        _check_value("output_dir", output_dir, "")
+        for key, path in (("data_dir", d["data_dir"]), ("output_dir", output_dir)):
+            _check_value(key, path, "")
+            if not path:  # "" would name the config's own directory
+                raise ConfigurationError(f"{key} must name a directory, got ''")
 
         split_spec = SplitSpec(**_section("split", SplitSpec()._asdict(), d.get("split", {})))
 

@@ -52,7 +52,7 @@ def build_predictions(config: RunConfig, plan: Plan):
             columns[tk] = np.full(n, np.nan)
             columns[tk][list(forecasts)] = list(forecasts.values())
         return columns
-    predictors = fit_baseline(plan.dataset.slice(0, plan.test_start), config.predictor)
+    predictors = fit_baseline(plan.dataset, config.predictor, plan.test_start)
     return {
         tk: predict_test_series(predictors[tk], plan.dataset.series[tk], plan.test_start)
         for tk in sorted(config.tickers)
@@ -67,7 +67,7 @@ def cmd_fit(config: RunConfig, out_dir) -> list[FitReport]:
     if config.predictor_kind != "baseline":
         raise ConfigurationError("fit requires predictor.kind = baseline")
     plan = load_dataset(config)
-    predictors = fit_baseline(plan.dataset.slice(0, plan.test_start), config.predictor)
+    predictors = fit_baseline(plan.dataset, config.predictor, plan.test_start)
     reports = [
         fit_report(predictors[tk], plan.dataset.series[tk], plan.test_start)
         for tk in sorted(predictors)
@@ -100,7 +100,7 @@ def cmd_attack(config: RunConfig, out_dir) -> dict:
     atk = config.attack
     plan = load_dataset(config)
     days = plan.attack_days
-    predictors = fit_baseline(plan.dataset.slice(0, plan.test_start), config.predictor)
+    predictors = fit_baseline(plan.dataset, config.predictor, plan.test_start)
     context = attack_mod.AttackContext(
         plan.dataset, plan.test_start, predictors, config.strategy, config.costs
     )

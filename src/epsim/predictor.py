@@ -169,9 +169,17 @@ def _fit_one(series: StockSeries, config: PredictorConfig) -> RidgePredictor:
     return RidgePredictor(series.ticker, config, coef, scalers, target_scaler)
 
 
-def fit_baseline(train: Dataset, config: PredictorConfig) -> dict[str, RidgePredictor]:
-    """Fit one predictor per ticker on the train partition (deterministic)."""
-    return {tk: _fit_one(train.series[tk], config) for tk in train.tickers()}
+def fit_baseline(
+    dataset: Dataset, config: PredictorConfig, train_days: int | None = None
+) -> dict[str, RidgePredictor]:
+    """Fit one predictor per ticker on its first ``train_days`` days, every
+    day when None (deterministic). Each ticker's training rows are sliced
+    as it is fitted, so one ticker's copy is alive at a time."""
+    series = dataset.series
+    return {
+        tk: _fit_one(series[tk] if train_days is None else series[tk].slice(0, train_days), config)
+        for tk in dataset.tickers()
+    }
 
 
 def predict_test_series(

@@ -399,12 +399,13 @@ def resume_oracle(test, signals, cost_model, base_signals):
 
 class FixedClose(NamedTuple):
     """An attack mode that reports ``value`` on every day: the shape every
-    mode has (a ``label``, ``reported_closes`` and ``missing_history``),
-    with no rule of its own. Reporting the clean close makes a null
-    perturbation."""
+    mode has (a ``label``, ``history``, ``reported_closes`` and
+    ``missing_history``), with no rule of its own. Reporting the clean close
+    makes a null perturbation."""
 
     value: float
     label = "custom"
+    history = 0
 
     def reported_closes(self, closes) -> list:
         return [self.value] * len(closes)

@@ -625,6 +625,48 @@ class TestSigmaTable:
                     assert context.perturbed_close(ep).hex() == want.hex()
         assert seen["flat"] > 0 and seen["infeasible"] > 0
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ticker=st.sampled_from(("AAA", "BBB", "CCC")),
+        test_start=st.integers(12, 159),
+        mode=st.one_of(
+            st.builds(StdDevMode, omega=st.integers(2, 170)),
+            st.just(ConcealMode()),
+            st.builds(OverestimateMode, drop_fraction=st.floats(0.01, 0.99)),
+        ),
+    )
+    def test_reported_table_is_the_full_tables_test_rows(self, ticker, test_start, mode):
+        # the context builds a table over the test window and the history its
+        # mode reads, not over every day: row for row, and bit for bit, it
+        # must be the full series' table from test_start on, None rows too
+        dataset, predictors = TABLE_WORLD
+        context = AttackContext(dataset, test_start, predictors, StrategyConfig(), CostModel())
+        full = mode.reported_closes(dataset.series[ticker].closes())[test_start:]
+        got = context.reported(ticker, mode)
+
+        def hexes(rows):
+            return [None if v is None else v.hex() for v in rows]
+
+        assert hexes(got) == hexes(full)
+        assert context.reported(ticker, mode) is got
+        for day in (-1, len(got)):
+            with pytest.raises(AttackSetupError, match="outside the .*-day test window"):
+                context.perturbed_close(EpSpec(ticker, day, mode))
+
+
+def _table_world():
+    """A 160-day world with a flat stretch (constant windows) in AAA, and
+    predictors fitted on its first 12 days."""
+    rng = np.random.default_rng(11)
+    closes = {tk: random_walk_closes(rng, 160, start=60.0 + 30 * i, vol=2.0)
+              for i, tk in enumerate(("AAA", "BBB", "CCC"))}
+    closes["AAA"][100:115] = 100.1
+    dataset = dataset_from_closes(closes)
+    return dataset, fit_baseline(dataset, PredictorConfig(window=5), 12)
+
+
+TABLE_WORLD = _table_world()
+
 
 class TestMemo:
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)

@@ -41,6 +41,8 @@ REJECTED = [
         "error [config]: attack.omegas: omega=401 needs 401 closes ending on an attacked "
         "day; the last, test day 79, has 400\n"
     ] * 2,
+    *["error [config]: data_dir must name a directory, got ''\n"] * 2,
+    *["error [config]: output_dir must name a directory, got ''\n"] * 2,
 ]
 
 

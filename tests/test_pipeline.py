@@ -109,6 +109,12 @@ BAD_INPUTS = {
         "error [config]: attack.omegas: omega=101 needs 101 closes ending on an "
         "attacked day; the last, test day 19, has 100",
     ),
+    "empty-data-dir": (
+        {"data_dir": ""}, None, "error [config]: data_dir must name a directory, got ''",
+    ),
+    "empty-output-dir": (
+        {"output_dir": ""}, None, "error [config]: output_dir must name a directory, got ''",
+    ),
 }
 
 
@@ -1128,6 +1134,18 @@ class TestCli:
                 assert warnings.filters == before
             assert (action, capsys.readouterr().err) == (action, err)
 
+    def test_a_warning_the_filters_make_an_error_is_one_error_line(self, tmp_path, rng):
+        # under python -W error the Sharpe warning is an exception: the
+        # command ends in its error line, not a traceback
+        cfg_path = write_never_trading(tmp_path, rng)
+        script = "import runpy\nrunpy.run_module('epsim.cli', run_name='__main__')\n"
+        env = {**os.environ, "PYTHONWARNINGS": "error"}
+        want = ZERO_VOLATILITY.replace("warning [", "error [")
+        for command in (["backtest"], ["attack", "sweep"]):
+            out = str(tmp_path / command[-1])
+            proc = _python(script, *command, "--config", str(cfg_path), "--out", out, env=env)
+            assert (command, proc.returncode, proc.stderr) == (command, 1, want)
+
     def test_each_distinct_warning_is_one_line_before_the_error(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -1399,6 +1417,19 @@ class TestCli:
             f"error [config]: output_dir {tmp_path / 'out.txt'} is not a directory\n"
         )
 
+    @pytest.mark.parametrize("key", ["data_dir", "output_dir"])
+    def test_empty_config_directory_fails_before_any_load(
+        self, tmp_path, rng, capsys, monkeypatch, key
+    ):
+        # "" would name the config's own directory: an empty output_dir wrote
+        # ingest_report.json beside the config, an empty data_dir read it
+        forbid_commands(monkeypatch, f"an empty {key}")
+        cfg_path = write_universe(tmp_path, rng, n=130, **{key: ""})
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error [config]: {key} must name a directory, got ''\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_cli_backtest_rejects_non_finite_imported_forecast(self, tmp_path, rng, capsys):
         path = write_universe(tmp_path, rng, n=100, tickers=("AAA",))
         test_days = trading_dates(100)[80:]
@@ -1522,6 +1553,7 @@ class TestCli:
             tmp_path, rng, n=100, attack={**attack, **changes.get("attack", {})},
             predictor=changes.get("predictor", {"kind": "baseline", "window": 20}),
             costs=changes.get("costs", {}),
+            **{k: v for k, v in changes.items() if k in ("data_dir", "output_dir")},
         )
         commands = [["ingest"], ["fit"], ["backtest"], ["attack", "sweep"]]
         if "omegas" not in changes.get("attack", {}):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from epsim.config import PredictorConfig
 from epsim.errors import ConfigurationError, PredictorError
 from epsim.files import read_forecasts
-from epsim.market_data import FEATURE_NAMES, SplitSpec, align_calendar, split
+from epsim.market_data import FEATURE_NAMES, ROW_BYTES, SplitSpec, align_calendar, split
 from epsim.predictor import evaluate_rmse, fit_baseline, fit_report, predict_test_series
 
 from conftest import (
@@ -133,6 +133,43 @@ class TestFitMemory:
         assert len(at_solve) == 1
         assert at_solve[0] <= 600_000
         assert np.array_equal(fitted["T"].coef, fit_baseline(train, config)["T"].coef)
+
+    def test_a_universe_fit_holds_one_tickers_training_rows(self, rng, monkeypatch):
+        # the benchmark's universe fit: 320 train days of each 400-day series.
+        # A whole-universe train copy held every ticker's rows at the first
+        # solve; sliced per ticker, the memory traced then is what a fit of
+        # the first ticker alone holds, less than one ticker's rows apart
+        tickers = [f"U{i:02d}" for i in range(8)]
+        dataset = align_calendar([random_series(rng, tk, 400) for tk in tickers])
+        first = align_calendar([dataset.series["U00"]])
+        config = PredictorConfig(window=50)
+        fit_baseline(dataset, config, 320)  # what a first fit leaves cached stays out
+        solve = np.linalg.solve
+
+        def traced_at_solves(ds):
+            at_solve = []
+
+            def spy(a, b):
+                at_solve.append(tracemalloc.get_traced_memory()[0] - before)
+                return solve(a, b)
+
+            monkeypatch.setattr(np.linalg, "solve", spy)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                fitted = fit_baseline(ds, config, 320)
+            finally:
+                tracemalloc.stop()
+                monkeypatch.undo()
+            return at_solve, fitted
+
+        alone, _ = traced_at_solves(first)
+        universe, fitted = traced_at_solves(dataset)
+        assert len(universe) == len(tickers)
+        assert universe[0] - alone[0] < 320 * ROW_BYTES
+        train = dataset.slice(0, 320)
+        for tk in tickers:  # the same bytes in, the same coefficients out
+            assert np.array_equal(fitted[tk].coef, fit_baseline(train, config)[tk].coef)
 
 
 class TestPredictNext:

@@ -29,7 +29,9 @@ a repeated key, on zero starting capital, on a forecast file naming
 forecast file whose last row is bad (a date outside the calendar, a train
 date, a non-finite value, a repeated date); and an ``ingest`` and an
 ``attack sweep`` each on an attack date outside the calendar, on a train
-date and on an omega longer than the history. ``rejected_csv`` holds one
+date and on an omega longer than the history; and an ``ingest`` and a
+``backtest`` each on an empty ``data_dir`` and, with no ``--out``, on an
+empty ``output_dir``. ``rejected_csv`` holds one
 ``ingest`` per data-file error the loader names. ``zero_volatility`` runs
 a ``backtest`` and an ``attack sweep`` on the desk data under a
 rate-of-change rule whose thresholds no forecast reaches: no run trades, so
@@ -180,6 +182,8 @@ def prepare(work: str) -> None:
         fh.write("".join(f"{row},{row.split(',')[1]}\n" for row in rows))
     variant("import_repeated", predictor={"kind": "import", "files": repeated})
     variant("zero_capital", costs={"initial_capital": 0.0})
+    variant("empty_data_dir", data_dir="")
+    variant("empty_output_dir", output_dir="")
     variant("zero_volatility", strategy={
         "kind": "rate_of_change", "roc_buy_threshold": 1000, "roc_sell_threshold": -1000,
     })
@@ -316,6 +320,10 @@ def scenarios() -> list[tuple[str, list[list[str]]]]:
             for name in ("attack_date_outside", "attack_date_in_train", "infeasible_omega")
             for cmd in (["ingest"], ["attack", "sweep"])
         ),
+        *([cmd, "--config", "desk_empty_data_dir.json", "--out", "bad"]
+          for cmd in ("ingest", "backtest")),
+        # with no --out, an empty output_dir would name the work directory
+        *([cmd, "--config", "desk_empty_output_dir.json"] for cmd in ("ingest", "backtest")),
     ]))
     listed.append(("desk_csv", [
         ["ingest", "--config", "desk_csv.json", "--out", "desk_csv"],
